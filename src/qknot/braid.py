@@ -103,9 +103,12 @@ def closure_is_knot(b: BraidWord) -> bool:
         if x == 0:
             break
     is_knot = seen == b.strands
-    if is_knot:
-        # parity fact used by the q^{(N-1)(w-m+1)/2} prefactor
-        assert (b.writhe - b.strands + 1) % 2 == 0
+    # Parity fact used by the q^{(N-1)(w-m+1)/2} prefactor: each letter
+    # permutes by a transposition and an m-cycle is a product of m−1
+    # transpositions, so by the sign of the permutation the word length, and
+    # hence the writhe (a sum of ±1 per letter), is ≡ m−1 mod 2.
+    if is_knot and (b.writhe - b.strands + 1) % 2:
+        raise AssertionError("writhe parity differs from strands − 1 on a knot closure")
     return is_knot
 
 

@@ -209,7 +209,7 @@ def cmd_kashaev(args: argparse.Namespace) -> int:
 def cmd_volume(args: argparse.Namespace) -> int:
     b = parse_braid(args.word, strands=args.strands)
     start = time.perf_counter()
-    rows = volume_sequence(b, args.N, workers=args.workers)
+    rows = volume_sequence(b, args.N)
     timings = {"total": time.perf_counter() - start}
     if args.json:
         result = [
@@ -351,10 +351,6 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--N", dest="N", type=_n_range, required=True,
         help="orders: 'start:stop:step' (stop inclusive), comma list, or one integer",
-    )
-    p.add_argument(
-        "--workers", type=_positive_int, default=None,
-        help="thread count (default: QKNOT_WORKERS or cpu count); results identical",
     )
     p.set_defaults(func=cmd_volume)
 

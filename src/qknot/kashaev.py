@@ -13,8 +13,6 @@ triangulations evaluated with the Lobachevsky/dilogarithm functions.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import mpmath
@@ -137,46 +135,24 @@ def kz_series(N: int) -> KashaevValue:
     return KashaevValue(N, exact, complex(embed_complex(exact)))
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("QKNOT_WORKERS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValueError(f"QKNOT_WORKERS must be an integer: {env!r}") from exc
-    return os.cpu_count() or 1
-
-
 def volume_sequence(
-    b: BraidWord, N_values: list[int], workers: int | None = None
+    b: BraidWord, N_values: list[int]
 ) -> list[tuple[int, float, float | None]]:
-    """(N, |⟨K⟩_N|, 2π·ln|⟨K⟩_N|/N) by the float path for each requested N; an
-    exactly zero magnitude yields rate None.  Orders are computed on a thread
-    pool (size from `workers`, else QKNOT_WORKERS, else cpu count); each order
-    is evaluated independently with a fixed summation order, so results are
-    bit-identical regardless of pool size."""
+    """(N, |⟨K⟩_N|, 2π·ln|⟨K⟩_N|/N) by the float path for each requested N, in
+    request order; an exactly zero magnitude yields rate None."""
     if any(N < 2 for N in N_values):
         raise ValueError("all N must be ≥ 2")
-
-    def one(N: int) -> tuple[int, float, float | None]:
+    rows = []
+    for N in N_values:
         mag = abs(numeric_state_sum(b, N))
-        return N, mag, (2 * math.pi * math.log(mag) / N if mag > 0 else None)
-
-    count = min(_worker_count(workers), max(1, len(N_values)))
-    if count == 1 or len(N_values) <= 1:
-        return [one(N) for N in N_values]
-    with ThreadPoolExecutor(max_workers=count) as pool:
-        return list(pool.map(one, N_values))
+        rows.append((N, mag, 2 * math.pi * math.log(mag) / N if mag > 0 else None))
+    return rows
 
 
-def volume_rate(
-    b: BraidWord, N_values: list[int], workers: int | None = None
-) -> list[tuple[int, float | None]]:
+def volume_rate(b: BraidWord, N_values: list[int]) -> list[tuple[int, float | None]]:
     """Growth-rate estimates v_N = 2π·ln|⟨K⟩_N|/N by the float path; an
     exactly zero magnitude yields None for that N."""
-    return [(N, rate) for N, _, rate in volume_sequence(b, N_values, workers)]
+    return [(N, rate) for N, _, rate in volume_sequence(b, N_values)]
 
 
 def mahler_measure(delta: LaurentPoly) -> float:

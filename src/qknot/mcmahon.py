@@ -226,6 +226,12 @@ def _eval_population(
     Folded exponents need modular reduction, so that path runs on dicts (they
     stay below `fold` entries anyway); generic q runs on dense int64 arrays
     with an ‖a‖∞·‖b‖₁ overflow tripwire falling back to exact dict arithmetic.
+
+    Precondition in folded mode (fold > 0): the exponents of every
+    coefficient in P are already reduced mod `fold`.  Only convolutions
+    reduce, and a state with r = d = 0 at every index passes its coefficient
+    through unconvolved, so an unreduced input gives an unreduced sum.
+    fermionic_terms, the only caller, builds its coefficients reduced.
     """
     k = len(signs_t)
 

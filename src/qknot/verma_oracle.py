@@ -15,6 +15,8 @@ import cmath
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .braid import BraidWord, closure_is_knot
 from .exactpoly import LaurentPoly, QExponent, q_int_binom
 
@@ -214,9 +216,35 @@ def check_braiding_inverse(N: int, cap: int) -> bool:
     return True
 
 
+# Largest count of expanded entries (live state × l) that one braiding step
+# of numeric_state_sum holds at once; batches of initial states grow only
+# while they stay under it.
+_ENTRY_BUDGET = 4096
+
+# Complex numbers travel as (real, imag) pairs of arrays: numpy's complex128
+# product differs from CPython's in the last bit, the split one does not.
+Split = tuple[np.ndarray, np.ndarray]
+
+
+def _split(values) -> Split:
+    """Real and imaginary parts of complex numbers (object arrays when cmath
+    is replaced by a high-precision stand-in)."""
+    return np.array([z.real for z in values]), np.array([z.imag for z in values])
+
+
+def _cmul(a: Split, b: Split) -> Split:
+    """Complex product, rounding exactly as CPython's complex multiplication."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _take(a: Split, *index) -> Split:
+    return a[0][index], a[1][index]
+
+
 class _NumericTables:
     """Root-of-unity tables: exact-phase quarter powers, Gaussian binomials,
-    and braiding pochhammer prefixes at q = exp(2πi/N)."""
+    and braiding pochhammer prefixes at q = exp(2πi/N), with split arrays of
+    the braiding coefficient factors."""
 
     def __init__(self, N: int):
         self.N = N
@@ -232,6 +260,19 @@ class _NumericTables:
         self.poch_plus = [self._prefix(N - 1 - n2, -1) for n2 in range(N)]
         self.poch_minus = [self._prefix(n1 - (N - 1), 1) for n1 in range(N)]
 
+        def grid(rows) -> Split:
+            re, im = _split([z for row in rows for z in row])
+            return re.reshape(N, N + 1), im.reshape(N, N + 1)
+
+        self._quarter = _split(self.quarter)
+        self._qpow = _split(qpow)
+        # phase · gauss, the first product of each coefficient, per sign
+        self._head = {
+            sign: grid([[self.phase(-sign * (N - 1) ** 2) * g for g in row] for row in gb])
+            for sign in (1, -1)
+        }
+        self._poch = {1: grid(self.poch_plus), -1: grid(self.poch_minus)}
+
     def _prefix(self, start: int, step: int) -> list[complex]:
         out = [1 + 0j]
         acc = 1 + 0j
@@ -243,58 +284,119 @@ class _NumericTables:
     def phase(self, quarter_units: int) -> complex:
         return self.quarter[quarter_units % (4 * self.N)]
 
-    def coeff(self, sign: int, n1: int, n2: int, l: int) -> complex:
+    def phases(self, quarter_units: np.ndarray) -> Split:
+        """phase() of an integer array."""
+        return _take(self._quarter, quarter_units % (4 * self.N))
+
+    def coeff(self, sign: int, n1: np.ndarray, n2: np.ndarray, l: np.ndarray) -> Split:
+        """Braiding coefficients of e_{n1} ⊗ e_{n2} → (l) for index arrays,
+        multiplied left to right as phase · gauss · qpow · poch."""
         N = self.N
         if sign == 1:
-            return (
-                self.phase(-((N - 1) ** 2))
-                * self.gauss[n1][l]
-                * self.qpow[(-l * (n1 - l) + n2 * (l - n1) + n2 * (N - 1)) % N]
-                * self.poch_plus[n2][l]
-            )
-        return (
-            self.phase((N - 1) ** 2)
-            * self.gauss[n2][l]
-            * self.qpow[(n1 * (n2 - l) - n1 * (N - 1)) % N]
-            * self.poch_minus[n1][l]
-        )
+            row, e, col = n1, -l * (n1 - l) + n2 * (l - n1) + n2 * (N - 1), n2
+        else:
+            row, e, col = n2, n1 * (n2 - l) - n1 * (N - 1), n1
+        c = _cmul(_take(self._head[sign], row, l), _take(self._qpow, e % N))
+        return _cmul(c, _take(self._poch[sign], col, l))
+
+
+def _first_appearance_groups(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(group of each entry, first entry of each group), groups numbered in
+    order of first appearance of their key."""
+    order = np.argsort(key)
+    ks = key[order]
+    new = np.empty(len(ks), dtype=bool)
+    new[:1] = True
+    np.not_equal(ks[1:], ks[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    first = np.minimum.reduceat(order, starts)
+    by_first = np.argsort(first)
+    rank = np.empty(len(starts), dtype=np.int64)
+    rank[by_first] = np.arange(len(starts))
+    group = np.empty(len(key), dtype=np.int64)
+    group[order] = rank[np.cumsum(new) - 1]
+    return group, first[by_first]
+
+
+def _sum_by_group(group: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
+    """Per-group sums, each taken from 0 in entry order: bincount and add.at
+    both add sequentially; bincount is faster but takes floats only."""
+    if values.dtype != object:
+        return np.bincount(group, weights=values, minlength=count)
+    out = np.zeros(count, dtype=object)
+    np.add.at(out, group, values)
+    return out
 
 
 def numeric_state_sum(b: BraidWord, N: int) -> complex:
     """The state sum with coefficients at q = exp(2πi/N): the order-N Kashaev
-    value of the closure.  Summation order is fixed for reproducibility."""
+    value of the closure.
+
+    Initial states run in batches; the live entries of a batch are flat
+    arrays of initial state, base-N state code and split complex value.
+    Summation order is fixed: each state accumulates its terms in the order
+    of a walk over one initial state at a time, live states in order of
+    first appearance and l ascending, and the diagonal entries are added in
+    initial-state order.  The result is therefore independent of the batch
+    sizes.  With cmath replaced by a stand-in whose exp returns mpmath
+    numbers (as perfbench/make_refs.py does for 60-digit references), the
+    same kernel runs on object arrays at that precision."""
     if N < 1:
         raise ValueError("N must be a positive integer")
     if not closure_is_knot(b):
         raise ValueError("closure is not a knot")
     m = b.strands
+    # a batch holds at most _ENTRY_BUDGET initial states; its keys must fit int64
+    if N**m * _ENTRY_BUDGET >= 2**63:
+        raise ValueError(f"N^strands = {N}^{m} is too large for the float state sum")
     tables = _NumericTables(N)
     steps, last = _last_touch(b)
-    total = 0j
-    for initial in product(range(N), repeat=m - 1):
-        full0 = (0,) + initial
-        weight = tables.phase(2 * ((m - 1) * (1 - N) + 2 * sum(initial)))
-        states: dict[tuple[int, ...], complex] = {full0: weight}
+    place = [N**p for p in range(m + 1)]
+    total = (0.0, 0.0)
+    start, size = 0, 1
+    while start < place[m - 1]:
+        size = min(size, place[m - 1] - start)
+        # initial state k is the k-th tuple of product(range(N), repeat=m−1)
+        k = np.arange(start, start + size, dtype=np.int64)
+        digits = [np.zeros(size, dtype=np.int64)] + [
+            (k // place[m - 1 - p]) % N for p in range(1, m)
+        ]
+        full0 = sum(d * place[p] for p, d in enumerate(digits))
+        seg = np.arange(size, dtype=np.int64)
+        code = full0
+        val = tables.phases(2 * ((m - 1) * (1 - N) + 2 * sum(digits)))
+        peak = size
         for t, (i, eps) in enumerate(steps):
-            pos = i - 1
-            out: dict[tuple[int, ...], complex] = {}
-            for state, coeff in states.items():
-                n1, n2 = state[pos], state[pos + 1]
-                lmax = min(n1, N - 1 - n2) if eps == 1 else min(n2, N - 1 - n1)
-                for l in range(lmax + 1):
-                    c = tables.coeff(eps, n1, n2, l)
-                    pair = (n2 + l, n1 - l) if eps == 1 else (n2 - l, n1 + l)
-                    new = state[:pos] + pair + state[pos + 2 :]
-                    out[new] = out.get(new, 0j) + coeff * c
-            frozen = [p for p in range(m) if last[p] == t]
-            if frozen:
-                out = {
-                    s: c
-                    for s, c in out.items()
-                    if all(s[p] == full0[p] for p in frozen)
-                }
-            states = out
-            if not states:
-                break
-        total += states.get(full0, 0j)
-    return tables.phase(b.writhe * (N * N - 1)) * total
+            lo, hi = place[i - 1], place[i]
+            n1, n2 = (code // lo) % N, (code // hi) % N
+            reps = 1 + (np.minimum(n1, N - 1 - n2) if eps == 1 else np.minimum(n2, N - 1 - n1))
+            src = np.repeat(np.arange(len(code)), reps)
+            l = np.arange(len(src)) - np.repeat(np.cumsum(reps) - reps, reps)
+            peak = max(peak, len(src))
+            n1, n2 = n1[src], n2[src]
+            term = _cmul(_take(val, src), tables.coeff(eps, n1, n2, l))
+            shift = l if eps == 1 else -l
+            code = code[src] + (n2 + shift - n1) * lo + (n1 - shift - n2) * hi
+            seg = seg[src]
+            keep = np.ones(len(code), dtype=bool)
+            for p in range(m):
+                if last[p] == t:
+                    keep &= (code // place[p]) % N == digits[p][seg]
+            code, seg = code[keep], seg[keep]
+            group, first = _first_appearance_groups(seg * place[m] + code)
+            code, seg = code[first], seg[first]
+            val = tuple(_sum_by_group(group, part[keep], len(first)) for part in term)
+        hit = code == full0[seg]
+        diag = [np.zeros(size, dtype=part.dtype) for part in val]
+        for d, part in zip(diag, val):
+            d[seg[hit]] = part[hit]
+        # sequential sums onto the running total, in initial-state order
+        total = tuple(np.cumsum(np.concatenate(([acc], d)))[-1] for acc, d in zip(total, diag))
+        start += size
+        if 2 * peak <= _ENTRY_BUDGET:
+            size *= 2
+        elif peak > _ENTRY_BUDGET:
+            size = max(1, size // 2)
+    phase = tables.phase(b.writhe * (N * N - 1))
+    # complex, or the stand-in's complex type under a high-precision cmath
+    return phase * type(phase)(*total)

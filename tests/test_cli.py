@@ -114,10 +114,8 @@ def test_volume_json_rows():
     assert row["rate"] == want[2]
 
 
-def test_worker_flag_does_not_change_output():
-    base = run(["volume", "--word", "1 -2 1 -2", "--N", "3:9:2"])
-    threaded = run(["volume", "--word", "1 -2 1 -2", "--N", "3:9:2", "--workers", "4"])
-    assert base == threaded
+def test_volume_rejects_the_removed_workers_flag():
+    assert run(["volume", "--word", "1 -2 1 -2", "--N", "5", "--workers", "2"])[0] == 1
 
 
 def test_usage_errors_exit_1():

@@ -12,7 +12,6 @@ from qknot.exactpoly import (
     parse_univariate,
 )
 from qknot.kashaev import (
-    _worker_count,
     bloch_wigner,
     kashaev_series,
     kashaev_value,
@@ -24,6 +23,7 @@ from qknot.kashaev import (
     volume_sequence,
 )
 from qknot.mcmahon import alexander, colored_jones
+from qknot.verma_oracle import numeric_state_sum
 
 
 def test_exact_value_is_reduced_colored_jones(corpus_braids):
@@ -135,23 +135,15 @@ def test_volume_sequence_rows_and_rate_formula():
     assert rates == [(N, rate) for N, _, rate in rows]
 
 
-def test_worker_count_is_presentation_only():
+def test_volume_sequence_follows_request_order():
     fig8 = parse_braid("1 -2 1 -2")
-    assert volume_sequence(fig8, [5, 7, 9], workers=1) == volume_sequence(
-        fig8, [5, 7, 9], workers=4
-    )
-
-
-def test_worker_count_resolution(monkeypatch):
-    monkeypatch.delenv("QKNOT_WORKERS", raising=False)
-    assert _worker_count(3) == 3
-    assert _worker_count(None) >= 1
-    monkeypatch.setenv("QKNOT_WORKERS", "2")
-    assert _worker_count(None) == 2
-    assert _worker_count(5) == 5
-    monkeypatch.setenv("QKNOT_WORKERS", "zebra")
-    with pytest.raises(ValueError):
-        _worker_count(None)
+    orders = [9, 5, 7, 5]
+    rows = volume_sequence(fig8, orders)
+    want = []
+    for N in orders:
+        mag = abs(numeric_state_sum(fig8, N))
+        want.append((N, mag, 2 * math.pi * math.log(mag) / N))
+    assert rows == want
 
 
 def test_mahler_measure_reference_values(corpus_braids):

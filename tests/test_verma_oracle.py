@@ -1,6 +1,9 @@
+from itertools import product
+
 import pytest
 
-from qknot.braid import parse_braid
+from qknot import verma_oracle
+from qknot.braid import closure_is_knot, parse_braid
 from qknot.exactpoly import LaurentPoly, QExponent, q_int_binom
 from qknot.mcmahon import colored_jones
 from qknot.qweyl import AlgebraElement, NormalMonomial, StrandSigns, normal_order_product
@@ -10,6 +13,7 @@ from qknot.verma_oracle import (
     braiding_coeff,
     check_braid_relation,
     check_braiding_inverse,
+    numeric_state_sum,
     qint_bracket,
     state_sum_jones,
 )
@@ -136,3 +140,73 @@ def test_state_sum_rejects_bad_input():
         state_sum_jones(parse_braid("1 1"), 2)
     with pytest.raises(ValueError):
         state_sum_jones(parse_braid("1 1 1"), 0)
+
+
+def _dict_walk_state_sum(b, N: int) -> complex:
+    """numeric_state_sum as a walk over one initial state at a time, with a
+    dict of live states and CPython complex arithmetic: the reference the
+    batched kernel must match bit for bit."""
+    m = b.strands
+    t = verma_oracle._NumericTables(N)
+    steps, last = verma_oracle._last_touch(b)
+
+    def coeff(sign, n1, n2, l):
+        if sign == 1:
+            e, poch = -l * (n1 - l) + n2 * (l - n1) + n2 * (N - 1), t.poch_plus[n2][l]
+            return t.phase(-((N - 1) ** 2)) * t.gauss[n1][l] * t.qpow[e % N] * poch
+        e, poch = n1 * (n2 - l) - n1 * (N - 1), t.poch_minus[n1][l]
+        return t.phase((N - 1) ** 2) * t.gauss[n2][l] * t.qpow[e % N] * poch
+
+    total = 0j
+    for initial in product(range(N), repeat=m - 1):
+        full0 = (0,) + initial
+        states = {full0: t.phase(2 * ((m - 1) * (1 - N) + 2 * sum(initial)))}
+        for step, (i, eps) in enumerate(steps):
+            pos = i - 1
+            out = {}
+            for state, c0 in states.items():
+                n1, n2 = state[pos], state[pos + 1]
+                lmax = min(n1, N - 1 - n2) if eps == 1 else min(n2, N - 1 - n1)
+                for l in range(lmax + 1):
+                    pair = (n2 + l, n1 - l) if eps == 1 else (n2 - l, n1 + l)
+                    new = state[:pos] + pair + state[pos + 2 :]
+                    out[new] = out.get(new, 0j) + c0 * coeff(eps, n1, n2, l)
+            frozen = [p for p in range(m) if last[p] == step]
+            states = {s: c for s, c in out.items() if all(s[p] == full0[p] for p in frozen)}
+        total += states.get(full0, 0j)
+    return t.phase(b.writhe * (N * N - 1)) * total
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("budget", [1, verma_oracle._ENTRY_BUDGET])
+def test_float_state_sum_matches_dict_walk_bit_for_bit(corpus_braids, monkeypatch, budget):
+    # budget 1 keeps one initial state per batch; the default packs many
+    monkeypatch.setattr(verma_oracle, "_ENTRY_BUDGET", budget)
+    cases = [(b, N) for b in corpus_braids.values() for N in (1, 2, 3, 5, 8)]
+    cases.append((parse_braid("1 1 2 -1 -3 2 -3"), 4))
+    for b, N in cases:
+        if closure_is_knot(b):
+            assert _bits(numeric_state_sum(b, N)) == _bits(_dict_walk_state_sum(b, N)), (b, N)
+
+
+def test_float_state_sum_rejects_oversized_code_space():
+    with pytest.raises(ValueError):
+        numeric_state_sum(parse_braid("1 2 3 4 5 6 7 8 9"), 50)
+
+
+# float.hex of (real, imag) of numeric_state_sum, recorded from the
+# per-initial-state dict walk that the batched kernel replaced
+FLOAT_STATE_SUM_BITS = [
+    ("1 -2 1 -2", 30, "0x1.f7160b720d389p+20", "0x1.85e1d1db00000p-20"),
+    ("1 2 -1 2 1 1", 15, "0x1.0a7f900977427p+15", "0x1.f68c2b78017f0p+10"),
+    ("1 1 1 1 1", 25, "-0x1.5c29d23ffa429p+4", "0x1.58621c8389a90p+3"),
+    ("1 1 2 -1 -3 2 -3", 6, "-0x1.73ffffffffbb0p+6", "0x1.5a6900584f1f1p+6"),
+]
+
+
+@pytest.mark.parametrize("word,N,real,imag", FLOAT_STATE_SUM_BITS)
+def test_float_state_sum_is_pinned_bit_for_bit(word, N, real, imag):
+    assert _bits(numeric_state_sum(parse_braid(word), N)) == (real, imag)
