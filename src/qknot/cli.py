@@ -8,7 +8,8 @@ Subcommands
     verify     cross-engine and corpus checks, pass/fail table
 
 Exit codes: 0 success, 1 usage or parse error, 2 math-domain error
-(non-knot closure, divergent series), 3 verification or equality failure.
+(non-knot closure, divergent series), 3 verification or equality failure,
+or a broken internal invariant ("internal error: …" on stderr).
 Every subcommand accepts --json, emitting one object with fields
 {input, result, engine, timings}.
 """
@@ -33,6 +34,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_VERIFY = 3
+EXIT_INTERNAL = 3
 
 
 @dataclass(frozen=True)
@@ -376,6 +378,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except AssertionError as exc:
+        # a broken internal invariant: no result of this run can be trusted
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

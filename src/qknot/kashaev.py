@@ -28,7 +28,7 @@ from .exactpoly import (
     cyclotomic_reduce,
     embed_complex,
 )
-from .mcmahon import c_sum, fermionic_terms
+from .mcmahon import c_sum, fermionic_terms, folded_series_sum
 from .qweyl import StrandSigns
 from .verma_oracle import numeric_state_sum
 
@@ -106,16 +106,9 @@ def kashaev_value(b: BraidWord, N: int, mode: str = "exact") -> KashaevValue:
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
     signs, C = _series_inputs(b)
-    k = max(b.length, 1)
-    total: dict[int, int] = {}
-    for value in fermionic_terms(C, signs, z_pow=-1, fold=N, max_n=k * N):
-        for e, c in value.items():
-            nc = total.get(e, 0) + c
-            if nc:
-                total[e] = nc
-            elif e in total:
-                del total[e]
-    poly = _poly_from_whole_powers(total).shift(QExponent.of_q(_prefactor_exponent(b)))
+    total = folded_series_sum(C, signs.signs, N)
+    poly = _poly_from_whole_powers(dict(enumerate(total)))
+    poly = poly.shift(QExponent.of_q(_prefactor_exponent(b)))
     exact = cyclotomic_reduce(poly, N)
     return KashaevValue(N, exact, complex(embed_complex(exact)))
 

@@ -8,11 +8,13 @@ the evaluation map with z = q^{N-1} and the writhe prefactor assembles the
 colored Jones polynomial; the classical specialization of I − ρ′ yields the
 Alexander polynomial.
 
-Internal series arithmetic runs on raw {exponent: coefficient} dictionaries
-over whole powers of q.  Accumulated powers of C are projected onto the
-(r_j, d_j) exponents only: in left·right products the left factor's
-b-exponents never enter the reordering power for either crossing sign, and
-the evaluation map is b-independent, so the projection is exact.
+Series arithmetic at generic q runs on raw {exponent: coefficient}
+dictionaries over whole powers of q; the root-of-unity sum of the Kashaev
+invariant runs on numpy rows of residues mod q^N − 1 (`folded_series_sum`).
+Accumulated powers of C are projected onto the (r_j, d_j) exponents only:
+in left·right products the left factor's b-exponents never enter the
+reordering power for either crossing sign, and the evaluation map is
+b-independent, so the projection is exact.
 """
 from __future__ import annotations
 
@@ -40,16 +42,15 @@ from .qweyl import AlgebraElement, StrandSigns, normal_order_product
 class InverseSeriesConfig:
     """How to expand 1/(1−C) = Σ Cⁿ.
 
-    mode "fermionic" pairs with termination "root_of_unity_bound" (requires
-    root_order; exponents fold mod that order and the series provably ends by
-    n = k·root_order) or "adaptive" (generic q: stop after `window` consecutive
-    zero terms, error out at hard_cap).  mode "bosonic" pairs with the
-    intrinsic "graded_cutoff" (per-exponent bound n_i ≤ N−1).
+    mode "fermionic" pairs with termination "adaptive" (generic q: stop after
+    `window` consecutive zero terms, error out at hard_cap).  mode "bosonic"
+    pairs with the intrinsic "graded_cutoff" (per-exponent bound n_i ≤ N−1).
+    The root-of-unity sum of the Kashaev invariant is not a mode here: it runs
+    on the folded kernel, `folded_series_sum`.
     """
 
     mode: str
     termination: str = "graded_cutoff"
-    root_order: int | None = None
     window: int | None = None
     hard_cap: int = 1000
 
@@ -58,10 +59,7 @@ class InverseSeriesConfig:
             if self.termination != "graded_cutoff":
                 raise ValueError("bosonic mode terminates by its graded cutoff")
         elif self.mode == "fermionic":
-            if self.termination == "root_of_unity_bound":
-                if not self.root_order or self.root_order < 1:
-                    raise ValueError("root_of_unity_bound needs a positive root_order")
-            elif self.termination != "adaptive":
+            if self.termination != "adaptive":
                 raise ValueError(f"unsupported fermionic termination {self.termination!r}")
         else:
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -117,13 +115,11 @@ def _dadd(acc: QDict, b: QDict) -> None:
             del acc[e]
 
 
-def _dconv(a: QDict, b: QDict, shift: int, fold: int) -> QDict:
+def _dconv(a: QDict, b: QDict, shift: int) -> QDict:
     out: QDict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = ea + eb + shift
-            if fold:
-                e %= fold
             nc = out.get(e, 0) + ca * cb
             if nc:
                 out[e] = nc
@@ -148,13 +144,12 @@ def _mono_terms(elem: AlgebraElement, k: int) -> list[MonoTerm]:
 
 
 def _apply_mono(
-    key: tuple[int, ...], mono: MonoKey, signs_t: tuple[int, ...], fold: int
-) -> tuple[tuple[int, ...] | None, int]:
+    key: tuple[int, ...], mono: MonoKey, signs_t: tuple[int, ...]
+) -> tuple[tuple[int, ...], int]:
     """Right-multiply a projected state (flat r,d pairs) by one C-monomial.
 
-    Returns (new key, whole-q reorder power); new key is None when the
-    monomial is pruned in folded mode (some d_j ≥ fold makes its evaluation
-    vanish modulo the cyclotomic polynomial).
+    Returns (new key, whole-q reorder power).  `_folded_step` is the same map
+    on arrays of keys, reduced mod N.
     """
     shift = 0
     new = list(key)
@@ -166,19 +161,13 @@ def _apply_mono(
                 shift += d1 * r2 - 2 * r1 * s2
             else:
                 shift += 2 * d1 * s2 + 2 * r1 * s2 - d1 * r2
-            nd = d1 + d2
-            if fold and nd >= fold:
-                return None, 0
-            nr = r1 + r2
-            if fold:
-                nr %= fold
-            new[2 * j] = nr
-            new[2 * j + 1] = nd
+            new[2 * j] = r1 + r2
+            new[2 * j + 1] = d1 + d2
     return tuple(new), shift
 
 
 @lru_cache(maxsize=None)
-def _efactor_items(eps: int, r: int, d: int, z_pow: int, fold: int) -> tuple[tuple[int, int], ...]:
+def _efactor_items(eps: int, r: int, d: int, z_pow: int) -> tuple[tuple[int, int], ...]:
     """E of a single-index (r, d) with z = q^{z_pow}, as sorted dict items.
 
     ε=+1: q^{-rd+r·z_pow} ∏_{i<d} (1 − q^{z_pow-r-i})
@@ -193,45 +182,34 @@ def _efactor_items(eps: int, r: int, d: int, z_pow: int, fold: int) -> tuple[tup
     for e in exps:
         if e == 0:
             return ()
-        poly = _dconv(poly, {0: 1, e: -1}, 0, fold)
-        if not poly:
-            break
-    if fold:
-        poly = {e % fold: c for e, c in poly.items()}
+        poly = _dconv(poly, {0: 1, e: -1}, 0)
     return tuple(sorted(poly.items()))
 
 
-def _eval_state(key: tuple[int, ...], signs_t: tuple[int, ...], z_pow: int, fold: int) -> QDict:
+def _eval_state(key: tuple[int, ...], signs_t: tuple[int, ...], z_pow: int) -> QDict:
     val: QDict = {0: 1}
     for j, eps in enumerate(signs_t):
         r = key[2 * j]
         d = key[2 * j + 1]
         if r or d:
-            items = _efactor_items(eps, r, d, z_pow, fold)
+            items = _efactor_items(eps, r, d, z_pow)
             if not items:
                 return {}
-            val = _dconv(val, dict(items), 0, fold)
+            val = _dconv(val, dict(items), 0)
             if not val:
                 return {}
     return val
 
 
 def _eval_population(
-    P: dict[tuple[int, ...], QDict], signs_t: tuple[int, ...], z_pow: int, fold: int
+    P: dict[tuple[int, ...], QDict], signs_t: tuple[int, ...], z_pow: int
 ) -> QDict:
     """Σ over states of coeff ⊛ ∏_j E-factor(state_j), associated along the
     shared-prefix tree so each E-factor convolution is applied once per group
     of states rather than once per state.
 
-    Folded exponents need modular reduction, so that path runs on dicts (they
-    stay below `fold` entries anyway); generic q runs on dense int64 arrays
-    with an ‖a‖∞·‖b‖₁ overflow tripwire falling back to exact dict arithmetic.
-
-    Precondition in folded mode (fold > 0): the exponents of every
-    coefficient in P are already reduced mod `fold`.  Only convolutions
-    reduce, and a state with r = d = 0 at every index passes its coefficient
-    through unconvolved, so an unreduced input gives an unreduced sum.
-    fermionic_terms, the only caller, builds its coefficients reduced.
+    Runs on dense int64 arrays (`_eval_population_np`) with an ‖a‖∞·‖b‖₁
+    overflow tripwire falling back to exact dict arithmetic.
     """
     k = len(signs_t)
 
@@ -250,15 +228,13 @@ def _eval_population(
             if not val:
                 continue
             if r or d:
-                items = _efactor_items(signs_t[j], r, d, z_pow, fold)
+                items = _efactor_items(signs_t[j], r, d, z_pow)
                 if not items:
                     continue
-                val = _dconv(val, dict(items), 0, fold)
+                val = _dconv(val, dict(items), 0)
             _dadd(total, val)
         return total
 
-    if fold:
-        return level(list(P.items()), 0)
     try:
         return _eval_population_np(P, signs_t, z_pow)
     except OverflowError:
@@ -271,7 +247,7 @@ _NP_SAFE = float(2**62)
 @lru_cache(maxsize=None)
 def _np_factor(eps: int, r: int, d: int, z_pow: int):
     """Dense int64 form of a single-index E-factor: (offset, array, ℓ∞, ℓ₁)."""
-    items = _efactor_items(eps, r, d, z_pow, 0)
+    items = _efactor_items(eps, r, d, z_pow)
     if not items:
         return None
     lo = items[0][0]
@@ -356,15 +332,10 @@ def fermionic_terms(
     C: AlgebraElement,
     signs: StrandSigns,
     z_pow: int,
-    fold: int = 0,
     max_n: int | None = None,
 ) -> Iterator[QDict]:
-    """Yield the evaluated series terms E(Cⁿ)|_{z=q^{z_pow}} for n = 0, 1, ….
-
-    With fold = N > 0, exponents are reduced mod N and monomials whose
-    evaluation is divisible by 1 − q^N are pruned; the iterator then stops on
-    its own (support empties once every surviving monomial dies).  It also
-    stops after n = max_n when given.
+    """Yield the evaluated series terms E(Cⁿ)|_{z=q^{z_pow}} for n = 0, 1, …
+    at generic q, stopping when the population empties or after n = max_n.
     """
     signs_t = signs.signs
     k = len(signs_t)
@@ -372,17 +343,15 @@ def fermionic_terms(
     P: dict[tuple[int, ...], QDict] = {(0,) * (2 * k): {0: 1}}
     n = 0
     while True:
-        yield _eval_population(P, signs_t, z_pow, fold)
+        yield _eval_population(P, signs_t, z_pow)
         n += 1
         if max_n is not None and n > max_n:
             return
         newP: dict[tuple[int, ...], QDict] = {}
         for key, cd in P.items():
             for mono, mcd in c_terms:
-                nk, shift = _apply_mono(key, mono, signs_t, fold)
-                if nk is None:
-                    continue
-                contrib = _dconv(cd, mcd, shift, fold)
+                nk, shift = _apply_mono(key, mono, signs_t)
+                contrib = _dconv(cd, mcd, shift)
                 if not contrib:
                     continue
                 acc = newP.get(nk)
@@ -395,6 +364,214 @@ def fermionic_terms(
         P = newP
         if not P:
             return
+
+
+# ---------------------------------------------------------------------------
+# folded series kernel: ℤ[q]/(q^N − 1) as rows of N integers
+# ---------------------------------------------------------------------------
+#
+# A population is (R, D, V): R and D are S×k int64 arrays of each state's
+# r_j mod N and d_j < N, and row i of V holds the N coefficients of state i
+# mod q^N − 1.  Every sum of rows is bounded beforehand by Σ‖row‖∞·‖factor‖₁;
+# V stays int64 while that bound stays under _NP_SAFE and past it runs on
+# object rows of Python ints, the same code exact at any size.
+
+def _mono_arrays(C: AlgebraElement, signs_t: tuple[int, ...]) -> tuple:
+    """C's M monomials as M×k arrays of per-crossing (r, d) exponents and
+    reorder weights, their q-coefficients as M×width (exponent, coefficient)
+    arrays padded with zero coefficients, and the coefficients' ℓ₁ norms:
+    (r2, d2, w_r, w_d, exps, coeffs, l1)."""
+    k = len(signs_t)
+    monos = _mono_terms(C, k)
+    trip = np.array([key for key, _ in monos], dtype=np.int64).reshape(len(monos), k, 3)
+    s2, r2, d2 = trip[..., 0], trip[..., 1], trip[..., 2]
+    plus = np.array(signs_t, dtype=np.int64) == 1
+    # _apply_mono's reorder power is linear in the old keys: Σ_j d_j·w_d + r_j·w_r
+    w_d = np.where(plus, r2, 2 * s2 - r2)
+    w_r = np.where(plus, -2 * s2, 2 * s2)
+    width = max((len(cd) for _, cd in monos), default=1)
+    exps = np.zeros((len(monos), width), dtype=np.int64)
+    coeffs = np.zeros((len(monos), width), dtype=np.int64)
+    for m, (_, cd) in enumerate(monos):
+        for t, (e, c) in enumerate(cd.items()):
+            exps[m, t], coeffs[m, t] = e, c
+    return r2, d2, w_r, w_d, exps, coeffs, np.abs(coeffs).sum(axis=1).astype(float)
+
+
+def _roll_rows(V, rows, shift, N: int):
+    """V[rows], row i multiplied by q^{shift[i]} mod q^N − 1."""
+    cols = (np.arange(N) - (shift % N)[:, None]) % N
+    return V[rows[:, None], cols]
+
+
+def _groups(cols: list, N: int, n: int):
+    """(order, starts): an order of n keys (tuples across `cols`, entries in
+    [0, N)) that makes equal keys adjacent, and the first position of each
+    run of equal keys.  Columns are packed base N into as few int64 words as
+    hold them, so the sort usually runs on one word."""
+    words, span = [], 2**62
+    for c in cols:
+        if span * N >= 2**62:
+            words.append(c.copy())
+            span = N
+        else:
+            words[-1] += c * span
+            span *= N
+    if not words:
+        return np.arange(n), np.arange(min(n, 1))
+    order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words)
+    new = np.zeros(n, dtype=bool)
+    new[:1] = True
+    for w in words:
+        sw = w[order]
+        new[1:] |= sw[1:] != sw[:-1]
+    return order, np.flatnonzero(new)
+
+
+def _fits(bound, starts) -> bool:
+    """Whether every group sum of the per-row bounds stays under _NP_SAFE."""
+    return float(np.add.reduceat(bound, starts).max()) < _NP_SAFE
+
+
+def _mags(V):
+    return np.abs(V).max(axis=1).astype(float)
+
+
+def _compact(R, D, V):
+    """Drop the rows that vanish, as the dict path drops zero coefficients."""
+    live = np.any(V != 0, axis=1)
+    return R[live], D[live], V[live]
+
+
+def _merge(R, D, V, N: int):
+    """Sum the rows of equal keys."""
+    order, starts = _groups([*R.T, *D.T], N, len(V))
+    V = V[order]
+    if V.dtype != object and not _fits(_mags(V), starts):
+        V = V.astype(object)
+    return _compact(R[order][starts], D[order][starts], np.add.reduceat(V, starts, axis=0))
+
+
+def _folded_step(R, D, V, mono: tuple, N: int):
+    """Right-multiply every state by every C-monomial mod q^N − 1 and merge.
+
+    A product with some d_j ≥ N is pruned: its E-factor contains N
+    consecutive factors 1 − q^e, one of which has e ≡ 0 mod N.
+    """
+    r2, d2, w_r, w_d, exps, coeffs, l1 = mono
+    nD = D[:, None, :] + d2[None]
+    src, m = np.nonzero((nD < N).all(axis=2))
+    if not len(src):
+        return R[:0], D[:0], V[:0]
+    nR = (R[src] + r2[m]) % N
+    nD = nD[src, m]
+    shift = (D[src] * w_d[m]).sum(axis=1) + (R[src] * w_r[m]).sum(axis=1)
+    order, starts = _groups([*nR.T, *nD.T], N, len(src))
+    src, m, shift = src[order], m[order], shift[order]
+    if V.dtype != object and not _fits(_mags(V)[src] * l1[m], starts):
+        V = V.astype(object)
+    out = coeffs[m, :1] * _roll_rows(V, src, shift + exps[m, 0], N)
+    for t in range(1, exps.shape[1]):
+        out += coeffs[m, t : t + 1] * _roll_rows(V, src, shift + exps[m, t], N)
+    sel = order[starts]
+    return _compact(nR[sel], nD[sel], np.add.reduceat(out, starts, axis=0))
+
+
+def _efactor_rows(eps: int, r, d, N: int):
+    """E-factors at z = q^{-1} mod q^N − 1 of the distinct (r, d) pairs:
+    (rows, ℓ₁ norms, each state's pair index).
+
+    ε=+1: q^{-r(d+1)} ∏_{i<d} (1 − q^{-1-r-i});  ε=−1: q^r ∏_{i<d} (1 − q^{r+1+i}),
+    as `_efactor_items` at z_pow = −1.  Pairs are built in order of d, each
+    from (r, d−1) by one shift by q^{-r} (ε=+1) and one roll-and-subtract.
+    """
+    pairs, pair = np.unique(d * N + r, return_inverse=True)
+    pd = pairs // N
+    rs, rpos = np.unique(pairs % N, return_inverse=True)
+    every = np.arange(len(rs))
+    # ‖∏_{i<d} (1 − q^{e_i})‖₁ ≤ 2^d
+    G = np.zeros((len(rs), N), dtype=np.int64 if pd[-1] < 62 else object)
+    G[every, (-eps * rs) % N] = 1
+    F = np.empty((len(pairs), N), dtype=G.dtype)
+    lo = 0
+    for dd in range(int(pd[-1]) + 1):
+        if dd and eps == 1:
+            G = _roll_rows(G, every, -rs, N)
+            G = G - _roll_rows(G, every, -rs - dd, N)
+        elif dd:
+            G = G - _roll_rows(G, every, rs + dd, N)
+        hi = int(np.searchsorted(pd, dd, side="right"))
+        F[lo:hi] = G[rpos[lo:hi]]
+        lo = hi
+    return F, np.abs(F).sum(axis=1).astype(float), pair
+
+
+def _cyclic_conv(V, F):
+    """Row-wise product mod q^N − 1 of two S×N arrays, one shift of V at a
+    time, so no S×N×N intermediate is built."""
+    N = V.shape[1]
+    out = np.zeros_like(V)
+    for t in np.flatnonzero(np.any(F != 0, axis=0)):
+        f = F[:, t : t + 1]
+        out[:, t:] += f * V[:, : N - t]
+        out[:, :t] += f * V[:, N - t :]
+    return out
+
+
+def _eval_folded(R, D, V, signs_t: tuple[int, ...], N: int):
+    """Σ over states of V_row ⊛ ∏_j E-factor(r_j, d_j) at z = q^{-1}, mod
+    q^N − 1, as a row of N integers.
+
+    Bottom-up over j = k−1..0: each row is convolved with the factor of its
+    last key pair, then rows that share the remaining key prefix are merged.
+    """
+    for j in reversed(range(len(signs_t))):
+        if not len(V):
+            break
+        F, l1, pair = _efactor_rows(signs_t[j], R[:, j], D[:, j], N)
+        live = l1[pair] > 0
+        R, D, V, pair = R[live, :j], D[live, :j], V[live], pair[live]
+        if not len(V):
+            break
+        order, starts = _groups([*R.T, *D.T], N, len(V))
+        V, pair = V[order], pair[order]
+        if V.dtype != object and not _fits(_mags(V) * l1[pair], starts):
+            V = V.astype(object)
+        V = np.add.reduceat(_cyclic_conv(V, F[pair].astype(V.dtype)), starts, axis=0)
+        R, D, V = _compact(R[order][starts], D[order][starts], V)
+    if not len(V):
+        return np.zeros(N, dtype=np.int64)
+    return V[0]
+
+
+def folded_series_sum(C: AlgebraElement, signs_t: tuple[int, ...], N: int) -> list[int]:
+    """Σ_n E(Cⁿ)|_{z=q^{-1}} in ℤ[q]/(q^N − 1), as the coefficients of
+    q^0..q^{N−1}, for a braid with k = len(signs_t) crossings.
+
+    Each step raises Σ_j d_j by C's ideal degree, ≥ 1 for a knot, and
+    states with some d_j ≥ N are pruned, so the population empties by
+    n = k·N; the sum stops there in any case.  E is linear, so the
+    populations of every n are summed first and the sum is evaluated once.
+    """
+    k = len(signs_t)
+    mono = _mono_arrays(C, signs_t)
+    R = np.zeros((1, k), dtype=np.int64)
+    D = np.zeros((1, k), dtype=np.int64)
+    V = np.zeros((1, N), dtype=np.int64)
+    V[0, 0] = 1
+    acc, pending = (R, D, V), []
+    for _ in range(max(k, 1) * N):
+        R, D, V = _folded_step(R, D, V, mono, N)
+        if not len(V):
+            break
+        pending.append((R, D, V))
+        # merge when the unmerged rows outgrow the merged ones
+        if sum(len(p[2]) for p in pending) > len(acc[2]):
+            acc = _merge(*(np.concatenate(part) for part in zip(acc, *pending)), N)
+            pending = []
+    if pending:
+        acc = _merge(*(np.concatenate(part) for part in zip(acc, *pending)), N)
+    return [int(c) for c in _eval_folded(*acc, signs_t, N)]
 
 
 def _bosonic_series(Mq: QuantumMatrix, signs: StrandSigns, N: int) -> QDict:
@@ -419,8 +596,8 @@ def _bosonic_series(Mq: QuantumMatrix, signs: StrandSigns, N: int) -> QDict:
                 inv_shift = -sum(zc[j] for j in range(c + 1, dim))
                 nzc = zc[:c] + (zc[c] + 1,) + zc[c + 1:]
                 for mono, mcd in entry_terms[p][c]:
-                    nk, shift = _apply_mono(akey, mono, signs_t, 0)
-                    contrib = _dconv(cd, mcd, shift + inv_shift, 0)
+                    nk, shift = _apply_mono(akey, mono, signs_t)
+                    contrib = _dconv(cd, mcd, shift + inv_shift)
                     if not contrib:
                         continue
                     skey = (nk, nzc)
@@ -437,9 +614,9 @@ def _bosonic_series(Mq: QuantumMatrix, signs: StrandSigns, N: int) -> QDict:
         if p == dim:
             for (akey, zc), cd in states.items():
                 if zc == consumed:
-                    ev = _eval_state(akey, signs_t, N - 1, 0)
+                    ev = _eval_state(akey, signs_t, N - 1)
                     if ev:
-                        _dadd(total, _dconv(cd, ev, 0, 0))
+                        _dadd(total, _dconv(cd, ev, 0))
             return
         cur = states
         for t in range(N):
@@ -467,10 +644,8 @@ def inverse_series_EN(
 ) -> LaurentPoly:
     """E_N applied to the reciprocal of the deformed determinant of I − M.
 
-    Fermionic mode sums E_N(Cⁿ) with the configured termination; bosonic mode
-    sums graded diagonal coefficients.  With root_of_unity_bound the returned
-    polynomial has exponents folded mod root_order (a residue representative:
-    correct after cyclotomic reduction at that order).
+    Fermionic mode sums E_N(Cⁿ) until `window` consecutive terms vanish;
+    bosonic mode sums graded diagonal coefficients.
     """
     if cfg.mode == "bosonic":
         if N < 1:
@@ -483,24 +658,19 @@ def inverse_series_EN(
         raise ValueError("C has a monomial of a-degree 0; series is not summable (non-knot input?)")
     k = len(signs.signs)
     total: QDict = {}
-    if cfg.termination == "root_of_unity_bound":
-        fold = cfg.root_order
-        for value in fermionic_terms(C, signs, N - 1, fold=fold, max_n=k * fold):
-            _dadd(total, value)
-    else:  # adaptive
-        window = cfg.window if cfg.window is not None else max(k, M.dim + 1)
-        if window < max(k, M.dim + 1):
-            raise ValueError(f"adaptive window {window} below max(k, m) = {max(k, M.dim + 1)}")
-        zero_streak = 0
-        for n, value in enumerate(fermionic_terms(C, signs, N - 1)):
-            if n > cfg.hard_cap:
-                raise RuntimeError(
-                    f"inverse series unterminated after {cfg.hard_cap} terms (window {window})"
-                )
-            _dadd(total, value)
-            zero_streak = 0 if value else zero_streak + 1
-            if zero_streak >= window:
-                break
+    window = cfg.window if cfg.window is not None else max(k, M.dim + 1)
+    if window < max(k, M.dim + 1):
+        raise ValueError(f"adaptive window {window} below max(k, m) = {max(k, M.dim + 1)}")
+    zero_streak = 0
+    for n, value in enumerate(fermionic_terms(C, signs, N - 1)):
+        if n > cfg.hard_cap:
+            raise RuntimeError(
+                f"inverse series unterminated after {cfg.hard_cap} terms (window {window})"
+            )
+        _dadd(total, value)
+        zero_streak = 0 if value else zero_streak + 1
+        if zero_streak >= window:
+            break
     return LaurentPoly({(Q_UNIT * e, 0): c for e, c in total.items()})
 
 

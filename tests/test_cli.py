@@ -136,6 +136,19 @@ def test_domain_errors_exit_2():
     assert run(["volume", "--word", "1 1 1", "--N", "1:3:1"])[0] == 2
 
 
+def test_internal_errors_exit_3(monkeypatch):
+    import qknot.cli
+
+    def broken(*args, **kwargs):
+        raise AssertionError("invariant broken")
+
+    monkeypatch.setattr(qknot.cli, "kashaev_value", broken)
+    code, out, err = run(["kashaev", "--word", "1 1 1", "-N", "3"])
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: invariant broken\n"
+
+
 def test_verify_passes_on_bundled_corpus():
     code, out, _ = run(["verify"])
     assert code == 0

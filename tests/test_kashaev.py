@@ -57,7 +57,7 @@ def test_determinant_magnitudes_in_the_cyclotomic_ring():
 def test_figure_eight_matches_classical_factorial_sum():
     # |<4_1>_N| = sum_n prod_{j<=n} |1 - zeta^j|^2, an independent closed form
     fig8 = parse_braid("1 -2 1 -2")
-    for N in (2, 3, 5, 7, 9):
+    for N in (2, 3, 5, 7, 9, 20, 40):
         zeta = cmath.exp(2j * math.pi / N)
         total = 0.0
         for n in range(N):

@@ -1,15 +1,24 @@
-import pytest
-from hypothesis import example, given, settings, strategies as st
+from unittest import mock
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qknot import mcmahon
 from qknot.braid import parse_braid
 from qknot.exactpoly import LaurentPoly, QExponent, parse_univariate, q_pochhammer
+from qknot.kashaev import _series_inputs
 from qknot.mcmahon import (
     InverseSeriesConfig,
+    _apply_mono,
     _dconv,
     _efactor_items,
+    _eval_folded,
     _eval_population,
+    _mono_terms,
     alexander,
     colored_jones,
+    folded_series_sum,
 )
 
 
@@ -127,15 +136,21 @@ def test_inverse_series_config_validation():
     assert cfg.mode == "fermionic"
     with pytest.raises(ValueError):
         InverseSeriesConfig(mode="weird")
+    # the root-of-unity sum runs on the folded kernel, not on a series config
+    with pytest.raises(ValueError):
+        InverseSeriesConfig(mode="fermionic", termination="root_of_unity_bound")
 
 
 def test_factor_items_zero_exponent_kills_the_product():
     # (r,d)=(2,2) at z_pow=2 hits 1 - q^0 = 0, so the whole factor vanishes
-    assert _efactor_items(1, 2, 2, 2, 0) == ()
-    assert dict(_efactor_items(1, 0, 1, 2, 0)) == {0: 1, 2: -1}
+    assert _efactor_items(1, 2, 2, 2) == ()
+    assert dict(_efactor_items(1, 0, 1, 2)) == {0: 1, 2: -1}
 
 
 def naive_population_eval(P, signs_t, z_pow, fold):
+    """Σ over states of coeff · ∏_j E-factor(state_j), one state at a time;
+    with fold = N > 0 every exponent is reduced mod N (q^N = 1)."""
+
     def conv(a, b):
         out = {}
         for e1, c1 in a.items():
@@ -146,9 +161,9 @@ def naive_population_eval(P, signs_t, z_pow, fold):
 
     total = {}
     for key, cd in P.items():
-        term = dict(cd)
+        term = conv(cd, {0: 1})  # reduces the exponents of cd when folding
         for j, eps in enumerate(signs_t):
-            factor = dict(_efactor_items(eps, key[2 * j], key[2 * j + 1], z_pow, fold))
+            factor = dict(_efactor_items(eps, key[2 * j], key[2 * j + 1], z_pow))
             term = conv(term, factor)
         for e, c in term.items():
             total[e] = total.get(e, 0) + c
@@ -178,57 +193,115 @@ population_states = st.lists(
     population_states,
     st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1])),
     st.sampled_from([-1, 2, 4]),
-    st.sampled_from([0, 0, 3]),
     st.booleans(),
 )
 @settings(max_examples=60)
-@example(
-    states=[([(0, 0), (0, 0)], {0: 1}), ([(0, 0), (0, 0)], {3: 1})],
-    signs_t=(1, 1),
-    z_pow=-1,
-    fold=3,
-    huge=False,
-)
-def test_population_evaluation_matches_per_state_expansion(states, signs_t, z_pow, fold, huge):
-    scale = 2**61 if huge and not fold else 1
+def test_population_evaluation_matches_per_state_expansion(states, signs_t, z_pow, huge):
+    scale = 2**61 if huge else 1
     P = {}
     for key_pairs, cd in states:
         key = tuple(x for pair in key_pairs for x in pair)
-        # in folded mode fermionic_terms only builds coefficients whose exponents
-        # are already reduced mod fold, and a state with r = d = 0 on every index
-        # passes its coefficient through unconvolved, so reduce the inputs too
-        scaled = {}
+        merged = dict(P.get(key, {}))
         for e, c in cd.items():
-            e = e % fold if fold else e
-            scaled[e] = scaled.get(e, 0) + c * scale
-        if key in P:
-            merged = dict(P[key])
-            for e, c in scaled.items():
-                merged[e] = merged.get(e, 0) + c
-            P[key] = merged
-        else:
-            P[key] = scaled
-    got = _eval_population(P, signs_t, z_pow, fold)
-    want = naive_population_eval(P, signs_t, z_pow, fold)
+            merged[e] = merged.get(e, 0) + c * scale
+        P[key] = merged
+    got = _eval_population(P, signs_t, z_pow)
+    want = naive_population_eval(P, signs_t, z_pow, 0)
     assert {e: c for e, c in got.items() if c} == want
+
+
+def folded_dict_series(C, signs_t, N, max_n):
+    """Reference for folded_series_sum: Σ_{n ≤ max_n} E(Cⁿ) at z = q^{-1} mod
+    q^N − 1 on {exponent: coefficient} dicts, one population per n, keys
+    reduced mod N and states with some d_j ≥ N pruned."""
+    k = len(signs_t)
+    terms = _mono_terms(C, k)
+    P = {(0,) * (2 * k): {0: 1}}
+    total = {}
+    for _ in range(max_n + 1):
+        for e, c in naive_population_eval(P, signs_t, -1, N).items():
+            total[e] = total.get(e, 0) + c
+        newP = {}
+        for key, cd in P.items():
+            for mono, mcd in terms:
+                nk, shift = _apply_mono(key, mono, signs_t)
+                if any(nk[2 * j + 1] >= N for j in range(k)):
+                    continue
+                acc = newP.setdefault(tuple(x % N if i % 2 == 0 else x for i, x in enumerate(nk)), {})
+                for e, c in _dconv(cd, mcd, shift).items():
+                    acc[e % N] = acc.get(e % N, 0) + c
+        P = {key: live for key, cd in newP.items() if (live := {e: c for e, c in cd.items() if c})}
+        if not P:
+            break
+    return [total.get(e, 0) for e in range(N)]
+
+
+@st.composite
+def folded_populations(draw):
+    N = draw(st.integers(min_value=1, max_value=8))
+    k = draw(st.integers(min_value=1, max_value=3))
+    keys = st.tuples(
+        *[st.tuples(st.integers(0, N - 1), st.integers(0, N - 1)) for _ in range(k)]
+    )
+    rows = st.lists(st.integers(-9, 9), min_size=N, max_size=N)
+    states = draw(st.lists(st.tuples(keys, rows), min_size=1, max_size=10))
+    signs_t = tuple(draw(st.sampled_from([1, -1])) for _ in range(k))
+    return N, signs_t, states
+
+
+@given(folded_populations(), st.sampled_from(["int64", "huge", "object"]))
+@settings(max_examples=80)
+def test_folded_evaluation_matches_folded_dict_reference(population, rows):
+    # "huge" rows come near the int64 bound, so most sums must trip it;
+    # "object" lowers the bound so that every sum runs on Python ints
+    N, signs_t, states = population
+    scale = 2**58 if rows == "huge" else 1
+    R = np.array([[r for r, _ in key] for key, _ in states], dtype=np.int64)
+    D = np.array([[d for _, d in key] for key, _ in states], dtype=np.int64)
+    V = np.array([[c * scale for c in row] for _, row in states], dtype=np.int64)
+    P = {}
+    for key, row in states:
+        flat = tuple(x for pair in key for x in pair)
+        cd = P.setdefault(flat, {})
+        for e, c in enumerate(row):
+            cd[e] = cd.get(e, 0) + c * scale
+    with mock.patch.object(mcmahon, "_NP_SAFE", 1.0 if rows == "object" else mcmahon._NP_SAFE):
+        got = _eval_folded(R, D, V, signs_t, N)
+    want = naive_population_eval(P, signs_t, -1, N)
+    assert [int(c) for c in got] == [want.get(e, 0) for e in range(N)]
+    if rows == "object" and any(got):
+        assert got.dtype == object
+
+
+@pytest.mark.parametrize("rows", ["int64", "object"])
+def test_folded_series_matches_folded_dict_reference(corpus_braids, monkeypatch, rows):
+    if rows == "object":
+        monkeypatch.setattr(mcmahon, "_NP_SAFE", 1.0)
+    for name, b in corpus_braids.items():
+        signs, C = _series_inputs(b)
+        k = len(signs.signs)
+        for N in (1, 2, 3, 5, 8):
+            want = folded_dict_series(C, signs.signs, N, k * N)
+            assert folded_series_sum(C, signs.signs, N) == want, (name, N)
+        # corpus C-monomials carry single-term coefficients ±q^a; give them
+        # several terms to cover the kernel's general case
+        several = C.scale(LaurentPoly.const(2) - LaurentPoly.q_power(3))
+        for N in (2, 3):
+            want = folded_dict_series(several, signs.signs, N, k * N)
+            assert folded_series_sum(several, signs.signs, N) == want, (name, N)
 
 
 def test_pairwise_dict_convolution_matches_polynomials():
     a = {0: 1, 3: -2}
     b = {-1: 4, 2: 5}
-    got = _dconv(a, b, 0, 0)
+    got = _dconv(a, b, 0)
     want = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             want[e1 + e2] = want.get(e1 + e2, 0) + c1 * c2
     assert {e: c for e, c in got.items() if c} == {e: c for e, c in want.items() if c}
-    shifted = _dconv(a, b, 2, 0)
+    shifted = _dconv(a, b, 2)
     assert {e: c for e, c in shifted.items() if c} == {e + 2: c for e, c in want.items() if c}
-    folded = _dconv(a, b, 0, 3)
-    fold_want = {}
-    for e, c in want.items():
-        fold_want[e % 3] = fold_want.get(e % 3, 0) + c
-    assert {e: c for e, c in folded.items() if c} == {e: c for e, c in fold_want.items() if c}
 
 
 def test_habiro_style_divisibility_of_light_series_terms(corpus_braids):
