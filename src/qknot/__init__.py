@@ -2,138 +2,30 @@
 Kashaev values, computed by two independent routes (a determinant inverse
 series over a q-difference operator algebra, and an R-matrix state sum) that
 cross-validate each other, with root-of-unity evaluation and hyperbolic
-volume growth-rate estimation."""
+volume growth-rate estimation.
 
-from .braid import (
-    BraidParseError,
-    BraidWord,
-    closure_is_knot,
-    markov_moves,
-    parse_braid,
-)
-from .exactpoly import (
-    CyclotomicInt,
-    LaurentPoly,
-    QExponent,
-    cyclotomic_reduce,
-    embed_complex,
-    format_univariate,
-    laurent_divmod,
-    parse_univariate,
-)
-from .qweyl import (
-    AlgebraElement,
-    NormalMonomial,
-    StrandSigns,
-    eval_E,
-    eval_EN,
-    normal_order_product,
-    operator_action_oracle,
-)
-from .deformed_burau import (
-    QuantumMatrix,
-    check_right_quantum,
-    classical_specialization,
-    rho,
-    rho_prime,
-    s_matrix,
-)
-from .mcmahon import (
-    InverseSeriesConfig,
-    alexander,
-    c_sum,
-    colored_jones,
-    inverse_series_EN,
-    qdet,
-)
-from .verma_oracle import (
-    BasisState,
-    VermaAction,
-    braiding_coeff,
-    check_braid_relation,
-    check_braiding_inverse,
-    numeric_state_sum,
-    state_sum_jones,
-)
-from .kashaev import (
-    HabiroTruncation,
-    KashaevValue,
-    bloch_wigner,
-    kashaev_series,
-    kashaev_value,
-    kz_series,
-    lobachevsky,
-    mahler_measure,
-    reference_volumes,
-    volume_rate,
-    volume_sequence,
-)
-from .foxburau import (
-    FreeWord,
-    GroupRingElement,
-    abelianize_check,
-    artin_action,
-    fox_derivative,
-    psi_matrix,
-)
+The package namespace holds the one-call API; everything else is reached
+through its submodule (`qknot.exactpoly`, `qknot.verma_oracle`, …)."""
+
+from .braid import parse_braid
+from .exactpoly import cyclotomic_reduce, format_univariate, parse_univariate
+from .foxburau import abelianize_check
+from .kashaev import kashaev_value, kz_series, volume_sequence
+from .mcmahon import alexander, colored_jones
+from .verma_oracle import state_sum_jones
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BraidParseError",
-    "BraidWord",
-    "closure_is_knot",
-    "markov_moves",
     "parse_braid",
-    "CyclotomicInt",
-    "LaurentPoly",
-    "QExponent",
-    "cyclotomic_reduce",
-    "embed_complex",
-    "format_univariate",
-    "laurent_divmod",
-    "parse_univariate",
-    "AlgebraElement",
-    "NormalMonomial",
-    "StrandSigns",
-    "eval_E",
-    "eval_EN",
-    "normal_order_product",
-    "operator_action_oracle",
-    "QuantumMatrix",
-    "check_right_quantum",
-    "classical_specialization",
-    "rho",
-    "rho_prime",
-    "s_matrix",
-    "InverseSeriesConfig",
-    "alexander",
-    "c_sum",
     "colored_jones",
-    "inverse_series_EN",
-    "qdet",
-    "BasisState",
-    "VermaAction",
-    "braiding_coeff",
-    "check_braid_relation",
-    "check_braiding_inverse",
-    "numeric_state_sum",
+    "alexander",
     "state_sum_jones",
-    "HabiroTruncation",
-    "KashaevValue",
-    "bloch_wigner",
-    "kashaev_series",
     "kashaev_value",
-    "kz_series",
-    "lobachevsky",
-    "mahler_measure",
-    "reference_volumes",
-    "volume_rate",
     "volume_sequence",
-    "FreeWord",
-    "GroupRingElement",
+    "format_univariate",
     "abelianize_check",
-    "artin_action",
-    "fox_derivative",
-    "psi_matrix",
+    "cyclotomic_reduce",
+    "kz_series",
+    "parse_univariate",
 ]

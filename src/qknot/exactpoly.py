@@ -238,22 +238,6 @@ class LaurentPoly:
             raise ValueError("polynomial is not constant")
         return self.terms[(0, 0)]
 
-    def evaluate_root_of_unity(self, N: int, z_value: complex | None = None) -> complex:
-        """Numeric value at q = exp(2πi/N), with q^{1/4} := exp(πi/(2N)).
-
-        Quarter-lattice exponents are resolved through the exponent integer,
-        not through complex powers, so the branch is unambiguous.
-        """
-        total = 0j
-        for (qq, ze), v in self.terms.items():
-            val = complex(mpmath.expjpi(Fraction(qq, 2 * N)))
-            if ze:
-                if z_value is None:
-                    raise ValueError("z present but no z value given")
-                val *= z_value ** ze
-            total += v * val
-        return total
-
     def __repr__(self) -> str:
         if not self.terms:
             return "LaurentPoly(0)"
@@ -267,17 +251,6 @@ class LaurentPoly:
                 s += f"*z^{ze}"
             bits.append(s)
         return "LaurentPoly(" + " + ".join(bits) + ")"
-
-
-def poly_arith(p: LaurentPoly, r: LaurentPoly, op: str) -> LaurentPoly:
-    """Ring operation dispatcher: op in {"add", "sub", "mul"}."""
-    if op == "add":
-        return p + r
-    if op == "sub":
-        return p - r
-    if op == "mul":
-        return p * r
-    raise ValueError(f"unknown op {op!r}")
 
 
 def q_pochhammer(base_exp, step: int, d: int, z_degree: int) -> LaurentPoly:

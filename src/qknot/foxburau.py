@@ -140,17 +140,6 @@ class GroupRingElement:
     def augmentation(self) -> int:
         return sum(self.terms.values())
 
-    def map_words(self, fn) -> "GroupRingElement":
-        d: dict[FreeWord, int] = {}
-        for w, c in self.terms.items():
-            nw = fn(w)
-            nc = d.get(nw, 0) + c
-            if nc:
-                d[nw] = nc
-            elif nw in d:
-                del d[nw]
-        return GroupRingElement(d)
-
     def abelianize(self) -> LaurentPoly:
         """Send every generator to z: word ↦ z^{total exponent}."""
         out = LaurentPoly.zero()

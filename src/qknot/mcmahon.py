@@ -18,7 +18,6 @@ b-independent, so the projection is exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterator
@@ -36,33 +35,6 @@ from .exactpoly import (
     poly_mat_sub,
 )
 from .qweyl import AlgebraElement, StrandSigns, normal_order_product
-
-
-@dataclass(frozen=True)
-class InverseSeriesConfig:
-    """How to expand 1/(1−C) = Σ Cⁿ.
-
-    mode "fermionic" pairs with termination "adaptive" (generic q: stop after
-    `window` consecutive zero terms, error out at hard_cap).  mode "bosonic"
-    pairs with the intrinsic "graded_cutoff" (per-exponent bound n_i ≤ N−1).
-    The root-of-unity sum of the Kashaev invariant is not a mode here: it runs
-    on the folded kernel, `folded_series_sum`.
-    """
-
-    mode: str
-    termination: str = "graded_cutoff"
-    window: int | None = None
-    hard_cap: int = 1000
-
-    def __post_init__(self):
-        if self.mode == "bosonic":
-            if self.termination != "graded_cutoff":
-                raise ValueError("bosonic mode terminates by its graded cutoff")
-        elif self.mode == "fermionic":
-            if self.termination != "adaptive":
-                raise ValueError(f"unsupported fermionic termination {self.termination!r}")
-        else:
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 def qdet(M: QuantumMatrix) -> AlgebraElement:
@@ -208,37 +180,14 @@ def _eval_population(
     shared-prefix tree so each E-factor convolution is applied once per group
     of states rather than once per state.
 
-    Runs on dense int64 arrays (`_eval_population_np`) with an ‖a‖∞·‖b‖₁
-    overflow tripwire falling back to exact dict arithmetic.
+    Runs on dense int64 arrays (`_eval_population_np`) while an ‖a‖∞·‖b‖₁
+    overflow tripwire holds, and otherwise again on object arrays of Python
+    ints.
     """
-    k = len(signs_t)
-
-    def level(states: list[tuple[tuple[int, ...], QDict]], j: int) -> QDict:
-        if j == k:
-            out: QDict = {}
-            for _, cd in states:
-                _dadd(out, cd)
-            return out
-        groups: dict[tuple[int, int], list[tuple[tuple[int, ...], QDict]]] = {}
-        for key, cd in states:
-            groups.setdefault((key[0], key[1]), []).append((key[2:], cd))
-        total: QDict = {}
-        for (r, d), sub in groups.items():
-            val = level(sub, j + 1)
-            if not val:
-                continue
-            if r or d:
-                items = _efactor_items(signs_t[j], r, d, z_pow)
-                if not items:
-                    continue
-                val = _dconv(val, dict(items), 0)
-            _dadd(total, val)
-        return total
-
     try:
         return _eval_population_np(P, signs_t, z_pow)
     except OverflowError:
-        return level(list(P.items()), 0)
+        return _eval_population_np(P, signs_t, z_pow, object)
 
 
 _NP_SAFE = float(2**62)
@@ -266,14 +215,18 @@ def _np_trim(off: int, arr):
 
 
 def _eval_population_np(
-    P: dict[tuple[int, ...], QDict], signs_t: tuple[int, ...], z_pow: int
+    P: dict[tuple[int, ...], QDict], signs_t: tuple[int, ...], z_pow: int, dtype=np.int64
 ) -> QDict:
+    """`_eval_population` on dense arrays of `dtype`.  On int64 a tripwire
+    raises OverflowError before a sum could leave int64; on object arrays of
+    Python ints the same code is exact at any size."""
     k = len(signs_t)
+    checked = dtype is np.int64
 
     def to_dense(parts):
         lo = min(off for off, arr in parts)
         hi = max(off + len(arr) for off, arr in parts)
-        out = np.zeros(hi - lo, dtype=np.int64)
+        out = np.zeros(hi - lo, dtype=dtype)
         for off, arr in parts:
             out[off - lo : off - lo + len(arr)] += arr
         return _np_trim(lo, out)
@@ -286,9 +239,9 @@ def _eval_population_np(
             if not merged:
                 return None
             lo = min(merged)
-            arr = np.zeros(max(merged) - lo + 1, dtype=np.int64)
+            arr = np.zeros(max(merged) - lo + 1, dtype=dtype)
             for e, c in merged.items():
-                if not (-_NP_SAFE < c < _NP_SAFE):
+                if checked and not (-_NP_SAFE < c < _NP_SAFE):
                     raise OverflowError
                 arr[e - lo] = c
             return lo, arr
@@ -301,17 +254,19 @@ def _eval_population_np(
             if val is None:
                 continue
             v_off, v_arr = val
-            v_mags = np.abs(v_arr).astype(float)
             if r or d:
                 fac = _np_factor(signs_t[j], r, d, z_pow)
                 if fac is None:
                     continue
                 f_off, f_arr, f_inf, f_one = fac
-                bound = min(float(v_mags.max()) * f_one, float(v_mags.sum()) * f_inf)
-            else:
-                bound = float(v_mags.max())
-            if bound * (len(groups) + 1) >= _NP_SAFE:
-                raise OverflowError
+            if checked:
+                v_mags = np.abs(v_arr).astype(float)
+                if r or d:
+                    bound = min(float(v_mags.max()) * f_one, float(v_mags.sum()) * f_inf)
+                else:
+                    bound = float(v_mags.max())
+                if bound * (len(groups) + 1) >= _NP_SAFE:
+                    raise OverflowError
             if r or d:
                 val = _np_trim(v_off + f_off, np.convolve(v_arr, f_arr))
                 if val is None:
@@ -639,33 +594,38 @@ def _bosonic_series(Mq: QuantumMatrix, signs: StrandSigns, N: int) -> QDict:
     return total
 
 
-def inverse_series_EN(
-    M: QuantumMatrix, signs: StrandSigns, N: int, cfg: InverseSeriesConfig
-) -> LaurentPoly:
+# Fermionic terms summed before the series is declared unterminated.
+_HARD_CAP = 1000
+
+
+def inverse_series_EN(M: QuantumMatrix, signs: StrandSigns, N: int, mode: str) -> LaurentPoly:
     """E_N applied to the reciprocal of the deformed determinant of I − M.
 
-    Fermionic mode sums E_N(Cⁿ) until `window` consecutive terms vanish;
-    bosonic mode sums graded diagonal coefficients.
+    mode "fermionic" sums E_N(Cⁿ) at generic q until max(k, m) consecutive
+    terms vanish (k crossings, m = dim M + 1 strands); mode "bosonic" sums
+    graded diagonal coefficients with the per-exponent bound n_i ≤ N−1.  The
+    root-of-unity sum of the Kashaev invariant is not a mode here: it runs on
+    the folded kernel, `folded_series_sum`.
     """
-    if cfg.mode == "bosonic":
+    if mode == "bosonic":
         if N < 1:
             raise ValueError("bosonic mode needs N ≥ 1")
         result = _bosonic_series(M, signs, N)
         return LaurentPoly({(Q_UNIT * e, 0): c for e, c in result.items()})
+    if mode != "fermionic":
+        raise ValueError(f"unknown mode {mode!r}")
 
     C = c_sum(M)
     if C.ideal_degree() < 1:
         raise ValueError("C has a monomial of a-degree 0; series is not summable (non-knot input?)")
     k = len(signs.signs)
     total: QDict = {}
-    window = cfg.window if cfg.window is not None else max(k, M.dim + 1)
-    if window < max(k, M.dim + 1):
-        raise ValueError(f"adaptive window {window} below max(k, m) = {max(k, M.dim + 1)}")
+    window = max(k, M.dim + 1)
     zero_streak = 0
     for n, value in enumerate(fermionic_terms(C, signs, N - 1)):
-        if n > cfg.hard_cap:
+        if n > _HARD_CAP:
             raise RuntimeError(
-                f"inverse series unterminated after {cfg.hard_cap} terms (window {window})"
+                f"inverse series unterminated after {_HARD_CAP} terms (window {window})"
             )
         _dadd(total, value)
         zero_streak = 0 if value else zero_streak + 1
@@ -683,13 +643,7 @@ def colored_jones(b: BraidWord, N: int, mode: str = "bosonic") -> LaurentPoly:
     signs = StrandSigns(b.signs)
     reduced = rho_prime(rho(b))
     Mq = reduced.scale(LaurentPoly.q_power(1))
-    if mode == "bosonic":
-        cfg = InverseSeriesConfig(mode="bosonic")
-    elif mode == "fermionic":
-        cfg = InverseSeriesConfig(mode="fermionic", termination="adaptive")
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    series = inverse_series_EN(Mq, signs, N, cfg)
+    series = inverse_series_EN(Mq, signs, N, mode)
     pref = (N - 1) * ((b.writhe - b.strands + 1) // 2)
     out = series.shift(QExponent.of_q(pref))
     if not (out.is_univariate_q() and out.has_integer_q_powers()):

@@ -6,8 +6,13 @@ q-binomial/pochhammer products on the quarter-exponent lattice.  The trace
 over states with first index pinned to 0, weighted by the diagonal
 K-inverse on the traced factors and the writhe prefactor v^{w(N²−1)/2},
 gives J′ normalized to 1 on the unknot.  This route shares no code with the
-determinant-series engine and serves as its cross-validation oracle; a
-complex floating-point twin evaluates at q = exp(2πi/N) for large N.
+determinant-series engine and serves as its cross-validation oracle.
+
+One batched traversal (`_state_sum`) runs the sum over either coefficient
+ring: exact LaurentPoly values (`state_sum_jones`) or complex floats at
+q = exp(2πi/N), the Kashaev value for large N (`numeric_state_sum`).
+`apply_braiding` is the single-vector form of the braiding, used by the
+braid-relation and inverse checks.
 """
 from __future__ import annotations
 
@@ -142,41 +147,6 @@ def _last_touch(b: BraidWord) -> tuple[list[tuple[int, int]], list[int]]:
     return steps, last
 
 
-def state_sum_jones(b: BraidWord, N: int) -> LaurentPoly:
-    """J′ of the braid closure by the exact state sum, N ≥ 1."""
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    if not closure_is_knot(b):
-        raise ValueError("closure is not a knot")
-    m = b.strands
-    steps, last = _last_touch(b)
-    total = LaurentPoly.zero()
-    for initial in product(range(N), repeat=m - 1):
-        full0 = (0,) + initial
-        weight = LaurentPoly.term(
-            1, QExponent.of_v((m - 1) * (1 - N) + 2 * sum(initial))
-        )
-        states: StateVector = {full0: weight}
-        for t, (i, eps) in enumerate(steps):
-            states = apply_braiding(states, i - 1, eps, N, cap=N)
-            frozen = [p for p in range(m) if last[p] == t]
-            if frozen:
-                states = {
-                    s: c
-                    for s, c in states.items()
-                    if all(s[p] == full0[p] for p in frozen)
-                }
-            if not states:
-                break
-        diag = states.get(full0)
-        if diag is not None:
-            total = total + diag
-    out = total.shift(QExponent.of_v_half(b.writhe * (N * N - 1)))
-    if not (out.is_univariate_q() and out.has_integer_q_powers()):
-        raise AssertionError("state sum landed off the integer q-lattice")
-    return out
-
-
 def check_braid_relation(N: int, cap: int) -> bool:
     """b̌₁₂ b̌₂₃ b̌₁₂ = b̌₂₃ b̌₁₂ b̌₂₃ on all basis vectors of the capped
     triple tensor power (cap = N is the exact module check)."""
@@ -217,8 +187,8 @@ def check_braiding_inverse(N: int, cap: int) -> bool:
 
 
 # Largest count of expanded entries (live state × l) that one braiding step
-# of numeric_state_sum holds at once; batches of initial states grow only
-# while they stay under it.
+# of the state sum holds at once, counted in float entries; batches of
+# initial states grow only while they stay under it.
 _ENTRY_BUDGET = 4096
 
 # Complex numbers travel as (real, imag) pairs of arrays: numpy's complex128
@@ -244,10 +214,15 @@ def _take(a: Split, *index) -> Split:
 class _NumericTables:
     """Root-of-unity tables: exact-phase quarter powers, Gaussian binomials,
     and braiding pochhammer prefixes at q = exp(2πi/N), with split arrays of
-    the braiding coefficient factors."""
+    the braiding coefficient factors.  The state sum's float ring: values
+    are split pairs."""
+
+    zero = (0.0, 0.0)
+    mul = staticmethod(_cmul)
 
     def __init__(self, N: int):
         self.N = N
+        self.budget = _ENTRY_BUDGET
         self.quarter = [cmath.exp(2j * cmath.pi * t / (4 * N)) for t in range(4 * N)]
         qpow = [self.quarter[(4 * t) % (4 * N)] for t in range(N)]
         self.qpow = qpow
@@ -300,6 +275,34 @@ class _NumericTables:
         return _cmul(c, _take(self._poch[sign], col, l))
 
 
+class _ExactTables:
+    """The state sum's exact ring: values are 1-tuples of object arrays of
+    LaurentPoly, and each braiding_coeff is built once per table."""
+
+    zero = (LaurentPoly.zero(),)
+
+    def __init__(self, N: int):
+        # A LaurentPoly entry holds far more memory than a float pair; at a
+        # sixteenth of the float budget the exact sum runs as fast as at the
+        # full one, with under half the added peak memory.
+        self.budget = max(1, _ENTRY_BUDGET // 16)
+        self._coeff = {sign: np.empty((N, N, N), dtype=object) for sign in (1, -1)}
+        for sign, grid in self._coeff.items():
+            for n1, n2, l in product(range(N), repeat=3):
+                grid[n1, n2, l] = braiding_coeff(sign, n1, n2, l, N)
+
+    @staticmethod
+    def mul(a: tuple, b: tuple) -> tuple:
+        return (a[0] * b[0],)
+
+    @staticmethod
+    def phases(quarter_units: np.ndarray) -> tuple:
+        return (np.array([LaurentPoly.term(1, t) for t in quarter_units.tolist()], dtype=object),)
+
+    def coeff(self, sign: int, n1: np.ndarray, n2: np.ndarray, l: np.ndarray) -> tuple:
+        return (self._coeff[sign][n1, n2, l],)
+
+
 def _first_appearance_groups(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(group of each entry, first entry of each group), groups numbered in
     order of first appearance of their key."""
@@ -318,41 +321,34 @@ def _first_appearance_groups(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return group, first[by_first]
 
 
-def _sum_by_group(group: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
-    """Per-group sums, each taken from 0 in entry order: bincount and add.at
-    both add sequentially; bincount is faster but takes floats only."""
+def _sum_by_group(group: np.ndarray, values: np.ndarray, count: int, zero) -> np.ndarray:
+    """Per-group sums, each taken from zero in entry order: bincount and
+    add.at both add sequentially; bincount is faster but takes floats only."""
     if values.dtype != object:
         return np.bincount(group, weights=values, minlength=count)
-    out = np.zeros(count, dtype=object)
+    out = np.full(count, zero, dtype=object)
     np.add.at(out, group, values)
     return out
 
 
-def numeric_state_sum(b: BraidWord, N: int) -> complex:
-    """The state sum with coefficients at q = exp(2πi/N): the order-N Kashaev
-    value of the closure.
+def _state_sum(b: BraidWord, N: int, ring) -> tuple:
+    """The state sum before the writhe phase, in the coefficient ring whose
+    tables `ring(N)` builds: (tables, total as the ring's parts).
 
     Initial states run in batches; the live entries of a batch are flat
-    arrays of initial state, base-N state code and split complex value.
-    Summation order is fixed: each state accumulates its terms in the order
-    of a walk over one initial state at a time, live states in order of
-    first appearance and l ascending, and the diagonal entries are added in
-    initial-state order.  The result is therefore independent of the batch
-    sizes.  With cmath replaced by a stand-in whose exp returns mpmath
-    numbers (as perfbench/make_refs.py does for 60-digit references), the
-    same kernel runs on object arrays at that precision."""
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    if not closure_is_knot(b):
-        raise ValueError("closure is not a knot")
+    arrays of initial state, base-N state code and value.  Summation order
+    is fixed: each state accumulates its terms in the order of a walk over
+    one initial state at a time, live states in order of first appearance
+    and l ascending, and the diagonal entries are added in initial-state
+    order.  The result is therefore independent of the batch sizes."""
     m = b.strands
     # a batch holds at most _ENTRY_BUDGET initial states; its keys must fit int64
     if N**m * _ENTRY_BUDGET >= 2**63:
-        raise ValueError(f"N^strands = {N}^{m} is too large for the float state sum")
-    tables = _NumericTables(N)
+        raise ValueError(f"N^strands = {N}^{m} is too large for the state sum")
+    tables = ring(N)
     steps, last = _last_touch(b)
     place = [N**p for p in range(m + 1)]
-    total = (0.0, 0.0)
+    total = tables.zero
     start, size = 0, 1
     while start < place[m - 1]:
         size = min(size, place[m - 1] - start)
@@ -374,7 +370,7 @@ def numeric_state_sum(b: BraidWord, N: int) -> complex:
             l = np.arange(len(src)) - np.repeat(np.cumsum(reps) - reps, reps)
             peak = max(peak, len(src))
             n1, n2 = n1[src], n2[src]
-            term = _cmul(_take(val, src), tables.coeff(eps, n1, n2, l))
+            term = tables.mul([part[src] for part in val], tables.coeff(eps, n1, n2, l))
             shift = l if eps == 1 else -l
             code = code[src] + (n2 + shift - n1) * lo + (n1 - shift - n2) * hi
             seg = seg[src]
@@ -385,18 +381,47 @@ def numeric_state_sum(b: BraidWord, N: int) -> complex:
             code, seg = code[keep], seg[keep]
             group, first = _first_appearance_groups(seg * place[m] + code)
             code, seg = code[first], seg[first]
-            val = tuple(_sum_by_group(group, part[keep], len(first)) for part in term)
+            val = [
+                _sum_by_group(group, part[keep], len(first), zero)
+                for part, zero in zip(term, tables.zero)
+            ]
         hit = code == full0[seg]
-        diag = [np.zeros(size, dtype=part.dtype) for part in val]
+        diag = [np.full(size, zero, dtype=part.dtype) for part, zero in zip(val, tables.zero)]
         for d, part in zip(diag, val):
             d[seg[hit]] = part[hit]
         # sequential sums onto the running total, in initial-state order
         total = tuple(np.cumsum(np.concatenate(([acc], d)))[-1] for acc, d in zip(total, diag))
         start += size
-        if 2 * peak <= _ENTRY_BUDGET:
+        if 2 * peak <= tables.budget:
             size *= 2
-        elif peak > _ENTRY_BUDGET:
+        elif peak > tables.budget:
             size = max(1, size // 2)
+    return tables, total
+
+
+def state_sum_jones(b: BraidWord, N: int) -> LaurentPoly:
+    """J′ of the braid closure by the exact state sum, N ≥ 1."""
+    if N < 1:
+        raise ValueError("N must be a positive integer")
+    if not closure_is_knot(b):
+        raise ValueError("closure is not a knot")
+    _, (total,) = _state_sum(b, N, _ExactTables)
+    out = total.shift(QExponent.of_v_half(b.writhe * (N * N - 1)))
+    if not (out.is_univariate_q() and out.has_integer_q_powers()):
+        raise AssertionError("state sum landed off the integer q-lattice")
+    return out
+
+
+def numeric_state_sum(b: BraidWord, N: int) -> complex:
+    """The state sum with coefficients at q = exp(2πi/N): the order-N Kashaev
+    value of the closure.  With cmath replaced by a stand-in whose exp
+    returns mpmath numbers (as perfbench/make_refs.py does for 60-digit
+    references), the same kernel runs on object arrays at that precision."""
+    if N < 1:
+        raise ValueError("N must be a positive integer")
+    if not closure_is_knot(b):
+        raise ValueError("closure is not a knot")
+    tables, total = _state_sum(b, N, _NumericTables)
     phase = tables.phase(b.writhe * (N * N - 1))
     # complex, or the stand-in's complex type under a high-precision cmath
     return phase * type(phase)(*total)

@@ -90,19 +90,6 @@ def test_cyclotomic_embedding_matches_direct_evaluation(p, N):
     assert abs(embedded - direct) <= 1e-9 * (1 + abs(direct))
 
 
-@given(q_polys, st.integers(min_value=1, max_value=24))
-def test_evaluate_root_of_unity_matches_direct_evaluation(p, N):
-    zeta = cmath.exp(2j * math.pi / N)
-    direct = sum(c * zeta**e for e, c in p.q_terms().items())
-    assert abs(p.evaluate_root_of_unity(N) - direct) <= 1e-9 * (1 + abs(direct))
-
-
-def test_evaluate_root_of_unity_with_z_value():
-    p = LaurentPoly.one() - LaurentPoly.z_power(1) * LaurentPoly.q_power(1)
-    zeta = cmath.exp(2j * math.pi / 5)
-    assert abs(p.evaluate_root_of_unity(5, z_value=2.0) - (1 - 2 * zeta)) < 1e-12
-
-
 @given(
     st.integers(min_value=-6, max_value=6),
     st.sampled_from([1, -1]),

@@ -9,7 +9,6 @@ from qknot.braid import parse_braid
 from qknot.exactpoly import LaurentPoly, QExponent, parse_univariate, q_pochhammer
 from qknot.kashaev import _series_inputs
 from qknot.mcmahon import (
-    InverseSeriesConfig,
     _apply_mono,
     _dconv,
     _efactor_items,
@@ -129,16 +128,6 @@ def test_rejects_non_knot_closures_and_bad_color():
         colored_jones(parse_braid("1 1 1"), 0)
     with pytest.raises(ValueError):
         colored_jones(parse_braid("1 1 1"), 2, mode="adiabatic")
-
-
-def test_inverse_series_config_validation():
-    cfg = InverseSeriesConfig(mode="fermionic", termination="adaptive", window=4)
-    assert cfg.mode == "fermionic"
-    with pytest.raises(ValueError):
-        InverseSeriesConfig(mode="weird")
-    # the root-of-unity sum runs on the folded kernel, not on a series config
-    with pytest.raises(ValueError):
-        InverseSeriesConfig(mode="fermionic", termination="root_of_unity_bound")
 
 
 def test_factor_items_zero_exponent_kills_the_product():

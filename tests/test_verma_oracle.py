@@ -123,10 +123,14 @@ def test_gauss_binomial_identity_in_the_operator_algebra():
         assert seen == {}
 
 
-def test_state_sum_matches_series_engine_on_corpus(corpus_braids):
-    for name, b in corpus_braids.items():
-        for N in (1, 2, 3):
-            assert state_sum_jones(b, N) == colored_jones(b, N), (name, N)
+@pytest.mark.parametrize("budget", [1, verma_oracle._ENTRY_BUDGET])
+def test_state_sum_matches_series_engine_on_corpus(corpus_braids, monkeypatch, budget):
+    # budget 1 keeps one initial state per batch; the default packs many
+    monkeypatch.setattr(verma_oracle, "_ENTRY_BUDGET", budget)
+    cases = [(name, b, N) for name, b in corpus_braids.items() for N in (1, 2, 3)]
+    cases.append(("6_1", parse_braid("1 1 2 -1 -3 2 -3"), 4))
+    for name, b, N in cases:
+        assert state_sum_jones(b, N) == colored_jones(b, N), (name, N)
 
 
 def test_state_sum_unknot_normalization():
@@ -193,8 +197,10 @@ def test_float_state_sum_matches_dict_walk_bit_for_bit(corpus_braids, monkeypatc
 
 
 def test_float_state_sum_rejects_oversized_code_space():
-    with pytest.raises(ValueError):
-        numeric_state_sum(parse_braid("1 2 3 4 5 6 7 8 9"), 50)
+    # the guard sits in the traversal both rings share
+    for state_sum in (numeric_state_sum, state_sum_jones):
+        with pytest.raises(ValueError):
+            state_sum(parse_braid("1 2 3 4 5 6 7 8 9"), 50)
 
 
 # float.hex of (real, imag) of numeric_state_sum, recorded from the
