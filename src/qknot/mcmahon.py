@@ -8,9 +8,11 @@ the evaluation map with z = q^{N-1} and the writhe prefactor assembles the
 colored Jones polynomial; the classical specialization of I − ρ′ yields the
 Alexander polynomial.
 
-Series arithmetic at generic q runs on raw {exponent: coefficient}
-dictionaries over whole powers of q; the root-of-unity sum of the Kashaev
-invariant runs on numpy rows of residues mod q^N − 1 (`folded_series_sum`).
+The fermionic series runs on numpy int64 rows: at generic q on windows of
+whole powers of q (`fermionic_terms`), and for the root-of-unity sum of the
+Kashaev invariant on residues mod q^N − 1 (`folded_series_sum`).  Only the
+bosonic series runs on raw {exponent: coefficient} dictionaries; it is the
+independent check of the fermionic route, so it shares none of that kernel.
 Accumulated powers of C are projected onto the (r_j, d_j) exponents only:
 in left·right products the left factor's b-exponents never enter the
 reordering power for either crossing sign, and the evaluation map is
@@ -18,6 +20,7 @@ b-independent, so the projection is exact.
 """
 from __future__ import annotations
 
+import logging
 from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterator
@@ -35,6 +38,8 @@ from .exactpoly import (
     poly_mat_sub,
 )
 from .qweyl import AlgebraElement, StrandSigns, normal_order_product
+
+_log = logging.getLogger(__name__)
 
 
 def qdet(M: QuantumMatrix) -> AlgebraElement:
@@ -72,7 +77,7 @@ def c_sum(M: QuantumMatrix) -> AlgebraElement:
 
 
 # ---------------------------------------------------------------------------
-# raw-dict series arithmetic (whole-q exponents)
+# raw-dict series arithmetic (whole-q exponents): the bosonic series
 # ---------------------------------------------------------------------------
 
 QDict = dict[int, int]
@@ -173,114 +178,200 @@ def _eval_state(key: tuple[int, ...], signs_t: tuple[int, ...], z_pow: int) -> Q
     return val
 
 
-def _eval_population(
-    P: dict[tuple[int, ...], QDict], signs_t: tuple[int, ...], z_pow: int
-) -> QDict:
-    """Σ over states of coeff ⊛ ∏_j E-factor(state_j), associated along the
-    shared-prefix tree so each E-factor convolution is applied once per group
-    of states rather than once per state.
-
-    Runs on dense int64 arrays (`_eval_population_np`) while an ‖a‖∞·‖b‖₁
-    overflow tripwire holds, and otherwise again on object arrays of Python
-    ints.
-    """
-    try:
-        return _eval_population_np(P, signs_t, z_pow)
-    except OverflowError:
-        return _eval_population_np(P, signs_t, z_pow, object)
-
+# ---------------------------------------------------------------------------
+# numpy series kernels: populations as int64 rows
+# ---------------------------------------------------------------------------
+#
+# A population is (R, D, V): R and D are S×k int64 arrays of each state's
+# exponents (r_j, d_j), and row i of V holds state i's coefficient.  At generic
+# q the keys are whole and row i of the S×W array V holds the coefficients of
+# q^{O_i}..q^{O_i+W−1}, with O a length-S array of offsets.  At a root of unity
+# r_j is reduced mod N, d_j < N, and row i holds the N coefficients of state i
+# mod q^N − 1.  Every sum of rows is bounded beforehand by Σ‖row‖∞·‖factor‖₁;
+# V stays int64 while that bound stays under _NP_SAFE and past it runs on
+# object rows of Python ints, the same code exact at any size.
 
 _NP_SAFE = float(2**62)
 
 
-@lru_cache(maxsize=None)
-def _np_factor(eps: int, r: int, d: int, z_pow: int):
-    """Dense int64 form of a single-index E-factor: (offset, array, ℓ∞, ℓ₁)."""
-    items = _efactor_items(eps, r, d, z_pow)
-    if not items:
-        return None
-    lo = items[0][0]
-    arr = np.zeros(items[-1][0] - lo + 1, dtype=np.int64)
-    for e, c in items:
-        arr[e - lo] = c
-    mags = np.abs(arr).astype(float)
-    return lo, arr, float(mags.max()), float(mags.sum())
-
-
-def _np_trim(off: int, arr):
-    nz = np.nonzero(arr)[0]
-    if len(nz) == 0:
-        return None
-    return off + int(nz[0]), arr[nz[0] : nz[-1] + 1]
-
-
-def _eval_population_np(
-    P: dict[tuple[int, ...], QDict], signs_t: tuple[int, ...], z_pow: int, dtype=np.int64
-) -> QDict:
-    """`_eval_population` on dense arrays of `dtype`.  On int64 a tripwire
-    raises OverflowError before a sum could leave int64; on object arrays of
-    Python ints the same code is exact at any size."""
+def _mono_arrays(C: AlgebraElement, signs_t: tuple[int, ...]) -> tuple:
+    """C's M monomials as M×k arrays of per-crossing (r, d) exponents and
+    reorder weights, their q-coefficients as M×width (exponent, coefficient)
+    arrays sorted by exponent and padded with zero coefficients, and the
+    coefficients' ℓ₁ norms: (r2, d2, w_r, w_d, exps, coeffs, l1)."""
     k = len(signs_t)
-    checked = dtype is np.int64
+    monos = _mono_terms(C, k)
+    trip = np.array([key for key, _ in monos], dtype=np.int64).reshape(len(monos), k, 3)
+    s2, r2, d2 = trip[..., 0], trip[..., 1], trip[..., 2]
+    plus = np.array(signs_t, dtype=np.int64) == 1
+    # _apply_mono's reorder power is linear in the old keys: Σ_j d_j·w_d + r_j·w_r
+    w_d = np.where(plus, r2, 2 * s2 - r2)
+    w_r = np.where(plus, -2 * s2, 2 * s2)
+    width = max((len(cd) for _, cd in monos), default=1)
+    exps = np.zeros((len(monos), width), dtype=np.int64)
+    coeffs = np.zeros((len(monos), width), dtype=np.int64)
+    for m, (_, cd) in enumerate(monos):
+        for t, (e, c) in enumerate(sorted(cd.items())):
+            exps[m, t], coeffs[m, t] = e, c
+    return r2, d2, w_r, w_d, exps, coeffs, np.abs(coeffs).sum(axis=1).astype(float)
 
-    def to_dense(parts):
-        lo = min(off for off, arr in parts)
-        hi = max(off + len(arr) for off, arr in parts)
-        out = np.zeros(hi - lo, dtype=dtype)
-        for off, arr in parts:
-            out[off - lo : off - lo + len(arr)] += arr
-        return _np_trim(lo, out)
 
-    def level(states, j):
-        if j == k:
-            merged: QDict = {}
-            for _, cd in states:
-                _dadd(merged, cd)
-            if not merged:
-                return None
-            lo = min(merged)
-            arr = np.zeros(max(merged) - lo + 1, dtype=dtype)
-            for e, c in merged.items():
-                if checked and not (-_NP_SAFE < c < _NP_SAFE):
-                    raise OverflowError
-                arr[e - lo] = c
-            return lo, arr
-        groups: dict[tuple[int, int], list] = {}
-        for key, cd in states:
-            groups.setdefault((key[0], key[1]), []).append((key[2:], cd))
-        parts = []
-        for (r, d), sub in groups.items():
-            val = level(sub, j + 1)
-            if val is None:
-                continue
-            v_off, v_arr = val
-            if r or d:
-                fac = _np_factor(signs_t[j], r, d, z_pow)
-                if fac is None:
-                    continue
-                f_off, f_arr, f_inf, f_one = fac
-            if checked:
-                v_mags = np.abs(v_arr).astype(float)
-                if r or d:
-                    bound = min(float(v_mags.max()) * f_one, float(v_mags.sum()) * f_inf)
-                else:
-                    bound = float(v_mags.max())
-                if bound * (len(groups) + 1) >= _NP_SAFE:
-                    raise OverflowError
-            if r or d:
-                val = _np_trim(v_off + f_off, np.convolve(v_arr, f_arr))
-                if val is None:
-                    continue
-            parts.append(val)
-        if not parts:
-            return None
-        return to_dense(parts)
+def _groups(cols, sizes, n: int):
+    """(order, starts): an order of n keys (tuples across the integer arrays
+    `cols`, entries of column i in [0, sizes[i])) that makes equal keys
+    adjacent, and the first position of each run of equal keys.  Columns are
+    packed by their ranges into as few int64 words as hold them, so the sort
+    usually runs on one word.  `cols` may be a generator, so that no
+    n×len(cols) array is built."""
+    words, span = [], 2**62
+    for c, size in zip(cols, map(int, sizes)):
+        if span * size >= 2**62:
+            words.append(c.copy())
+            span = size
+        else:
+            words[-1] += c * span
+            span *= size
+    if not words:
+        return np.arange(n), np.arange(min(n, 1))
+    order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words)
+    new = np.zeros(n, dtype=bool)
+    new[:1] = True
+    for w in words:
+        sw = w[order]
+        new[1:] |= sw[1:] != sw[:-1]
+    return order, np.flatnonzero(new)
 
-    result = level(list(P.items()), 0)
-    if result is None:
+
+def _labels(order, starts):
+    """Each key's group number, from `_groups`' (order, starts)."""
+    out = np.empty(len(order), dtype=np.int64)
+    out[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(order)))
+    return out
+
+
+def _fits(bound, starts) -> bool:
+    """Whether every group sum of the per-row bounds stays under _NP_SAFE.
+    When it does not, the caller's rows move to object dtype."""
+    peak = float(np.add.reduceat(bound, starts).max(initial=0))
+    if peak < _NP_SAFE:
+        return True
+    _log.debug("%d rows leave int64: a group sum may reach %.3g ≥ 2^62", len(bound), peak)
+    return False
+
+
+def _mags(V):
+    """Each row's ‖row‖∞, taken in floats so that −2^63 cannot wrap."""
+    return np.maximum(V.max(axis=1).astype(float), -V.min(axis=1).astype(float))
+
+
+def _compact(*arrays):
+    """Drop the rows whose coefficients (the last array) vanish, as the dict
+    path drops zero coefficients."""
+    live = np.any(arrays[-1] != 0, axis=1)
+    return arrays if live.all() else tuple(a[live] for a in arrays)
+
+
+def _generic_step(R, D, O, V, mono: tuple):
+    """Right-multiply every state by every C-monomial at generic q and merge
+    equal keys: `_apply_mono` on arrays.  Child (i, m) of parent i and
+    monomial m sits at flat index i·M + m.  Parent keys are distinct, so one
+    monomial sends them to distinct keys, and each of its terms scatters into
+    the merged rows without collisions."""
+    r2, d2, w_r, w_d, exps, coeffs, l1 = mono
+    (S, W), M = V.shape, len(r2)
+    pairs = ((R, r2), (D, d2))
+    keys = ((P[:, j, None] + Q[:, j]).ravel() for P, Q in pairs for j in range(R.shape[1]))
+    sizes = np.concatenate([P.max(axis=0) + Q.max(axis=0, initial=0) + 1 for P, Q in pairs])
+    order, starts = _groups(keys, sizes, S * M)
+    label = _labels(order, starts).reshape(S, M)
+    off = O[:, None] + D @ w_d.T + R @ w_r.T + exps[:, 0]
+    low = np.minimum.reduceat(off.ravel()[order], starts)
+    delta = off - low[label]
+    lag = np.where(coeffs != 0, exps - exps[:, :1], 0)
+    width = int((delta + lag.max(axis=1)).max(initial=0)) + W
+    if V.dtype != object and not _fits((_mags(V)[:, None] * l1).ravel()[order], starts):
+        V = V.astype(object)
+    out = np.zeros((len(starts), width), dtype=V.dtype)
+    for m, t in zip(*np.nonzero(coeffs)):
+        shift = delta[:, m] + lag[m, t]
+        # runs of one shift, of at most 4096 rows each to bound the temporaries
+        by, firsts = _groups([shift, np.arange(S) >> 12], [shift.max() + 1, (S >> 12) + 1], S)
+        for rows in np.split(by, firsts[1:]):
+            s0 = shift[rows[0]]
+            part = V[rows]
+            part *= coeffs[m, t]
+            out[label[rows, m], s0 : s0 + W] += part
+    parent, m = np.divmod(order[starts], M)
+    R, D, O, V = _compact(R[parent] + r2[m], D[parent] + d2[m], low, out)
+    # drop the columns that no row reaches
+    return R, D, O, V[:, : np.flatnonzero(V.any(axis=0)).max(initial=0) + 1]
+
+
+def _eval_population(R, D, O, V, signs_t: tuple[int, ...], z_pow: int) -> QDict:
+    """Σ over states of row ⊛ ∏_j E-factor(r_j, d_j) at z = q^{z_pow}.
+
+    Runs on int64 rows (`_eval_population_np`) while the overflow bound
+    holds, and otherwise again on object rows of Python ints.
+    """
+    try:
+        return _eval_population_np(R, D, O, V, signs_t, z_pow)
+    except OverflowError:
+        return _eval_population_np(R, D, O, V, signs_t, z_pow, object)
+
+
+def _eval_population_np(R, D, O, V, signs_t: tuple[int, ...], z_pow: int, dtype=np.int64) -> QDict:
+    """`_eval_population` on rows of `dtype`, for distinct keys.  On int64
+    it raises OverflowError before a sum could leave int64.
+
+    With a = z_pow − r_j, the binomials 1 − q^e of E(r_j, d_j) run over
+    e = a − i (ε=+1) or i − a (ε=−1) for i < d_j, so E vanishes iff
+    0 ≤ a < d_j; states with a vanishing factor are dropped first.  Otherwise
+    all e share one sign, and pulling −q^e out of each negative one leaves
+    ±q^shift ∏_{lo ≤ c < lo+d_j} (1 − q^c) with lo ≥ 1 and ‖∏‖₁ ≤ 2^d_j.
+    Bottom-up over j = k−1..0, as `_eval_folded`: the q-powers go to O, each
+    block of rows that shares (r_j, d_j) is multiplied by its binomials with
+    slice shifts, and the products are summed into the groups that share the
+    remaining key prefix.
+    """
+    # a state whose E-factor vanishes at any crossing contributes nothing
+    live = ~np.any((R <= z_pow) & (z_pow < R + D), axis=1)
+    if not live.all():
+        R, D, O, V = R[live], D[live], O[live], V[live]
+    V = V.astype(dtype, copy=False)
+    for j in reversed(range(len(signs_t))):
+        if not len(V):
+            return {}
+        r, d, R, D = R[:, j], D[:, j], R[:, :j], D[:, :j]
+        a, W = z_pow - r, V.shape[1]
+        neg = a < 0 if signs_t[j] == 1 else a >= d
+        lo = np.where(a < 0, -a, a - d + 1)
+        grow = d * lo + d * (d - 1) // 2
+        O = O - np.where(neg, grow, 0) + (r * (z_pow - d) if signs_t[j] == 1 else -r * z_pow)
+        flip = neg & (d % 2 == 1)
+        order, starts = _groups([*R.T, *D.T], [*(R.max(axis=0) + 1), *(D.max(axis=0) + 1)], len(V))
+        label = _labels(order, starts)
+        low = np.minimum.reduceat(O[order], starts)
+        delta = O - low[label]
+        if dtype is np.int64 and not _fits(np.ldexp(_mags(V), d)[order], starts):
+            raise OverflowError
+        width = int((delta + grow).max()) + W
+        out = np.zeros((len(starts), width), dtype=dtype)
+        flat = out.reshape(-1)
+        # rows of one (r_j, d_j) block have distinct key prefixes
+        block, firsts = _groups([r, d], [r.max() + 1, d.max() + 1], len(V))
+        for rows in np.split(block, firsts[1:]):
+            i = rows[0]
+            X = np.zeros((len(rows), W + grow[i]), dtype=dtype)
+            X[:, :W] = -V[rows] if flip[i] else V[rows]
+            w = W
+            for c in range(lo[i], lo[i] + d[i]):
+                X[:, c : c + w] -= X[:, :w]
+                w += c
+            flat[(label[rows] * width + delta[rows])[:, None] + np.arange(w)] += X
+        R, D, O, V = _compact(R[order][starts], D[order][starts], low, out)
+    if not len(V):
         return {}
-    off, arr = result
-    return {off + i: int(c) for i, c in enumerate(arr.tolist()) if c}
+    return {int(O[0]) + i: int(c) for i, c in enumerate(V[0].tolist()) if c}
 
 
 def fermionic_terms(
@@ -294,64 +385,23 @@ def fermionic_terms(
     """
     signs_t = signs.signs
     k = len(signs_t)
-    c_terms = _mono_terms(C, k)
-    P: dict[tuple[int, ...], QDict] = {(0,) * (2 * k): {0: 1}}
+    mono = _mono_arrays(C, signs_t)
+    R = D = np.zeros((1, k), dtype=np.int64)
+    O, V = np.zeros(1, dtype=np.int64), np.ones((1, 1), dtype=np.int64)
     n = 0
     while True:
-        yield _eval_population(P, signs_t, z_pow)
+        yield _eval_population(R, D, O, V, signs_t, z_pow)
         n += 1
         if max_n is not None and n > max_n:
             return
-        newP: dict[tuple[int, ...], QDict] = {}
-        for key, cd in P.items():
-            for mono, mcd in c_terms:
-                nk, shift = _apply_mono(key, mono, signs_t)
-                contrib = _dconv(cd, mcd, shift)
-                if not contrib:
-                    continue
-                acc = newP.get(nk)
-                if acc is None:
-                    newP[nk] = contrib
-                else:
-                    _dadd(acc, contrib)
-                    if not acc:
-                        del newP[nk]
-        P = newP
-        if not P:
+        R, D, O, V = _generic_step(R, D, O, V, mono)
+        if not len(V):
             return
 
 
 # ---------------------------------------------------------------------------
 # folded series kernel: ℤ[q]/(q^N − 1) as rows of N integers
 # ---------------------------------------------------------------------------
-#
-# A population is (R, D, V): R and D are S×k int64 arrays of each state's
-# r_j mod N and d_j < N, and row i of V holds the N coefficients of state i
-# mod q^N − 1.  Every sum of rows is bounded beforehand by Σ‖row‖∞·‖factor‖₁;
-# V stays int64 while that bound stays under _NP_SAFE and past it runs on
-# object rows of Python ints, the same code exact at any size.
-
-def _mono_arrays(C: AlgebraElement, signs_t: tuple[int, ...]) -> tuple:
-    """C's M monomials as M×k arrays of per-crossing (r, d) exponents and
-    reorder weights, their q-coefficients as M×width (exponent, coefficient)
-    arrays padded with zero coefficients, and the coefficients' ℓ₁ norms:
-    (r2, d2, w_r, w_d, exps, coeffs, l1)."""
-    k = len(signs_t)
-    monos = _mono_terms(C, k)
-    trip = np.array([key for key, _ in monos], dtype=np.int64).reshape(len(monos), k, 3)
-    s2, r2, d2 = trip[..., 0], trip[..., 1], trip[..., 2]
-    plus = np.array(signs_t, dtype=np.int64) == 1
-    # _apply_mono's reorder power is linear in the old keys: Σ_j d_j·w_d + r_j·w_r
-    w_d = np.where(plus, r2, 2 * s2 - r2)
-    w_r = np.where(plus, -2 * s2, 2 * s2)
-    width = max((len(cd) for _, cd in monos), default=1)
-    exps = np.zeros((len(monos), width), dtype=np.int64)
-    coeffs = np.zeros((len(monos), width), dtype=np.int64)
-    for m, (_, cd) in enumerate(monos):
-        for t, (e, c) in enumerate(cd.items()):
-            exps[m, t], coeffs[m, t] = e, c
-    return r2, d2, w_r, w_d, exps, coeffs, np.abs(coeffs).sum(axis=1).astype(float)
-
 
 def _roll_rows(V, rows, shift, N: int):
     """V[rows], row i multiplied by q^{shift[i]} mod q^N − 1."""
@@ -359,48 +409,9 @@ def _roll_rows(V, rows, shift, N: int):
     return V[rows[:, None], cols]
 
 
-def _groups(cols: list, N: int, n: int):
-    """(order, starts): an order of n keys (tuples across `cols`, entries in
-    [0, N)) that makes equal keys adjacent, and the first position of each
-    run of equal keys.  Columns are packed base N into as few int64 words as
-    hold them, so the sort usually runs on one word."""
-    words, span = [], 2**62
-    for c in cols:
-        if span * N >= 2**62:
-            words.append(c.copy())
-            span = N
-        else:
-            words[-1] += c * span
-            span *= N
-    if not words:
-        return np.arange(n), np.arange(min(n, 1))
-    order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words)
-    new = np.zeros(n, dtype=bool)
-    new[:1] = True
-    for w in words:
-        sw = w[order]
-        new[1:] |= sw[1:] != sw[:-1]
-    return order, np.flatnonzero(new)
-
-
-def _fits(bound, starts) -> bool:
-    """Whether every group sum of the per-row bounds stays under _NP_SAFE."""
-    return float(np.add.reduceat(bound, starts).max()) < _NP_SAFE
-
-
-def _mags(V):
-    return np.abs(V).max(axis=1).astype(float)
-
-
-def _compact(R, D, V):
-    """Drop the rows that vanish, as the dict path drops zero coefficients."""
-    live = np.any(V != 0, axis=1)
-    return R[live], D[live], V[live]
-
-
 def _merge(R, D, V, N: int):
     """Sum the rows of equal keys."""
-    order, starts = _groups([*R.T, *D.T], N, len(V))
+    order, starts = _groups([*R.T, *D.T], [N] * 2 * R.shape[1], len(V))
     V = V[order]
     if V.dtype != object and not _fits(_mags(V), starts):
         V = V.astype(object)
@@ -421,7 +432,7 @@ def _folded_step(R, D, V, mono: tuple, N: int):
     nR = (R[src] + r2[m]) % N
     nD = nD[src, m]
     shift = (D[src] * w_d[m]).sum(axis=1) + (R[src] * w_r[m]).sum(axis=1)
-    order, starts = _groups([*nR.T, *nD.T], N, len(src))
+    order, starts = _groups([*nR.T, *nD.T], [N] * 2 * R.shape[1], len(src))
     src, m, shift = src[order], m[order], shift[order]
     if V.dtype != object and not _fits(_mags(V)[src] * l1[m], starts):
         V = V.astype(object)
@@ -488,7 +499,7 @@ def _eval_folded(R, D, V, signs_t: tuple[int, ...], N: int):
         R, D, V, pair = R[live, :j], D[live, :j], V[live], pair[live]
         if not len(V):
             break
-        order, starts = _groups([*R.T, *D.T], N, len(V))
+        order, starts = _groups([*R.T, *D.T], [N] * 2 * j, len(V))
         V, pair = V[order], pair[order]
         if V.dtype != object and not _fits(_mags(V) * l1[pair], starts):
             V = V.astype(object)
@@ -602,10 +613,12 @@ def inverse_series_EN(M: QuantumMatrix, signs: StrandSigns, N: int, mode: str) -
     """E_N applied to the reciprocal of the deformed determinant of I − M.
 
     mode "fermionic" sums E_N(Cⁿ) at generic q until max(k, m) consecutive
-    terms vanish (k crossings, m = dim M + 1 strands); mode "bosonic" sums
-    graded diagonal coefficients with the per-exponent bound n_i ≤ N−1.  The
-    root-of-unity sum of the Kashaev invariant is not a mode here: it runs on
-    the folded kernel, `folded_series_sum`.
+    terms vanish (k crossings, m = dim M + 1 strands).  That stop rule is not
+    proved; a test pins it on the corpus at N ≤ 4, where the next 2·max(k, m)
+    terms vanish too.  Mode "bosonic" sums graded diagonal coefficients with
+    the per-exponent bound n_i ≤ N−1.  The root-of-unity sum of the Kashaev
+    invariant is not a mode here: it runs on the folded kernel,
+    `folded_series_sum`.
     """
     if mode == "bosonic":
         if N < 1:
