@@ -93,8 +93,9 @@ def kashaev_series(b: BraidWord, depth: int) -> HabiroTruncation:
 def kashaev_value(b: BraidWord, N: int, mode: str = "exact") -> KashaevValue:
     """⟨K⟩_N of the braid closure.
 
-    exact: sum the z = q^{-1} series in ℤ[q]/Φ_N (terms with n > k·N vanish
-    there, so the sum is finite) and apply q^{(m−w−1)/2}.
+    exact: sum the z = q^{-1} series in ℤ[q]/(q^N − 1), where states with
+    some d_j ≥ N vanish and are pruned, so the sum is finite; apply
+    q^{(m−w−1)/2} and reduce mod Φ_N.
     float: evaluate the R-matrix state sum at q = exp(2πi/N).
     """
     if N < 1:
@@ -140,12 +141,6 @@ def volume_sequence(
         mag = abs(numeric_state_sum(b, N))
         rows.append((N, mag, 2 * math.pi * math.log(mag) / N if mag > 0 else None))
     return rows
-
-
-def volume_rate(b: BraidWord, N_values: list[int]) -> list[tuple[int, float | None]]:
-    """Growth-rate estimates v_N = 2π·ln|⟨K⟩_N|/N by the float path; an
-    exactly zero magnitude yields None for that N."""
-    return [(N, rate) for N, _, rate in volume_sequence(b, N_values)]
 
 
 def mahler_measure(delta: LaurentPoly) -> float:

@@ -187,9 +187,11 @@ def _eval_state(key: tuple[int, ...], signs_t: tuple[int, ...], z_pow: int) -> Q
 # q the keys are whole and row i of the S×W array V holds the coefficients of
 # q^{O_i}..q^{O_i+W−1}, with O a length-S array of offsets.  At a root of unity
 # r_j is reduced mod N, d_j < N, and row i holds the N coefficients of state i
-# mod q^N − 1.  Every sum of rows is bounded beforehand by Σ‖row‖∞·‖factor‖₁;
-# V stays int64 while that bound stays under _NP_SAFE and past it runs on
-# object rows of Python ints, the same code exact at any size.
+# mod q^N − 1.  Every sum of rows is bounded beforehand: by Σ‖row‖∞·‖factor‖₁
+# in the series steps and the generic evaluator, and by the measured ‖row‖∞
+# before each binomial and each merge in the folded evaluator.  V stays int64
+# while the bound stays under _NP_SAFE and past it runs on object rows of
+# Python ints, the same code exact at any size.
 
 _NP_SAFE = float(2**62)
 
@@ -443,68 +445,35 @@ def _folded_step(R, D, V, mono: tuple, N: int):
     return _compact(nR[sel], nD[sel], np.add.reduceat(out, starts, axis=0))
 
 
-def _efactor_rows(eps: int, r, d, N: int):
-    """E-factors at z = q^{-1} mod q^N − 1 of the distinct (r, d) pairs:
-    (rows, ℓ₁ norms, each state's pair index).
-
-    ε=+1: q^{-r(d+1)} ∏_{i<d} (1 − q^{-1-r-i});  ε=−1: q^r ∏_{i<d} (1 − q^{r+1+i}),
-    as `_efactor_items` at z_pow = −1.  Pairs are built in order of d, each
-    from (r, d−1) by one shift by q^{-r} (ε=+1) and one roll-and-subtract.
-    """
-    pairs, pair = np.unique(d * N + r, return_inverse=True)
-    pd = pairs // N
-    rs, rpos = np.unique(pairs % N, return_inverse=True)
-    every = np.arange(len(rs))
-    # ‖∏_{i<d} (1 − q^{e_i})‖₁ ≤ 2^d
-    G = np.zeros((len(rs), N), dtype=np.int64 if pd[-1] < 62 else object)
-    G[every, (-eps * rs) % N] = 1
-    F = np.empty((len(pairs), N), dtype=G.dtype)
-    lo = 0
-    for dd in range(int(pd[-1]) + 1):
-        if dd and eps == 1:
-            G = _roll_rows(G, every, -rs, N)
-            G = G - _roll_rows(G, every, -rs - dd, N)
-        elif dd:
-            G = G - _roll_rows(G, every, rs + dd, N)
-        hi = int(np.searchsorted(pd, dd, side="right"))
-        F[lo:hi] = G[rpos[lo:hi]]
-        lo = hi
-    return F, np.abs(F).sum(axis=1).astype(float), pair
-
-
-def _cyclic_conv(V, F):
-    """Row-wise product mod q^N − 1 of two S×N arrays, one shift of V at a
-    time, so no S×N×N intermediate is built."""
-    N = V.shape[1]
-    out = np.zeros_like(V)
-    for t in np.flatnonzero(np.any(F != 0, axis=0)):
-        f = F[:, t : t + 1]
-        out[:, t:] += f * V[:, : N - t]
-        out[:, :t] += f * V[:, N - t :]
-    return out
-
-
 def _eval_folded(R, D, V, signs_t: tuple[int, ...], N: int):
     """Σ over states of V_row ⊛ ∏_j E-factor(r_j, d_j) at z = q^{-1}, mod
     q^N − 1, as a row of N integers.
 
-    Bottom-up over j = k−1..0: each row is convolved with the factor of its
-    last key pair, then rows that share the remaining key prefix are merged.
+    ε=+1: q^{-r(d+1)} ∏_{i<d} (1 − q^{-1-r-i});  ε=−1: q^r ∏_{i<d} (1 − q^{r+1+i}),
+    as `_efactor_items` at z_pow = −1.  Φ_N is irreducible, so a factor
+    vanishes mod q^N − 1 iff one of its binomials does, i.e. r_j + d_j ≥ N;
+    such states are dropped first.  Bottom-up over j = k−1..0: each row is
+    rolled by its q-power and, sorted by d_j so that the rows with d_j > i
+    form a prefix, multiplied by its i-th binomial in place; then rows that
+    share the remaining key prefix are merged.  A binomial at most doubles
+    ‖row‖∞, so each is checked against the measured magnitudes.
     """
+    live = ~np.any(R + D >= N, axis=1)
+    R, D, V = R[live], D[live], V[live]
     for j in reversed(range(len(signs_t))):
         if not len(V):
             break
-        F, l1, pair = _efactor_rows(signs_t[j], R[:, j], D[:, j], N)
-        live = l1[pair] > 0
-        R, D, V, pair = R[live, :j], D[live, :j], V[live], pair[live]
-        if not len(V):
-            break
-        order, starts = _groups([*R.T, *D.T], [N] * 2 * j, len(V))
-        V, pair = V[order], pair[order]
-        if V.dtype != object and not _fits(_mags(V) * l1[pair], starts):
-            V = V.astype(object)
-        V = np.add.reduceat(_cyclic_conv(V, F[pair].astype(V.dtype)), starts, axis=0)
-        R, D, V = _compact(R[order][starts], D[order][starts], V)
+        by = np.argsort(-D[:, j])
+        R, D = R[by], D[by]
+        r, d, eps = R[:, j], D[:, j], signs_t[j]
+        V = _roll_rows(V, by, -r * (d + 1) if eps == 1 else r, N)
+        for i in range(int(d[0])):
+            n = int(np.count_nonzero(d > i))
+            head = np.arange(n)
+            if V.dtype != object and not _fits(2 * _mags(V[:n]), head):
+                V = V.astype(object)
+            V[:n] -= _roll_rows(V, head, -eps * (r[:n] + 1 + i), N)
+        R, D, V = _merge(R[:, :j], D[:, :j], V, N)
     if not len(V):
         return np.zeros(N, dtype=np.int64)
     return V[0]

@@ -19,7 +19,6 @@ from qknot.kashaev import (
     lobachevsky,
     mahler_measure,
     reference_volumes,
-    volume_rate,
     volume_sequence,
 )
 from qknot.mcmahon import alexander, colored_jones
@@ -57,7 +56,8 @@ def test_determinant_magnitudes_in_the_cyclotomic_ring():
 def test_figure_eight_matches_classical_factorial_sum():
     # |<4_1>_N| = sum_n prod_{j<=n} |1 - zeta^j|^2, an independent closed form
     fig8 = parse_braid("1 -2 1 -2")
-    for N in (2, 3, 5, 7, 9, 20, 40):
+    # N = 60 stays on int64 rows of up to 50 bits; N = 80 leaves int64
+    for N in (2, 3, 5, 7, 9, 20, 40, 60, 80):
         zeta = cmath.exp(2j * math.pi / N)
         total = 0.0
         for n in range(N):
@@ -131,8 +131,6 @@ def test_volume_sequence_rows_and_rate_formula():
     for N, abs_value, rate in rows:
         assert abs_value > 0
         assert rate == pytest.approx(2 * math.pi * math.log(abs_value) / N, rel=1e-12)
-    rates = volume_rate(fig8, [5, 7, 9])
-    assert rates == [(N, rate) for N, _, rate in rows]
 
 
 def test_volume_sequence_follows_request_order():

@@ -4,12 +4,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qknot import mcmahon
 from qknot.braid import parse_braid
 from qknot.exactpoly import LaurentPoly, QExponent, parse_univariate, q_pochhammer
-from qknot.kashaev import _series_inputs
+from qknot.kashaev import _series_inputs, kashaev_value
 from qknot.mcmahon import (
     _apply_mono,
     _dadd,
@@ -287,6 +287,14 @@ def test_int64_escalation_is_logged(caplog, monkeypatch):
     assert all("leave int64" in rec.getMessage() for rec in caplog.records)
 
 
+def test_folded_evaluation_of_figure_eight_at_60_stays_int64(caplog):
+    # bounding each E-factor by ‖row‖∞·‖factor‖₁ instead of the measured
+    # ‖row‖∞ per binomial sends these rows to Python ints
+    with caplog.at_level(logging.DEBUG, logger="qknot.mcmahon"):
+        kashaev_value(parse_braid("1 -2 1 -2"), 60)
+    assert not any("leave int64" in rec.getMessage() for rec in caplog.records)
+
+
 def folded_dict_series(C, signs_t, N, max_n):
     """Reference for folded_series_sum: Σ_{n ≤ max_n} E(Cⁿ) at z = q^{-1} mod
     q^N − 1 on {exponent: coefficient} dicts, one population per n, keys
@@ -327,10 +335,13 @@ def folded_populations(draw):
 
 
 @given(folded_populations(), st.sampled_from(["int64", "huge", "object"]))
+@example((8, (-1,), [(((0, 2),), [9, 0, 0, 0, 0, 9, -9, -9])]), "huge")
 @settings(max_examples=80)
 def test_folded_evaluation_matches_folded_dict_reference(population, rows):
     # "huge" rows come near the int64 bound, so most sums must trip it;
-    # "object" lowers the bound so that every sum runs on Python ints
+    # "object" lowers the bound so that every sum runs on Python ints.  In
+    # the explicit example, (1 − q)(1 − q²) lines up with the row and takes
+    # its peak to 4·9·2^58 > 2^63 unless a binomial is checked before it runs
     N, signs_t, states = population
     scale = 2**58 if rows == "huge" else 1
     R = np.array([[r for r, _ in key] for key, _ in states], dtype=np.int64)
