@@ -9,14 +9,21 @@ gives J′ normalized to 1 on the unknot.  This route shares no code with the
 determinant-series engine and serves as its cross-validation oracle.
 
 One batched traversal (`_state_sum`) runs the sum over either coefficient
-ring: exact LaurentPoly values (`state_sum_jones`) or complex floats at
-q = exp(2πi/N), the Kashaev value for large N (`numeric_state_sum`).
-`apply_braiding` is the single-vector form of the braiding, used by the
-braid-relation and inverse checks.
+ring.  The exact ring (`_ExactRows`, for `state_sum_jones`) holds each value
+as an int64 row of whole-q coefficients on a window its batch shares, with
+one quarter-exponent offset per sum.  Each product is bounded beforehand by
+Σ‖row‖∞·‖coeff‖₁; past 2^62 the rows move to object dtype of Python ints.
+An input whose predicted tables or rows pass _CELL_LIMIT cells is refused
+with ValueError before anything is allocated.  The float ring
+(`_NumericTables`, for `numeric_state_sum`) works in complex floats at
+q = exp(2πi/N), the Kashaev value for large N.  `apply_braiding` is the
+single-vector form of the braiding, used by the braid-relation and inverse
+checks.
 """
 from __future__ import annotations
 
 import cmath
+import logging
 from dataclasses import dataclass
 from itertools import product
 
@@ -26,6 +33,8 @@ from .braid import BraidWord, closure_is_knot
 from .exactpoly import LaurentPoly, QExponent, q_int_binom
 
 StateVector = dict[tuple[int, ...], LaurentPoly]
+
+_log = logging.getLogger(__name__)
 
 
 def qint_bracket(n: int) -> LaurentPoly:
@@ -191,6 +200,21 @@ def check_braiding_inverse(N: int, cap: int) -> bool:
 # initial states grow only while they stay under it.
 _ENTRY_BUDGET = 4096
 
+# The exact ring counts its budget in row cells (entries × the width of their
+# rows), this many per float entry.  A step holds about six arrays of that
+# size, so the default budget keeps its int64 temporaries near 12 MB.
+_CELLS_PER_ENTRY = 64
+
+# The exact sum refuses an input whose tables, or whose rows for a single
+# initial state, would hold more cells than this (predicted before anything
+# is allocated).
+_CELL_LIMIT = 2**24
+
+# int64 products wrap silently, so every row product and group sum is
+# bounded beforehand by Σ‖row‖∞·‖coeff‖₁; past this the rows move to object
+# dtype of Python ints, the same code exact at any size.
+_NP_SAFE = float(2**62)
+
 # Complex numbers travel as (real, imag) pairs of arrays: numpy's complex128
 # product differs from CPython's in the last bit, the split one does not.
 Split = tuple[np.ndarray, np.ndarray]
@@ -215,14 +239,12 @@ class _NumericTables:
     """Root-of-unity tables: exact-phase quarter powers, Gaussian binomials,
     and braiding pochhammer prefixes at q = exp(2πi/N), with split arrays of
     the braiding coefficient factors.  The state sum's float ring: values
-    are split pairs."""
+    are split pairs, and each group sums its entries in entry order."""
 
     zero = (0.0, 0.0)
-    mul = staticmethod(_cmul)
 
     def __init__(self, N: int):
         self.N = N
-        self.budget = _ENTRY_BUDGET
         self.quarter = [cmath.exp(2j * cmath.pi * t / (4 * N)) for t in range(4 * N)]
         qpow = [self.quarter[(4 * t) % (4 * N)] for t in range(N)]
         self.qpow = qpow
@@ -247,6 +269,20 @@ class _NumericTables:
             for sign in (1, -1)
         }
         self._poch = {1: grid(self.poch_plus), -1: grid(self.poch_minus)}
+
+    @staticmethod
+    def budget() -> int:
+        return _ENTRY_BUDGET
+
+    @staticmethod
+    def state_cells(b: BraidWord, N: int) -> int:
+        """Entries one initial state may expand to in a step: N^(m−1) live
+        states of its weight, times at most N values of l."""
+        return N**b.strands
+
+    @staticmethod
+    def cells(val: Split, entries: int) -> int:
+        return entries
 
     def _prefix(self, start: int, step: int) -> list[complex]:
         out = [1 + 0j]
@@ -274,50 +310,199 @@ class _NumericTables:
         c = _cmul(_take(self._head[sign], row, l), _take(self._qpow, e % N))
         return _cmul(c, _take(self._poch[sign], col, l))
 
+    def merge(self, val: Split, src, sign: int, n1, n2, l, key) -> tuple[np.ndarray, Split]:
+        """Each entry is val[src] times its braiding coefficient; the entries
+        are summed per key, groups in order of first appearance and each in
+        entry order.  Returns (first entry of each group, the group sums)."""
+        term = _cmul(_take(val, src), self.coeff(sign, n1, n2, l))
+        group, first = _first_appearance_groups(key)
+        return first, tuple(
+            _sum_by_group(group, part, len(first), zero) for part, zero in zip(term, self.zero)
+        )
 
-class _ExactTables:
-    """The state sum's exact ring: values are 1-tuples of object arrays of
-    LaurentPoly, and each braiding_coeff is built once per table."""
+    def collect(self, total: Split, val: Split, hit, seg, size: int) -> Split:
+        """Add the diagonal entries val[hit] (of initial states seg) to the
+        running total, sequentially in initial-state order."""
+        diag = [np.full(size, zero, dtype=part.dtype) for part, zero in zip(val, self.zero)]
+        for d, part in zip(diag, val):
+            d[seg] = part[hit]
+        return tuple(np.cumsum(np.concatenate(([acc], d)))[-1] for acc, d in zip(total, diag))
 
-    zero = (LaurentPoly.zero(),)
+
+Rows = tuple[np.ndarray, int]
+
+
+def _mags(V: np.ndarray) -> np.ndarray:
+    """Each row's ‖row‖∞, taken in floats so that −2^63 cannot wrap."""
+    return np.maximum(V.max(axis=1).astype(float), -V.min(axis=1).astype(float))
+
+
+def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise products of the polynomials whose coefficients (lowest
+    first) are the rows of a and b.  Callers bound the result beforehand."""
+    if a.shape[1] < b.shape[1]:
+        a, b = b, a
+    W = a.shape[1]
+    out = np.zeros((len(a), W + b.shape[1] - 1), dtype=np.result_type(a, b))
+    tmp = np.empty_like(out[:, :W])
+    for j in range(b.shape[1]):
+        np.multiply(a, b[:, j : j + 1], out=tmp)
+        out[:, j : j + W] += tmp
+    return out
+
+
+class _ExactRows:
+    """The state sum's exact ring on integer rows.
+
+    A value (V, base) holds one polynomial per row: V[e, j] is the
+    coefficient of q^{base/4 + j}.  The batch shares the window, and the
+    quarter offset `base` is one integer, since every value of one sum lies
+    in one quarter-exponent class: the initial phases are ≡ 2(m−1)(1−N)
+    mod 4, and each crossing adds ∓(N−1)².  The coefficient of a braiding
+    entry is q^{∓(N−1)²/4 + shift} · gauss ⊛ poch, from integer tables built
+    once per N: the standard Gaussian binomials [n, l]_q by their recurrence,
+    and the pochhammer prefixes ∏_{i<l}(1 − q^{N−1−n−i}).  The sign −1
+    prefixes ∏_{i<l}(1 − q^{n+i−(N−1)}) are (−1)^l q^{−deg} times the same
+    rows, deg being the row's degree."""
+
+    zero = LaurentPoly.zero()
 
     def __init__(self, N: int):
-        # A LaurentPoly entry holds far more memory than a float pair; at a
-        # sixteenth of the float budget the exact sum runs as fast as at the
-        # full one, with under half the added peak memory.
-        self.budget = max(1, _ENTRY_BUDGET // 16)
-        self._coeff = {sign: np.empty((N, N, N), dtype=object) for sign in (1, -1)}
-        for sign, grid in self._coeff.items():
-            for n1, n2, l in product(range(N), repeat=3):
-                grid[n1, n2, l] = braiding_coeff(sign, n1, n2, l, N)
+        self.N = N
+        # every entry of both tables is below 2^(N−1)
+        dtype = np.int64 if N < 63 else object
+        gauss = np.zeros((N, N, (N - 1) ** 2 // 4 + 1), dtype=dtype)
+        gauss[:, 0, 0] = 1
+        for n in range(1, N):
+            for l in range(1, n + 1):
+                # [n, l] = [n−1, l−1] + q^l [n−1, l]
+                gauss[n, l] = gauss[n - 1, l - 1]
+                gauss[n, l, l:] += gauss[n - 1, l, : gauss.shape[2] - l]
+        poch = np.zeros((N, N, N * (N - 1) // 2 + 1), dtype=dtype)
+        poch[:, 0, 0] = 1
+        for n in range(N):
+            for l in range(1, N - n):
+                a = N - n - l  # the new factor 1 − q^a, a ≥ 1
+                poch[n, l] = poch[n, l - 1]
+                poch[n, l, a:] -= poch[n, l - 1, : poch.shape[2] - a]
+        self.gauss, self.poch = gauss, poch
+        # ‖gauss‖₁ · ‖poch‖₁ bounds ‖coefficient‖₁
+        self._g1 = np.abs(gauss).sum(axis=2).astype(float)
+        self._p1 = np.abs(poch).sum(axis=2).astype(float)
 
     @staticmethod
-    def mul(a: tuple, b: tuple) -> tuple:
-        return (a[0] * b[0],)
+    def budget() -> int:
+        return _ENTRY_BUDGET * _CELLS_PER_ENTRY
 
     @staticmethod
-    def phases(quarter_units: np.ndarray) -> tuple:
-        return (np.array([LaurentPoly.term(1, t) for t in quarter_units.tolist()], dtype=object),)
+    def table_cells(N: int) -> int:
+        return N * N * ((N - 1) ** 2 // 4 + 1 + N * (N - 1) // 2 + 1)
+
+    @staticmethod
+    def state_cells(b: BraidWord, N: int) -> int:
+        """Cells one initial state may hold in a step: N^m entries (as in the
+        float ring) times the window.  One crossing's coefficients span at
+        most 5(N−1)²/4 whole powers of q: the monomial shift and the degrees
+        of gauss and poch together lie in [−(N−1)²/4, (N−1)²] for sign +1
+        and in [−(N−1)², (N−1)²/4] for sign −1."""
+        return N**b.strands * (len(b.word) * (5 * (N - 1) ** 2 // 4) + 1)
+
+    @staticmethod
+    def cells(val: Rows, entries: int) -> int:
+        return entries * val[0].shape[1]
+
+    def phases(self, quarter_units: np.ndarray) -> Rows:
+        """The monomials q^{u/4} as rows."""
+        base = int(quarter_units.min())
+        exps, residue = np.divmod(quarter_units - base, 4)
+        if residue.any():
+            raise AssertionError("initial phases in two quarter-exponent classes")
+        V = np.zeros((len(exps), int(exps.max()) + 1), dtype=self.gauss.dtype)
+        V[np.arange(len(exps)), exps] = 1
+        return V, base
 
     def coeff(self, sign: int, n1: np.ndarray, n2: np.ndarray, l: np.ndarray) -> tuple:
-        return (self._coeff[sign][n1, n2, l],)
+        """Braiding coefficients of e_{n1} ⊗ e_{n2} → (l) for index arrays:
+        (rows of gauss ⊛ poch, whole-q shift of each row, bound on each
+        row's ‖·‖₁).  The quarter phase ∓(N−1)²/4 is left to the caller."""
+        N = self.N
+        row, col = (n1, n2) if sign == 1 else (n2, n1)
+        # the degrees of gauss[row, l] and poch[col, l]
+        gdeg = l * (row - l)
+        pdeg = l * (N - 1 - col) - l * (l - 1) // 2
+        if sign == 1:
+            shift = n2 * (l - n1 + N - 1) - gdeg
+        else:
+            shift = n1 * (n2 - l - N + 1) - pdeg
+        g = self.gauss[row, l, : int(gdeg.max(initial=0)) + 1]
+        p = self.poch[col, l, : int(pdeg.max(initial=0)) + 1]
+        bound = self._g1[row, l] * self._p1[col, l]
+        if g.dtype != object and bound.max(initial=0) >= _NP_SAFE:
+            g = g.astype(object)
+        C = _conv(g, p)
+        if sign == -1:
+            C[l % 2 == 1] *= -1
+        return C, shift, bound
+
+    def merge(self, val: Rows, src, sign: int, n1, n2, l, key) -> tuple[np.ndarray, Rows]:
+        """Each entry is val[src] times its braiding coefficient; the entries
+        are summed per key by a sort and np.add.reduceat (exact sums, so
+        their order does not matter).  Returns (an entry of each group with
+        a nonzero sum, those sums on the window trimmed to their terms)."""
+        V, base = val
+        order, starts = _runs(key)
+        src, n1, n2, l = src[order], n1[order], n2[order], l[order]
+        C, shift, bound = self.coeff(sign, n1, n2, l)
+        V = V[src]
+        if V.dtype != object:
+            peak = float(np.add.reduceat(_mags(V) * bound, starts).max(initial=0))
+            if peak >= _NP_SAFE:
+                _log.debug(
+                    "%d state-sum rows leave int64: a group sum may reach %.3g ≥ 2^62", len(V), peak
+                )
+                V = V.astype(object)
+        P = _conv(V, C)
+        low = int(shift.min(initial=0))
+        d = shift - low
+        out = np.zeros((len(P), P.shape[1] + int(d.max(initial=0))), dtype=P.dtype)
+        out[np.arange(len(P))[:, None], d[:, None] + np.arange(P.shape[1])] = P
+        S = np.add.reduceat(out, starts, axis=0)
+        base += 4 * low - sign * (self.N - 1) ** 2
+        nonzero = S != 0
+        live = nonzero.any(axis=1)
+        cols = np.flatnonzero(nonzero.any(axis=0))
+        if not len(cols):
+            return starts[:0], (S[:0, :1], base)
+        return order[starts[live]], (S[live, cols[0] : cols[-1] + 1], base + 4 * int(cols[0]))
+
+    def collect(self, total: LaurentPoly, val: Rows, hit, seg, size: int) -> LaurentPoly:
+        """Add the diagonal entries val[hit] to the running total."""
+        V, base = val
+        row = V[hit].astype(object).sum(axis=0)
+        return total + LaurentPoly({(base + 4 * j, 0): int(c) for j, c in enumerate(row)})
 
 
-def _first_appearance_groups(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(group of each entry, first entry of each group), groups numbered in
-    order of first appearance of their key."""
+def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts): an order that makes equal keys adjacent, and the
+    first position of each run of equal keys in it."""
     order = np.argsort(key)
     ks = key[order]
     new = np.empty(len(ks), dtype=bool)
     new[:1] = True
     np.not_equal(ks[1:], ks[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
+    return order, np.flatnonzero(new)
+
+
+def _first_appearance_groups(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(group of each entry, first entry of each group), groups numbered in
+    order of first appearance of their key."""
+    order, starts = _runs(key)
     first = np.minimum.reduceat(order, starts)
     by_first = np.argsort(first)
     rank = np.empty(len(starts), dtype=np.int64)
     rank[by_first] = np.arange(len(starts))
     group = np.empty(len(key), dtype=np.int64)
-    group[order] = rank[np.cumsum(new) - 1]
+    group[order] = np.repeat(rank, np.diff(starts, append=len(key)))
     return group, first[by_first]
 
 
@@ -333,23 +518,34 @@ def _sum_by_group(group: np.ndarray, values: np.ndarray, count: int, zero) -> np
 
 def _state_sum(b: BraidWord, N: int, ring) -> tuple:
     """The state sum before the writhe phase, in the coefficient ring whose
-    tables `ring(N)` builds: (tables, total as the ring's parts).
+    tables `ring(N)` builds: (tables, total).
 
     Initial states run in batches; the live entries of a batch are flat
-    arrays of initial state, base-N state code and value.  Summation order
-    is fixed: each state accumulates its terms in the order of a walk over
-    one initial state at a time, live states in order of first appearance
-    and l ascending, and the diagonal entries are added in initial-state
-    order.  The result is therefore independent of the batch sizes."""
+    arrays of initial state and base-N state code, and the ring's values.
+    Each step expands every live state over l, drops the entries that leave
+    a factor no later step changes off its initial value, and merges equal
+    (initial state, code) keys with the ring's `merge`.  A batch starts as
+    large as the ring's budget allows for its per-state prediction
+    (`state_cells`), and doubles or halves with the peak it measured: float
+    entries, or int row cells (entries × row width) for the exact ring.
+
+    The float ring sums in a fixed order (see `_NumericTables.merge` and
+    `collect`), so its result is independent of the batch sizes.  The exact
+    ring (`_ExactRows`) convolves int64 rows and sums each group by a sort
+    and np.add.reduceat; every product is checked against the bound
+    Σ‖row‖∞·‖coeff‖₁ < 2^62 first and runs on object rows past it, so its
+    sums are exact in any order.  `state_sum_jones` refuses work past
+    _CELL_LIMIT cells before this runs."""
     m = b.strands
-    # a batch holds at most _ENTRY_BUDGET initial states; its keys must fit int64
-    if N**m * _ENTRY_BUDGET >= 2**63:
+    budget = ring.budget()
+    # a batch holds at most budget initial states; its keys must fit int64
+    if N**m * min(budget, N ** (m - 1)) >= 2**63:
         raise ValueError(f"N^strands = {N}^{m} is too large for the state sum")
     tables = ring(N)
     steps, last = _last_touch(b)
     place = [N**p for p in range(m + 1)]
     total = tables.zero
-    start, size = 0, 1
+    start, size = 0, max(1, budget // ring.state_cells(b, N))
     while start < place[m - 1]:
         size = min(size, place[m - 1] - start)
         # initial state k is the k-th tuple of product(range(N), repeat=m−1)
@@ -368,9 +564,8 @@ def _state_sum(b: BraidWord, N: int, ring) -> tuple:
             reps = 1 + (np.minimum(n1, N - 1 - n2) if eps == 1 else np.minimum(n2, N - 1 - n1))
             src = np.repeat(np.arange(len(code)), reps)
             l = np.arange(len(src)) - np.repeat(np.cumsum(reps) - reps, reps)
-            peak = max(peak, len(src))
+            peak = max(peak, tables.cells(val, len(src)))
             n1, n2 = n1[src], n2[src]
-            term = tables.mul([part[src] for part in val], tables.coeff(eps, n1, n2, l))
             shift = l if eps == 1 else -l
             code = code[src] + (n2 + shift - n1) * lo + (n1 - shift - n2) * hi
             seg = seg[src]
@@ -378,34 +573,30 @@ def _state_sum(b: BraidWord, N: int, ring) -> tuple:
             for p in range(m):
                 if last[p] == t:
                     keep &= (code // place[p]) % N == digits[p][seg]
-            code, seg = code[keep], seg[keep]
-            group, first = _first_appearance_groups(seg * place[m] + code)
+            src, n1, n2, l, code, seg = (a[keep] for a in (src, n1, n2, l, code, seg))
+            first, val = tables.merge(val, src, eps, n1, n2, l, seg * place[m] + code)
             code, seg = code[first], seg[first]
-            val = [
-                _sum_by_group(group, part[keep], len(first), zero)
-                for part, zero in zip(term, tables.zero)
-            ]
-        hit = code == full0[seg]
-        diag = [np.full(size, zero, dtype=part.dtype) for part, zero in zip(val, tables.zero)]
-        for d, part in zip(diag, val):
-            d[seg[hit]] = part[hit]
-        # sequential sums onto the running total, in initial-state order
-        total = tuple(np.cumsum(np.concatenate(([acc], d)))[-1] for acc, d in zip(total, diag))
+        hit = np.flatnonzero(code == full0[seg])
+        total = tables.collect(total, val, hit, seg[hit], size)
         start += size
-        if 2 * peak <= tables.budget:
+        if 2 * peak <= budget:
             size *= 2
-        elif peak > tables.budget:
+        elif peak > budget:
             size = max(1, size // 2)
     return tables, total
 
 
 def state_sum_jones(b: BraidWord, N: int) -> LaurentPoly:
-    """J′ of the braid closure by the exact state sum, N ≥ 1."""
+    """J′ of the braid closure by the exact state sum, N ≥ 1.  Refuses, with
+    ValueError, an input whose predicted tables or rows for one initial
+    state pass _CELL_LIMIT cells."""
     if N < 1:
         raise ValueError("N must be a positive integer")
     if not closure_is_knot(b):
         raise ValueError("closure is not a knot")
-    _, (total,) = _state_sum(b, N, _ExactTables)
+    if max(_ExactRows.table_cells(N), _ExactRows.state_cells(b, N)) > _CELL_LIMIT:
+        raise ValueError(f"the exact state sum at N = {N} would hold over {_CELL_LIMIT} integer cells")
+    _, total = _state_sum(b, N, _ExactRows)
     out = total.shift(QExponent.of_v_half(b.writhe * (N * N - 1)))
     if not (out.is_univariate_q() and out.has_integer_q_powers()):
         raise AssertionError("state sum landed off the integer q-lattice")

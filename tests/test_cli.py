@@ -136,6 +136,12 @@ def test_domain_errors_exit_2():
     assert run(["volume", "--word", "1 1 1", "--N", "1:3:1"])[0] == 2
 
 
+def test_oversized_oracle_work_exits_2():
+    code, out, err = run(["jones", "--engine", "oracle", "--word", "1 1 1", "-N", "400"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_internal_errors_exit_3(monkeypatch):
     import qknot.cli
 

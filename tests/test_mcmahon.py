@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qknot import mcmahon
+from qknot import mcmahon, verma_oracle
 from qknot.braid import parse_braid
 from qknot.exactpoly import LaurentPoly, QExponent, parse_univariate, q_pochhammer
 from qknot.kashaev import _series_inputs, kashaev_value
@@ -23,6 +23,7 @@ from qknot.mcmahon import (
     fermionic_terms,
     folded_series_sum,
 )
+from qknot.verma_oracle import state_sum_jones
 
 
 def trefoil_closed_form(N):
@@ -278,13 +279,22 @@ def test_fermionic_stop_rule_leaves_only_zero_terms(corpus_braids):
 
 def test_int64_escalation_is_logged(caplog, monkeypatch):
     monkeypatch.setattr(mcmahon, "_NP_SAFE", 1.0)
-    signs, C = _series_inputs(parse_braid("1 -2 1 -2"))
-    with caplog.at_level(logging.DEBUG, logger="qknot.mcmahon"):
+    monkeypatch.setattr(verma_oracle, "_NP_SAFE", 1.0)
+    b = parse_braid("1 -2 1 -2")
+    signs, C = _series_inputs(b)
+    counts = []
+    with caplog.at_level(logging.DEBUG):
         list(fermionic_terms(C, signs, -1, 3))
-        generic = len(caplog.records)
+        counts.append(len(caplog.records))
         folded_series_sum(C, signs.signs, 5)
-    assert generic and len(caplog.records) > generic
+        counts.append(len(caplog.records))
+        state_sum_jones(b, 3)
+        counts.append(len(caplog.records))
+    assert 0 < counts[0] < counts[1] < counts[2]
     assert all("leave int64" in rec.getMessage() for rec in caplog.records)
+    loggers = [rec.name for rec in caplog.records]
+    assert set(loggers[: counts[1]]) == {"qknot.mcmahon"}
+    assert set(loggers[counts[1] :]) == {"qknot.verma_oracle"}
 
 
 def test_folded_evaluation_of_figure_eight_at_60_stays_int64(caplog):

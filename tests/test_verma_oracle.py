@@ -1,4 +1,11 @@
+import logging
+import os
+import subprocess
+import sys
+import time
+from functools import lru_cache
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +17,7 @@ from qknot.qweyl import AlgebraElement, NormalMonomial, StrandSigns, normal_orde
 from qknot.verma_oracle import (
     BasisState,
     VermaAction,
+    apply_braiding,
     braiding_coeff,
     check_braid_relation,
     check_braiding_inverse,
@@ -123,14 +131,95 @@ def test_gauss_binomial_identity_in_the_operator_algebra():
         assert seen == {}
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("budget", [1, verma_oracle._ENTRY_BUDGET])
 def test_state_sum_matches_series_engine_on_corpus(corpus_braids, monkeypatch, budget):
-    # budget 1 keeps one initial state per batch; the default packs many
+    # budget 1 runs small batches (64 row cells for the exact ring); the default packs many
     monkeypatch.setattr(verma_oracle, "_ENTRY_BUDGET", budget)
     cases = [(name, b, N) for name, b in corpus_braids.items() for N in (1, 2, 3)]
     cases.append(("6_1", parse_braid("1 1 2 -1 -3 2 -3"), 4))
     for name, b, N in cases:
         assert state_sum_jones(b, N) == colored_jones(b, N), (name, N)
+
+
+@lru_cache(maxsize=None)
+def _exact_walk_state_sum(word: str, N: int) -> LaurentPoly:
+    """state_sum_jones as a walk over one initial state at a time, applying
+    apply_braiding to a dict of live states: the reference the integer rows
+    must match."""
+    b = parse_braid(word)
+    m = b.strands
+    steps, last = verma_oracle._last_touch(b)
+    total = LaurentPoly.zero()
+    for initial in product(range(N), repeat=m - 1):
+        full0 = (0,) + initial
+        states = {full0: LaurentPoly.term(1, 2 * ((m - 1) * (1 - N) + 2 * sum(initial)))}
+        for step, (i, eps) in enumerate(steps):
+            states = apply_braiding(states, i - 1, eps, N, N)
+            frozen = [p for p in range(m) if last[p] == step]
+            states = {s: c for s, c in states.items() if all(s[p] == full0[p] for p in frozen)}
+        total = total + states.get(full0, LaurentPoly.zero())
+    return total.shift(QExponent.of_v_half(b.writhe * (N * N - 1)))
+
+
+# the seven knots of the benchmark workloads: 3_1, 4_1, 5_1, 5_2, 6_1, 6_2, 6_3
+BENCHMARK_WORDS = [
+    "1 1 1",
+    "1 -2 1 -2",
+    "1 1 1 1 1",
+    "1 1 1 2 -1 2",
+    "1 1 2 -1 -3 2 -3",
+    "1 1 1 -2 1 -2",
+    "1 1 -2 1 -2 -2",
+]
+
+
+def _rotations(word: str) -> list[str]:
+    letters = word.split()
+    return [" ".join(letters[r:] + letters[:r]) for r in range(len(letters))]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows", ["int64", "object", "one state per batch"])
+def test_exact_state_sum_matches_apply_braiding_walk(monkeypatch, caplog, rows):
+    if rows == "object":
+        # every product's bound passes the threshold, so every row leaves int64
+        monkeypatch.setattr(verma_oracle, "_NP_SAFE", 1.0)
+    if rows == "one state per batch":
+        monkeypatch.setattr(verma_oracle, "_ENTRY_BUDGET", 1)
+        monkeypatch.setattr(verma_oracle, "_CELLS_PER_ENTRY", 1)
+    cases = [(w, N) for word in BENCHMARK_WORDS for w in _rotations(word) for N in (1, 2, 3, 4)]
+    cases.append(("1 1 2 -1 -3 2 -3", 5))
+    with caplog.at_level(logging.DEBUG, logger="qknot.verma_oracle"):
+        for word, N in cases:
+            assert state_sum_jones(parse_braid(word), N) == _exact_walk_state_sum(word, N), (word, N)
+    assert bool(caplog.records) == (rows == "object")
+
+
+def test_exact_state_sum_refuses_oversized_work_at_once():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="integer cells"):
+        state_sum_jones(parse_braid("1 1 1"), 400)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_exact_state_sum_emits_nothing():
+    # nothing on stdout or stderr, also at interpreter exit, with warnings as errors
+    code = (
+        "from qknot import parse_braid, state_sum_jones\n"
+        "for word in ('1 1 1', '1 -2 1 -2', '1 1 2 -1 -3 2 -3'):\n"
+        "    state_sum_jones(parse_braid(word), 4)\n"
+    )
+    src = str(Path(verma_oracle.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, "", "")
 
 
 def test_state_sum_unknot_normalization():
