@@ -1,13 +1,19 @@
-"""Exact sparse Laurent polynomials, q-binomials and cyclotomic integers.
+"""Exact sparse Laurent polynomials, q-binomials, cyclotomic integers, and
+the overflow rule of int64 coefficient rows.
 
 Every invariant computed by this package reduces to arithmetic in
 Z[q^{±1/4}, z^{±1}] or in Z[q]/Φ_N(q).  Exponents of q live on a
 quarter-integer lattice stored as plain integers (q ↔ 4, v = q^{1/2} ↔ 2,
 v^{1/2} ↔ 1) so intermediate square roots of q stay exact; coefficients are
-arbitrary-precision integers throughout.
+arbitrary-precision integers throughout.  The numpy kernels of the series
+engine (`mcmahon`) and of the exact state sum (`verma_oracle`) hold
+coefficients as int64 rows instead; the rule that moves those rows to
+Python ints before a sum could wrap is defined once, here, and is the only
+code the two exact routes share.
 """
 from __future__ import annotations
 
+import logging
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,6 +21,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 import mpmath
+import numpy as np
 
 Q_UNIT = 4  # quarter-lattice units per whole power of q
 
@@ -373,7 +380,8 @@ def cyclotomic_coeffs(N: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class CyclotomicInt:
-    """Element of Z[q]/Φ_N(q): coeffs has length φ(N) = deg Φ_N."""
+    """Element of Z[q]/Φ_N(q): coeffs has length φ(N) = deg Φ_N.  A value
+    type, as `cyclotomic_reduce` returns it; it has no ring operations."""
 
     N: int
     coeffs: tuple[int, ...]
@@ -395,45 +403,6 @@ class CyclotomicInt:
     def q_power(cls, N: int, e: int) -> "CyclotomicInt":
         vec = [0] * (e % N) + [1]
         return cls.from_coeff_list(N, vec)
-
-    def _check(self, other: "CyclotomicInt") -> None:
-        if self.N != other.N:
-            raise ValueError("mixed root-of-unity orders")
-
-    def __add__(self, other: "CyclotomicInt") -> "CyclotomicInt":
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        return CyclotomicInt(self.N, tuple(x + y for x, y in zip(a, b)))
-
-    def __sub__(self, other: "CyclotomicInt") -> "CyclotomicInt":
-        self._check(other)
-        return CyclotomicInt(self.N, tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "CyclotomicInt":
-        return CyclotomicInt(self.N, tuple(-x for x in self.coeffs))
-
-    def __mul__(self, other: "CyclotomicInt") -> "CyclotomicInt":
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        conv = [0] * (len(a) + len(b) - 1) if a and b else [0]
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        return CyclotomicInt.from_coeff_list(self.N, conv)
-
-    def __pow__(self, e: int) -> "CyclotomicInt":
-        if e < 0:
-            raise ValueError("negative powers are not defined for general elements")
-        out = CyclotomicInt.from_int(self.N, 1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -475,6 +444,48 @@ def embed_complex(c: CyclotomicInt) -> complex:
             if a:
                 total += a * mpmath.expjpi(mpmath.mpf(2 * j) / c.N)
         return complex(total)
+
+
+# ---------------------------------------------------------------------------
+# int64 coefficient rows
+# ---------------------------------------------------------------------------
+#
+# int64 sums wrap silently, so a kernel that adds rows of int64 coefficients
+# bounds every sum beforehand: from each row's ‖row‖∞ (`row_norms`) and the
+# ℓ₁ norm of what multiplies it, it forms a bound per row and checks the sum
+# of those bounds over each group of rows to be added (`int64_fits`).  The
+# rows stay int64 while every group sum stays under INT64_SAFE, and past it
+# they move to object dtype of Python ints, the same code exact at any size.
+
+INT64_SAFE = float(2**62)
+
+
+def row_norms(V: np.ndarray) -> np.ndarray:
+    """Each row's ‖row‖∞, taken in floats so that −2^63 cannot wrap."""
+    return np.maximum(V.max(axis=1).astype(float), -V.min(axis=1).astype(float))
+
+
+def int64_fits(bound: np.ndarray, starts: np.ndarray, log: logging.Logger) -> bool:
+    """Whether every group sum of the per-row bounds stays under INT64_SAFE,
+    the groups being the runs of `bound` that begin at `starts`.  When one
+    does not, the caller's rows leave int64; that is logged at DEBUG on the
+    caller's logger `log`."""
+    peak = float(np.add.reduceat(bound, starts).max(initial=0))
+    if peak < INT64_SAFE:
+        return True
+    log.debug("%d rows leave int64: a group sum may reach %.3g ≥ 2^62", len(bound), peak)
+    return False
+
+
+def key_runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts): an order that makes equal keys adjacent, and the
+    first position of each run of equal keys in it."""
+    order = np.argsort(key)
+    ks = key[order]
+    new = np.empty(len(ks), dtype=bool)
+    new[:1] = True
+    np.not_equal(ks[1:], ks[:-1], out=new[1:])
+    return order, np.flatnonzero(new)
 
 
 # ---------------------------------------------------------------------------

@@ -14,21 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braid import BraidWord, closure_is_knot
+from .braid import BraidWord, _free_reduce, closure_is_knot
 from .exactpoly import LaurentPoly, poly_mat_det, poly_mat_identity, poly_mat_sub
 from .mcmahon import normalize_alexander
 
 Letter = tuple[int, int]
-
-
-def _reduce(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    out: list[Letter] = []
-    for g, e in letters:
-        if out and out[-1][0] == g and out[-1][1] == -e:
-            out.pop()
-        else:
-            out.append((g, e))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -42,7 +32,7 @@ class FreeWord:
         for g, e in self.letters:
             if g < 1 or e not in (1, -1):
                 raise ValueError(f"bad letter ({g}, {e})")
-        reduced = _reduce(self.letters)
+        reduced = _free_reduce(self.letters)
         if reduced != self.letters:
             object.__setattr__(self, "letters", reduced)
 

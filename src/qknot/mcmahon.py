@@ -33,11 +33,14 @@ from .exactpoly import (
     LaurentPoly,
     QExponent,
     Q_UNIT,
+    int64_fits,
+    key_runs,
     poly_mat_det,
     poly_mat_identity,
     poly_mat_sub,
+    row_norms,
 )
-from .qweyl import AlgebraElement, StrandSigns, normal_order_product
+from .qweyl import AlgebraElement, StrandSigns, _eval_factor, normal_order_product
 
 _log = logging.getLogger(__name__)
 
@@ -145,22 +148,13 @@ def _apply_mono(
 
 @lru_cache(maxsize=None)
 def _efactor_items(eps: int, r: int, d: int, z_pow: int) -> tuple[tuple[int, int], ...]:
-    """E of a single-index (r, d) with z = q^{z_pow}, as sorted dict items.
+    """`qweyl._eval_factor` of a single-index (r, d) with z = q^{z_pow}, as
+    sorted dict items; () when it vanishes.
 
     ε=+1: q^{-rd+r·z_pow} ∏_{i<d} (1 − q^{z_pow-r-i})
     ε=−1: q^{-r·z_pow}    ∏_{i<d} (1 − q^{r+i-z_pow})
     """
-    if eps == 1:
-        poly: QDict = {-r * d + r * z_pow: 1}
-        exps = [z_pow - r - i for i in range(d)]
-    else:
-        poly = {-r * z_pow: 1}
-        exps = [r + i - z_pow for i in range(d)]
-    for e in exps:
-        if e == 0:
-            return ()
-        poly = _dconv(poly, {0: 1, e: -1}, 0)
-    return tuple(sorted(poly.items()))
+    return tuple(sorted(_eval_factor(eps, r, d).subst_z_to_qpower(z_pow).q_terms().items()))
 
 
 def _eval_state(key: tuple[int, ...], signs_t: tuple[int, ...], z_pow: int) -> QDict:
@@ -187,13 +181,10 @@ def _eval_state(key: tuple[int, ...], signs_t: tuple[int, ...], z_pow: int) -> Q
 # q the keys are whole and row i of the S×W array V holds the coefficients of
 # q^{O_i}..q^{O_i+W−1}, with O a length-S array of offsets.  At a root of unity
 # r_j is reduced mod N, d_j < N, and row i holds the N coefficients of state i
-# mod q^N − 1.  Every sum of rows is bounded beforehand: by Σ‖row‖∞·‖factor‖₁
-# in the series steps and the generic evaluator, and by the measured ‖row‖∞
-# before each binomial and each merge in the folded evaluator.  V stays int64
-# while the bound stays under _NP_SAFE and past it runs on object rows of
-# Python ints, the same code exact at any size.
-
-_NP_SAFE = float(2**62)
+# mod q^N − 1.  Every sum of rows is bounded beforehand, under the int64 row
+# rule of `exactpoly` (`row_norms`, `int64_fits`): by Σ‖row‖∞·‖factor‖₁ in
+# the series steps and the generic evaluator, and by the measured ‖row‖∞
+# before each binomial and each merge in the folded evaluator.
 
 
 def _mono_arrays(C: AlgebraElement, signs_t: tuple[int, ...]) -> tuple:
@@ -235,7 +226,9 @@ def _groups(cols, sizes, n: int):
             span *= size
     if not words:
         return np.arange(n), np.arange(min(n, 1))
-    order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words)
+    if len(words) == 1:
+        return key_runs(words[0])
+    order = np.lexsort(words)
     new = np.zeros(n, dtype=bool)
     new[:1] = True
     for w in words:
@@ -249,21 +242,6 @@ def _labels(order, starts):
     out = np.empty(len(order), dtype=np.int64)
     out[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(order)))
     return out
-
-
-def _fits(bound, starts) -> bool:
-    """Whether every group sum of the per-row bounds stays under _NP_SAFE.
-    When it does not, the caller's rows move to object dtype."""
-    peak = float(np.add.reduceat(bound, starts).max(initial=0))
-    if peak < _NP_SAFE:
-        return True
-    _log.debug("%d rows leave int64: a group sum may reach %.3g ≥ 2^62", len(bound), peak)
-    return False
-
-
-def _mags(V):
-    """Each row's ‖row‖∞, taken in floats so that −2^63 cannot wrap."""
-    return np.maximum(V.max(axis=1).astype(float), -V.min(axis=1).astype(float))
 
 
 def _compact(*arrays):
@@ -291,7 +269,7 @@ def _generic_step(R, D, O, V, mono: tuple):
     delta = off - low[label]
     lag = np.where(coeffs != 0, exps - exps[:, :1], 0)
     width = int((delta + lag.max(axis=1)).max(initial=0)) + W
-    if V.dtype != object and not _fits((_mags(V)[:, None] * l1).ravel()[order], starts):
+    if V.dtype != object and not int64_fits((row_norms(V)[:, None] * l1).ravel()[order], starts, _log):
         V = V.astype(object)
     out = np.zeros((len(starts), width), dtype=V.dtype)
     for m, t in zip(*np.nonzero(coeffs)):
@@ -354,7 +332,7 @@ def _eval_population_np(R, D, O, V, signs_t: tuple[int, ...], z_pow: int, dtype=
         label = _labels(order, starts)
         low = np.minimum.reduceat(O[order], starts)
         delta = O - low[label]
-        if dtype is np.int64 and not _fits(np.ldexp(_mags(V), d)[order], starts):
+        if dtype is np.int64 and not int64_fits(np.ldexp(row_norms(V), d)[order], starts, _log):
             raise OverflowError
         width = int((delta + grow).max()) + W
         out = np.zeros((len(starts), width), dtype=dtype)
@@ -415,7 +393,7 @@ def _merge(R, D, V, N: int):
     """Sum the rows of equal keys."""
     order, starts = _groups([*R.T, *D.T], [N] * 2 * R.shape[1], len(V))
     V = V[order]
-    if V.dtype != object and not _fits(_mags(V), starts):
+    if V.dtype != object and not int64_fits(row_norms(V), starts, _log):
         V = V.astype(object)
     return _compact(R[order][starts], D[order][starts], np.add.reduceat(V, starts, axis=0))
 
@@ -436,7 +414,7 @@ def _folded_step(R, D, V, mono: tuple, N: int):
     shift = (D[src] * w_d[m]).sum(axis=1) + (R[src] * w_r[m]).sum(axis=1)
     order, starts = _groups([*nR.T, *nD.T], [N] * 2 * R.shape[1], len(src))
     src, m, shift = src[order], m[order], shift[order]
-    if V.dtype != object and not _fits(_mags(V)[src] * l1[m], starts):
+    if V.dtype != object and not int64_fits(row_norms(V)[src] * l1[m], starts, _log):
         V = V.astype(object)
     out = coeffs[m, :1] * _roll_rows(V, src, shift + exps[m, 0], N)
     for t in range(1, exps.shape[1]):
@@ -470,7 +448,7 @@ def _eval_folded(R, D, V, signs_t: tuple[int, ...], N: int):
         for i in range(int(d[0])):
             n = int(np.count_nonzero(d > i))
             head = np.arange(n)
-            if V.dtype != object and not _fits(2 * _mags(V[:n]), head):
+            if V.dtype != object and not int64_fits(2 * row_norms(V[:n]), head, _log):
                 V = V.astype(object)
             V[:n] -= _roll_rows(V, head, -eps * (r[:n] + 1 + i), N)
         R, D, V = _merge(R[:, :j], D[:, :j], V, N)

@@ -5,83 +5,37 @@ module by the twisted braiding, whose matrix entries are closed-form
 q-binomial/pochhammer products on the quarter-exponent lattice.  The trace
 over states with first index pinned to 0, weighted by the diagonal
 K-inverse on the traced factors and the writhe prefactor v^{w(N²−1)/2},
-gives J′ normalized to 1 on the unknot.  This route shares no code with the
-determinant-series engine and serves as its cross-validation oracle.
+gives J′ normalized to 1 on the unknot.  This route shares only
+`exactpoly` with the determinant-series engine and serves as its
+cross-validation oracle.
 
 One batched traversal (`_state_sum`) runs the sum over either coefficient
 ring.  The exact ring (`_ExactRows`, for `state_sum_jones`) holds each value
 as an int64 row of whole-q coefficients on a window its batch shares, with
 one quarter-exponent offset per sum.  Each product is bounded beforehand by
-Σ‖row‖∞·‖coeff‖₁; past 2^62 the rows move to object dtype of Python ints.
-An input whose predicted tables or rows pass _CELL_LIMIT cells is refused
-with ValueError before anything is allocated.  The float ring
-(`_NumericTables`, for `numeric_state_sum`) works in complex floats at
-q = exp(2πi/N), the Kashaev value for large N.  `apply_braiding` is the
-single-vector form of the braiding, used by the braid-relation and inverse
-checks.
+Σ‖row‖∞·‖coeff‖₁ under the int64 row rule of `exactpoly`; past 2^62 the
+rows move to object dtype of Python ints.  An input whose predicted tables
+or rows pass _CELL_LIMIT cells is refused with ValueError before anything
+is allocated.  The float ring (`_NumericTables`, for `numeric_state_sum`)
+works in complex floats at q = exp(2πi/N), the Kashaev value for large N.
+`apply_braiding` is the single-vector form of the braiding, used by the
+braid-relation and inverse checks.
 """
 from __future__ import annotations
 
 import cmath
 import logging
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
+from . import exactpoly
 from .braid import BraidWord, closure_is_knot
-from .exactpoly import LaurentPoly, QExponent, q_int_binom
+from .exactpoly import LaurentPoly, QExponent, int64_fits, key_runs, q_int_binom, row_norms
 
 StateVector = dict[tuple[int, ...], LaurentPoly]
 
 _log = logging.getLogger(__name__)
-
-
-def qint_bracket(n: int) -> LaurentPoly:
-    """Balanced quantum integer [n] = (vⁿ − v^{−n})/(v − v^{−1})."""
-    if n < 0:
-        return -qint_bracket(-n)
-    out = LaurentPoly.zero()
-    for j in range(n):
-        out = out + LaurentPoly.term(1, QExponent.of_v(n - 1 - 2 * j))
-    return out
-
-
-@dataclass(frozen=True)
-class BasisState:
-    """Tensor basis label (n_1,…,n_m); cap > 0 restricts to n_i ≤ cap−1."""
-
-    exponents: tuple[int, ...]
-    cap: int = 0
-
-    def __post_init__(self):
-        if any(n < 0 for n in self.exponents):
-            raise ValueError("negative exponent in basis state")
-        if self.cap > 0 and any(n >= self.cap for n in self.exponents):
-            raise ValueError(f"exponent exceeds module cap {self.cap}")
-
-
-@dataclass(frozen=True)
-class VermaAction:
-    """K, E, F on basis vectors e_i of the weight-N module.
-
-    K e_i = v^{N−1−2i} e_i;  E e_i = (1 + q^{-1} + … + q^{-(i−1)}) e_{i−1};
-    F e_i = v^i [N−1−i] e_{i+1}.  N may be any integer.
-    """
-
-    N: int
-
-    def k_weight(self, i: int) -> LaurentPoly:
-        return LaurentPoly.term(1, QExponent.of_v(self.N - 1 - 2 * i))
-
-    def e_coeff(self, i: int) -> LaurentPoly:
-        out = LaurentPoly.zero()
-        for j in range(i):
-            out = out + LaurentPoly.q_power(-j)
-        return out
-
-    def f_coeff(self, i: int) -> LaurentPoly:
-        return qint_bracket(self.N - 1 - i) * LaurentPoly.term(1, QExponent.of_v(i))
 
 
 def braiding_coeff(sign: int, n1: int, n2: int, l: int, N: int) -> LaurentPoly:
@@ -210,11 +164,6 @@ _CELLS_PER_ENTRY = 64
 # is allocated).
 _CELL_LIMIT = 2**24
 
-# int64 products wrap silently, so every row product and group sum is
-# bounded beforehand by Σ‖row‖∞·‖coeff‖₁; past this the rows move to object
-# dtype of Python ints, the same code exact at any size.
-_NP_SAFE = float(2**62)
-
 # Complex numbers travel as (real, imag) pairs of arrays: numpy's complex128
 # product differs from CPython's in the last bit, the split one does not.
 Split = tuple[np.ndarray, np.ndarray]
@@ -332,11 +281,6 @@ class _NumericTables:
 Rows = tuple[np.ndarray, int]
 
 
-def _mags(V: np.ndarray) -> np.ndarray:
-    """Each row's ‖row‖∞, taken in floats so that −2^63 cannot wrap."""
-    return np.maximum(V.max(axis=1).astype(float), -V.min(axis=1).astype(float))
-
-
 def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise products of the polynomials whose coefficients (lowest
     first) are the rows of a and b.  Callers bound the result beforehand."""
@@ -437,7 +381,7 @@ class _ExactRows:
         g = self.gauss[row, l, : int(gdeg.max(initial=0)) + 1]
         p = self.poch[col, l, : int(pdeg.max(initial=0)) + 1]
         bound = self._g1[row, l] * self._p1[col, l]
-        if g.dtype != object and bound.max(initial=0) >= _NP_SAFE:
+        if g.dtype != object and bound.max(initial=0) >= exactpoly.INT64_SAFE:
             g = g.astype(object)
         C = _conv(g, p)
         if sign == -1:
@@ -450,17 +394,12 @@ class _ExactRows:
         their order does not matter).  Returns (an entry of each group with
         a nonzero sum, those sums on the window trimmed to their terms)."""
         V, base = val
-        order, starts = _runs(key)
+        order, starts = key_runs(key)
         src, n1, n2, l = src[order], n1[order], n2[order], l[order]
         C, shift, bound = self.coeff(sign, n1, n2, l)
         V = V[src]
-        if V.dtype != object:
-            peak = float(np.add.reduceat(_mags(V) * bound, starts).max(initial=0))
-            if peak >= _NP_SAFE:
-                _log.debug(
-                    "%d state-sum rows leave int64: a group sum may reach %.3g ≥ 2^62", len(V), peak
-                )
-                V = V.astype(object)
+        if V.dtype != object and not int64_fits(row_norms(V) * bound, starts, _log):
+            V = V.astype(object)
         P = _conv(V, C)
         low = int(shift.min(initial=0))
         d = shift - low
@@ -482,21 +421,10 @@ class _ExactRows:
         return total + LaurentPoly({(base + 4 * j, 0): int(c) for j, c in enumerate(row)})
 
 
-def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(order, starts): an order that makes equal keys adjacent, and the
-    first position of each run of equal keys in it."""
-    order = np.argsort(key)
-    ks = key[order]
-    new = np.empty(len(ks), dtype=bool)
-    new[:1] = True
-    np.not_equal(ks[1:], ks[:-1], out=new[1:])
-    return order, np.flatnonzero(new)
-
-
 def _first_appearance_groups(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(group of each entry, first entry of each group), groups numbered in
     order of first appearance of their key."""
-    order, starts = _runs(key)
+    order, starts = key_runs(key)
     first = np.minimum.reduceat(order, starts)
     by_first = np.argsort(first)
     rank = np.empty(len(starts), dtype=np.int64)

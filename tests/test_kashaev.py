@@ -12,6 +12,8 @@ from qknot.exactpoly import (
     parse_univariate,
 )
 from qknot.kashaev import (
+    _prefactor_exponent,
+    _series_inputs,
     bloch_wigner,
     kashaev_series,
     kashaev_value,
@@ -21,8 +23,8 @@ from qknot.kashaev import (
     reference_volumes,
     volume_sequence,
 )
-from qknot.mcmahon import alexander, colored_jones
-from qknot.verma_oracle import numeric_state_sum
+from qknot.mcmahon import alexander, colored_jones, folded_series_sum
+from qknot.verma_oracle import numeric_state_sum, state_sum_jones
 
 
 def test_exact_value_is_reduced_colored_jones(corpus_braids):
@@ -31,6 +33,24 @@ def test_exact_value_is_reduced_colored_jones(corpus_braids):
             got = kashaev_value(b, N).exact
             want = cyclotomic_reduce(colored_jones(b, N), N)
             assert got == want, (name, N)
+
+
+def test_folded_series_is_state_sum_mod_q_N_minus_1(corpus_braids):
+    # residue by residue, which is stronger than agreeing mod Φ_N: shifted
+    # by the prefactor, the folded series is J_N mod (q^N − 1)
+    cases = [(name, b, N) for name, b in corpus_braids.items() for N in range(1, 8)]
+    cases += [("5_2", corpus_braids["5_2"], N) for N in (8, 9)]
+    cases += [("6_1", parse_braid("1 1 2 -1 -3 2 -3"), N) for N in range(1, 7)]
+    for name, word in (("6_2", "1 1 1 -2 1 -2"), ("6_3", "1 1 -2 1 -2 -2")):
+        cases += [(name, parse_braid(word), N) for N in range(1, 9)]
+    for name, b, N in cases:
+        signs, C = _series_inputs(b)
+        folded = folded_series_sum(C, signs.signs, N)
+        shift = _prefactor_exponent(b)
+        want = [0] * N
+        for e, c in state_sum_jones(b, N).q_terms().items():
+            want[e % N] += c
+        assert [folded[(e - shift) % N] for e in range(N)] == want, (name, N)
 
 
 def test_universal_series_evaluates_to_left_trefoil_values():

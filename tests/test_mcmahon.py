@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qknot import mcmahon, verma_oracle
+from qknot import exactpoly
 from qknot.braid import parse_braid
 from qknot.exactpoly import LaurentPoly, QExponent, parse_univariate, q_pochhammer
 from qknot.kashaev import _series_inputs, kashaev_value
@@ -17,6 +17,7 @@ from qknot.mcmahon import (
     _efactor_items,
     _eval_folded,
     _eval_population,
+    _groups,
     _mono_terms,
     alexander,
     colored_jones,
@@ -141,6 +142,34 @@ def test_factor_items_zero_exponent_kills_the_product():
     assert dict(_efactor_items(1, 0, 1, 2)) == {0: 1, 2: -1}
 
 
+@st.composite
+def wide_key_columns(draw):
+    """Key columns whose sizes need 2–3 int64 words: 2 or 3 of them hold
+    sizes ≥ 2^31, and no two of those share a word.  Rows repeat a few
+    distinct keys, so that groups have several members."""
+    sizes = draw(st.lists(st.integers(1, 6), max_size=3))
+    for _ in range(draw(st.integers(2, 3))):
+        sizes.insert(draw(st.integers(0, len(sizes))), draw(st.integers(2**31, 2**61)))
+    column = [st.integers(0, size - 1) | st.sampled_from([0, size - 1]) for size in sizes]
+    pool = draw(st.lists(st.tuples(*column), min_size=1, max_size=5))
+    rows = draw(st.lists(st.sampled_from(pool), max_size=30))
+    return sizes, rows
+
+
+@given(wide_key_columns())
+@settings(max_examples=60)
+def test_groups_on_several_words_match_dict_grouping(columns):
+    sizes, rows = columns
+    cols = [np.array([row[i] for row in rows], dtype=np.int64) for i in range(len(sizes))]
+    order, starts = _groups(iter(cols), sizes, len(rows))
+    assert sorted(order.tolist()) == list(range(len(rows)))
+    got = [order[a:b].tolist() for a, b in zip(starts, [*starts[1:], len(rows)])]
+    want = {}
+    for i, row in enumerate(rows):
+        want.setdefault(row, []).append(i)
+    assert sorted(map(sorted, got)) == sorted(want.values())
+
+
 def naive_population_eval(P, signs_t, z_pow, fold):
     """Σ over states of coeff · ∏_j E-factor(state_j), one state at a time;
     with fold = N > 0 every exponent is reduced mod N (q^N = 1)."""
@@ -219,7 +248,7 @@ def test_population_evaluation_matches_per_state_expansion(states, signs_t, z_po
     if not P:
         return
     arrays = population_arrays(P, 2, object if rows == "huge" else np.int64)
-    with mock.patch.object(mcmahon, "_NP_SAFE", 1.0 if rows == "object" else mcmahon._NP_SAFE):
+    with mock.patch.object(exactpoly, "INT64_SAFE", 1.0 if rows == "object" else exactpoly.INT64_SAFE):
         got = _eval_population(*arrays, signs_t, z_pow)
     assert got == naive_population_eval(P, signs_t, z_pow, 0)
 
@@ -245,9 +274,11 @@ def dict_populations(C, signs_t, count):
 
 
 @pytest.mark.parametrize("rows", ["int64", "object"])
-def test_generic_series_matches_dict_reference(corpus_braids, monkeypatch, rows):
+def test_generic_series_matches_dict_reference(corpus_braids, monkeypatch, caplog, rows):
+    caplog.set_level(logging.DEBUG, logger="qknot.mcmahon")
     if rows == "object":
-        monkeypatch.setattr(mcmahon, "_NP_SAFE", 1.0)
+        # every sum's bound passes the threshold, so every row leaves int64
+        monkeypatch.setattr(exactpoly, "INT64_SAFE", 1.0)
     for name, b in corpus_braids.items():
         signs, C = _series_inputs(b)
         # corpus C-monomials carry single-term coefficients ±q^a; the
@@ -259,6 +290,7 @@ def test_generic_series_matches_dict_reference(corpus_braids, monkeypatch, rows)
                 want = [naive_population_eval(P, signs.signs, z_pow, 0) for P in pops]
                 got = list(fermionic_terms(elem, signs, z_pow, len(pops) - 1))
                 assert got + [{}] * (len(pops) - len(got)) == want, (name, z_pow)
+    assert bool(caplog.records) == (rows == "object")
 
 
 def test_fermionic_stop_rule_leaves_only_zero_terms(corpus_braids):
@@ -278,8 +310,8 @@ def test_fermionic_stop_rule_leaves_only_zero_terms(corpus_braids):
 
 
 def test_int64_escalation_is_logged(caplog, monkeypatch):
-    monkeypatch.setattr(mcmahon, "_NP_SAFE", 1.0)
-    monkeypatch.setattr(verma_oracle, "_NP_SAFE", 1.0)
+    # the one bound of exactpoly's int64 row rule, for all three kernels
+    monkeypatch.setattr(exactpoly, "INT64_SAFE", 1.0)
     b = parse_braid("1 -2 1 -2")
     signs, C = _series_inputs(b)
     counts = []
@@ -363,7 +395,7 @@ def test_folded_evaluation_matches_folded_dict_reference(population, rows):
         cd = P.setdefault(flat, {})
         for e, c in enumerate(row):
             cd[e] = cd.get(e, 0) + c * scale
-    with mock.patch.object(mcmahon, "_NP_SAFE", 1.0 if rows == "object" else mcmahon._NP_SAFE):
+    with mock.patch.object(exactpoly, "INT64_SAFE", 1.0 if rows == "object" else exactpoly.INT64_SAFE):
         got = _eval_folded(R, D, V, signs_t, N)
     want = naive_population_eval(P, signs_t, -1, N)
     assert [int(c) for c in got] == [want.get(e, 0) for e in range(N)]
@@ -372,9 +404,11 @@ def test_folded_evaluation_matches_folded_dict_reference(population, rows):
 
 
 @pytest.mark.parametrize("rows", ["int64", "object"])
-def test_folded_series_matches_folded_dict_reference(corpus_braids, monkeypatch, rows):
+def test_folded_series_matches_folded_dict_reference(corpus_braids, monkeypatch, caplog, rows):
+    caplog.set_level(logging.DEBUG, logger="qknot.mcmahon")
     if rows == "object":
-        monkeypatch.setattr(mcmahon, "_NP_SAFE", 1.0)
+        # every sum's bound passes the threshold, so every row leaves int64
+        monkeypatch.setattr(exactpoly, "INT64_SAFE", 1.0)
     for name, b in corpus_braids.items():
         signs, C = _series_inputs(b)
         k = len(signs.signs)
@@ -387,6 +421,7 @@ def test_folded_series_matches_folded_dict_reference(corpus_braids, monkeypatch,
         for N in (2, 3):
             want = folded_dict_series(several, signs.signs, N, k * N)
             assert folded_series_sum(several, signs.signs, N) == want, (name, N)
+    assert bool(caplog.records) == (rows == "object")
 
 
 def test_pairwise_dict_convolution_matches_polynomials():

@@ -1,3 +1,4 @@
+import ast
 import logging
 import os
 import subprocess
@@ -9,79 +10,19 @@ from pathlib import Path
 
 import pytest
 
-from qknot import verma_oracle
+from qknot import exactpoly, verma_oracle
 from qknot.braid import closure_is_knot, parse_braid
 from qknot.exactpoly import LaurentPoly, QExponent, q_int_binom
 from qknot.mcmahon import colored_jones
 from qknot.qweyl import AlgebraElement, NormalMonomial, StrandSigns, normal_order_product
 from qknot.verma_oracle import (
-    BasisState,
-    VermaAction,
     apply_braiding,
     braiding_coeff,
     check_braid_relation,
     check_braiding_inverse,
     numeric_state_sum,
-    qint_bracket,
     state_sum_jones,
 )
-
-
-def test_balanced_integer_bracket():
-    assert qint_bracket(0).is_zero()
-    assert qint_bracket(1) == LaurentPoly.one()
-    v = LaurentPoly.term(1, QExponent.of_v(1))
-    v_inv = LaurentPoly.term(1, QExponent.of_v(-1))
-    assert qint_bracket(2) == v + v_inv
-    assert qint_bracket(3) == LaurentPoly.q_power(1) + LaurentPoly.one() + LaurentPoly.q_power(-1)
-    for n in range(1, 8):
-        assert qint_bracket(-n) == qint_bracket(n).scale(-1)
-
-
-def test_module_relations_hold_on_basis_vectors():
-    # K e_i = v^{N-1-2i} e_i, E e_0 = 0, EF - FE = (K - K^{-1})/(v - v^{-1})
-    for N in (0, 2, 3, 5):
-        act = VermaAction(N)
-        assert act.e_coeff(0).is_zero()
-        for i in range(11):
-            assert act.k_weight(i) == LaurentPoly.term(1, QExponent.of_v(N - 1 - 2 * i))
-            ef = act.f_coeff(i) * act.e_coeff(i + 1)
-            fe = act.e_coeff(i) * act.f_coeff(i - 1) if i >= 1 else LaurentPoly.zero()
-            assert ef - fe == qint_bracket(N - 1 - 2 * i), (N, i)
-
-
-def test_k_ladder_matches_q_commutation():
-    # K E = q E K and K F = q^{-1} F K, read off the weight ladder
-    for N in (0, 2, 3, 5):
-        act = VermaAction(N)
-        q = LaurentPoly.q_power(1)
-        for i in range(1, 11):
-            assert act.k_weight(i - 1) == act.k_weight(i) * q
-
-
-def test_raising_coefficient_uses_inverse_powers():
-    act = VermaAction(5)
-    for i in range(11):
-        want = LaurentPoly.zero()
-        for j in range(i):
-            want = want + LaurentPoly.q_power(-j)
-        assert act.e_coeff(i) == want
-
-
-def test_lowering_vanishes_at_top_of_finite_module():
-    for N in (2, 3, 5):
-        act = VermaAction(N)
-        assert act.f_coeff(N - 1).is_zero()
-        assert not act.f_coeff(N - 2).is_zero()
-
-
-def test_basis_state_validation():
-    BasisState((0, 4), 5)
-    BasisState((0, 40), 0)
-    with pytest.raises(ValueError):
-        BasisState((0, -1), 3)
-    with pytest.raises(ValueError):
-        BasisState((0, 3), 3)
 
 
 def test_braiding_identity_coefficient_is_pure_half_power():
@@ -184,7 +125,7 @@ def _rotations(word: str) -> list[str]:
 def test_exact_state_sum_matches_apply_braiding_walk(monkeypatch, caplog, rows):
     if rows == "object":
         # every product's bound passes the threshold, so every row leaves int64
-        monkeypatch.setattr(verma_oracle, "_NP_SAFE", 1.0)
+        monkeypatch.setattr(exactpoly, "INT64_SAFE", 1.0)
     if rows == "one state per batch":
         monkeypatch.setattr(verma_oracle, "_ENTRY_BUDGET", 1)
         monkeypatch.setattr(verma_oracle, "_CELLS_PER_ENTRY", 1)
@@ -220,6 +161,21 @@ def test_exact_state_sum_emits_nothing():
         timeout=120,
     )
     assert (run.returncode, run.stdout, run.stderr) == (0, "", "")
+
+
+def test_state_sum_imports_only_braid_and_exactpoly_from_the_package():
+    # the state sum checks the series engine, so the two exact routes may
+    # share exactpoly (the int64 row rule among it) and nothing else
+    tree = ast.parse(Path(verma_oracle.__file__).read_text(encoding="utf-8"))
+    local = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            local.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module.split(".")[0] != "qknot", node.module
+        elif isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "qknot" for a in node.names)
+    assert local <= {"braid", "exactpoly"}, local
 
 
 def test_state_sum_unknot_normalization():
