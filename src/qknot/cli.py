@@ -225,14 +225,27 @@ def cmd_volume(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_checks(entries: list[CorpusEntry]) -> list[tuple[str, str, bool, str]]:
+def _verify_checks(entries: list[CorpusEntry]) -> tuple[list[tuple[str, str, bool, str]], dict[str, float]]:
+    """The checks, as (entry, check, pass, detail), and the seconds spent on
+    each kind of check, summed over the entries."""
     checks: list[tuple[str, str, bool, str]] = []
+    seconds: dict[str, float] = {}
     references = reference_volumes()
+    clock = time.perf_counter()
+
+    def record(name: str, check: str, ok: bool, detail: str = "") -> None:
+        # the time since the previous record is this check's
+        nonlocal clock
+        now = time.perf_counter()
+        seconds[check] = seconds.get(check, 0.0) + now - clock
+        clock = now
+        checks.append((name, check, ok, detail))
+
     for entry in entries:
         b = entry.braid()
 
         knot = closure_is_knot(b)
-        checks.append((entry.name, "closure-knot", knot, ""))
+        record(entry.name, "closure-knot", knot)
         if not knot:
             continue
 
@@ -246,7 +259,7 @@ def _verify_checks(entries: list[CorpusEntry]) -> list[tuple[str, str, bool, str
                 ok = False
                 detail = f"mismatch at N={N}"
                 break
-        checks.append((entry.name, "jones-cross-engine", ok, detail))
+        record(entry.name, "jones-cross-engine", ok, detail)
 
         delta = alexander(b)
         _, fox = abelianize_check(b)
@@ -257,7 +270,7 @@ def _verify_checks(entries: list[CorpusEntry]) -> list[tuple[str, str, bool, str
             ok = delta == expected
             if not ok:
                 detail = f"expected {entry.alexander!r}, got {format_univariate(delta, 'z')!r}"
-        checks.append((entry.name, "alexander", ok, detail))
+        record(entry.name, "alexander", ok, detail)
 
         ok = True
         detail = ""
@@ -274,20 +287,20 @@ def _verify_checks(entries: list[CorpusEntry]) -> list[tuple[str, str, bool, str
                 ok = False
                 detail = f"float path drifts from exact value at N={N}"
                 break
-        checks.append((entry.name, "kashaev-consistency", ok, detail))
+        record(entry.name, "kashaev-consistency", ok, detail)
 
         if entry.volume is not None and entry.name in references:
             ok = abs(entry.volume - references[entry.name]) <= 1e-9
             detail = "" if ok else f"stored {entry.volume!r} vs oracle {references[entry.name]!r}"
-            checks.append((entry.name, "volume-reference", ok, detail))
-    return checks
+            record(entry.name, "volume-reference", ok, detail)
+    return checks, seconds
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     entries = load_corpus(args.corpus)
-    checks = _verify_checks(entries)
-    timings = {"total": time.perf_counter() - start}
+    checks, seconds = _verify_checks(entries)
+    timings = {"total": time.perf_counter() - start, **seconds}
     passed = sum(1 for _, _, ok, _ in checks if ok)
     if args.json:
         result = {

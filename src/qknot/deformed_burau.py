@@ -32,14 +32,6 @@ class QuantumMatrix:
             raise ValueError("entries must form a dim×dim square")
 
     @classmethod
-    def identity(cls, dim: int, signs: StrandSigns) -> "QuantumMatrix":
-        rows = tuple(
-            tuple(AlgebraElement.one() if i == j else AlgebraElement.zero() for j in range(dim))
-            for i in range(dim)
-        )
-        return cls(dim, rows, signs)
-
-    @classmethod
     def from_rows(cls, rows, signs: StrandSigns) -> "QuantumMatrix":
         t = tuple(tuple(row) for row in rows)
         return cls(len(t), t, signs)
@@ -47,23 +39,6 @@ class QuantumMatrix:
     def entry(self, i: int, j: int) -> AlgebraElement:
         """1-based access, matching the row/column conventions in the text."""
         return self.entries[i - 1][j - 1]
-
-    def matmul(self, other: "QuantumMatrix") -> "QuantumMatrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        n = self.dim
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = AlgebraElement.zero()
-                for t in range(n):
-                    x, y = self.entries[i][t], other.entries[t][j]
-                    if x and y:
-                        acc = acc + normal_order_product(x, y, self.signs)
-                row.append(acc)
-            rows.append(tuple(row))
-        return QuantumMatrix(n, tuple(rows), self.signs)
 
     def scale(self, c: LaurentPoly) -> "QuantumMatrix":
         """Entrywise multiplication by a central scalar (a power of q)."""
@@ -94,34 +69,32 @@ def s_matrix(sign: int, j: int, signs: StrandSigns | None = None) -> QuantumMatr
     return QuantumMatrix(2, rows, signs)
 
 
-def _block_matrix(block: QuantumMatrix, position: int, dim: int) -> QuantumMatrix:
-    """I_{position-1} ⊕ block ⊕ I_{dim-position-1} (1-based strand position)."""
-    out = [
-        [AlgebraElement.one() if i == j else AlgebraElement.zero() for j in range(dim)]
-        for i in range(dim)
-    ]
-    p = position - 1
-    for di in range(2):
-        for dj in range(2):
-            out[p + di][p + dj] = block.entries[di][dj]
-    return QuantumMatrix.from_rows(out, block.signs)
-
-
 def rho(b: BraidWord) -> QuantumMatrix:
-    """ρ(γ) = A_1 A_2 … A_k, products taken left to right in word order."""
+    """ρ(γ) = A_1 A_2 … A_k, products taken left to right in word order.
+
+    Right-multiplying by A_j = I ⊕ S ⊕ I changes only the two columns that
+    crossing j touches, so each row costs at most three normal-ordered
+    products per crossing (S has one zero entry).
+    """
     signs = StrandSigns(b.signs)
     m = b.strands
-    result = QuantumMatrix.identity(m, signs)
+    one, zero = AlgebraElement.one(), AlgebraElement.zero()
+    rows = [[one if i == j else zero for j in range(m)] for i in range(m)]
     for j, (i, eps) in enumerate(b.word, start=1):
-        block = s_matrix(eps, j, signs)
-        result = result.matmul(_block_matrix(block, i, m))
-    return result
+        S = s_matrix(eps, j, signs).entries
+        for row in rows:
+            pair = row[i - 1 : i + 1]
+            for c in (0, 1):
+                row[i - 1 + c] = sum((normal_order_product(x, S[t][c], signs)
+                                      for t, x in enumerate(pair) if x and S[t][c]), zero)
+    return QuantumMatrix.from_rows(rows, signs)
 
 
 def rho_prime(M: QuantumMatrix) -> QuantumMatrix:
-    """Remove the first row and column."""
-    if M.dim < 2:
-        raise ValueError("need dimension at least 2 to reduce")
+    """Remove the first row and column; a 1×1 matrix (the 1-strand unknot)
+    reduces to the 0×0 one, whose determinants are 1."""
+    if M.dim < 1:
+        raise ValueError("need dimension at least 1 to reduce")
     rows = tuple(row[1:] for row in M.entries[1:])
     return QuantumMatrix(M.dim - 1, rows, M.signs)
 

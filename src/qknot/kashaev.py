@@ -5,10 +5,12 @@ of integer Laurent polynomials whose n-th term is divisible by
 (1−q)(1−q²)⋯(1−q^{⌊n/k⌋}); it therefore evaluates at every root of unity,
 where only finitely many terms survive.  With the writhe prefactor
 q^{(m−w−1)/2}, the value at q = exp(2πi/N) is the order-N Kashaev invariant
-of the closure.  A complex floating-point state sum provides the production
-path for growth-rate sequences 2π·ln|⟨K⟩_N|/N, whose conjectured limit is
-the hyperbolic volume; independent volume references come from ideal
-triangulations evaluated with the Lobachevsky/dilogarithm functions.
+of the closure.  C comes from the per-braid cache `mcmahon.braid_c_sum`,
+shared with the colored Jones route and every order N.  A complex
+floating-point state sum provides the production path for growth-rate
+sequences 2π·ln|⟨K⟩_N|/N, whose conjectured limit is the hyperbolic volume;
+independent volume references come from ideal triangulations evaluated with
+the Lobachevsky/dilogarithm functions.
 """
 from __future__ import annotations
 
@@ -19,7 +21,6 @@ import mpmath
 import numpy as np
 
 from .braid import BraidWord, closure_is_knot
-from .deformed_burau import rho, rho_prime
 from .exactpoly import (
     CyclotomicInt,
     LaurentPoly,
@@ -28,8 +29,8 @@ from .exactpoly import (
     cyclotomic_reduce,
     embed_complex,
 )
-from .mcmahon import c_sum, fermionic_terms, folded_series_sum
-from .qweyl import StrandSigns
+from .mcmahon import braid_c_sum, fermionic_terms, folded_series_sum
+from .qweyl import AlgebraElement, StrandSigns
 from .verma_oracle import numeric_state_sum
 
 
@@ -60,10 +61,9 @@ def _poly_from_whole_powers(d: dict[int, int]) -> LaurentPoly:
     return LaurentPoly({(Q_UNIT * e, 0): c for e, c in d.items()})
 
 
-def _series_inputs(b: BraidWord):
-    signs = StrandSigns(b.signs)
-    Mq = rho_prime(rho(b)).scale(LaurentPoly.q_power(1))
-    return signs, c_sum(Mq)
+def _series_inputs(b: BraidWord) -> tuple[StrandSigns, AlgebraElement]:
+    """The braid's signs and C, shared with the colored Jones route."""
+    return StrandSigns(b.signs), braid_c_sum(b)
 
 
 def _prefactor_exponent(b: BraidWord) -> int:

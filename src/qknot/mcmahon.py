@@ -8,6 +8,12 @@ the evaluation map with z = q^{N-1} and the writhe prefactor assembles the
 colored Jones polynomial; the classical specialization of I − ρ′ yields the
 Alexander polynomial.
 
+ρ′(γ), q·ρ′ and C belong to the braid, not to a route or an order N:
+`braid_setup` and `braid_c_sum` build them once per braid word (the last 256
+are kept), and their `cache_clear()` empties them.  `rho` and `c_sum` stay
+uncached, as `perfbench`'s tracer wraps them and would hide a cache there.
+Nothing may mutate what the caches return.
+
 The fermionic series runs on numpy int64 rows: at generic q on windows of
 whole powers of q (`fermionic_terms`), and for the root-of-unity sum of the
 Kashaev invariant on residues mod q^N − 1 (`folded_series_sum`).  Only the
@@ -552,37 +558,48 @@ def _bosonic_series(Mq: QuantumMatrix, signs: StrandSigns, N: int) -> QDict:
     return total
 
 
+@lru_cache(maxsize=256)
+def braid_setup(b: BraidWord) -> tuple[QuantumMatrix, QuantumMatrix]:
+    """(ρ′(γ), q·ρ′(γ)) of braid b, which every route and order N reads."""
+    reduced = rho_prime(rho(b))
+    return reduced, reduced.scale(LaurentPoly.q_power(1))
+
+
+@lru_cache(maxsize=256)
+def braid_c_sum(b: BraidWord) -> AlgebraElement:
+    """C = `c_sum`(q·ρ′(γ)) of braid b."""
+    return c_sum(braid_setup(b)[1])
+
+
 # Fermionic terms summed before the series is declared unterminated.
 _HARD_CAP = 1000
 
 
-def inverse_series_EN(M: QuantumMatrix, signs: StrandSigns, N: int, mode: str) -> LaurentPoly:
-    """E_N applied to the reciprocal of the deformed determinant of I − M.
+def inverse_series_EN(b: BraidWord, N: int, mode: str) -> LaurentPoly:
+    """E_N applied to the reciprocal of the deformed determinant of I − qρ′(γ).
 
     mode "fermionic" sums E_N(Cⁿ) at generic q until max(k, m) consecutive
-    terms vanish (k crossings, m = dim M + 1 strands).  That stop rule is not
-    proved; a test pins it on the corpus at N ≤ 4, where the next 2·max(k, m)
-    terms vanish too.  Mode "bosonic" sums graded diagonal coefficients with
-    the per-exponent bound n_i ≤ N−1.  The root-of-unity sum of the Kashaev
+    terms vanish (k crossings, m strands).  That stop rule is not proved; a
+    test pins it on the corpus at N ≤ 4, where the next 2·max(k, m) terms
+    vanish too.  Mode "bosonic" sums graded diagonal coefficients with the
+    per-exponent bound n_i ≤ N−1.  The root-of-unity sum of the Kashaev
     invariant is not a mode here: it runs on the folded kernel,
     `folded_series_sum`.
     """
+    _, Mq = braid_setup(b)
     if mode == "bosonic":
-        if N < 1:
-            raise ValueError("bosonic mode needs N ≥ 1")
-        result = _bosonic_series(M, signs, N)
+        result = _bosonic_series(Mq, Mq.signs, N)
         return LaurentPoly({(Q_UNIT * e, 0): c for e, c in result.items()})
     if mode != "fermionic":
         raise ValueError(f"unknown mode {mode!r}")
 
-    C = c_sum(M)
+    C = braid_c_sum(b)
     if C.ideal_degree() < 1:
         raise ValueError("C has a monomial of a-degree 0; series is not summable (non-knot input?)")
-    k = len(signs.signs)
     total: QDict = {}
-    window = max(k, M.dim + 1)
+    window = max(b.length, b.strands)
     zero_streak = 0
-    for n, value in enumerate(fermionic_terms(C, signs, N - 1)):
+    for n, value in enumerate(fermionic_terms(C, Mq.signs, N - 1)):
         if n > _HARD_CAP:
             raise RuntimeError(
                 f"inverse series unterminated after {_HARD_CAP} terms (window {window})"
@@ -600,10 +617,7 @@ def colored_jones(b: BraidWord, N: int, mode: str = "bosonic") -> LaurentPoly:
         raise ValueError("N must be a positive integer")
     if not closure_is_knot(b):
         raise ValueError("closure is not a knot")
-    signs = StrandSigns(b.signs)
-    reduced = rho_prime(rho(b))
-    Mq = reduced.scale(LaurentPoly.q_power(1))
-    series = inverse_series_EN(Mq, signs, N, mode)
+    series = inverse_series_EN(b, N, mode)
     pref = (N - 1) * ((b.writhe - b.strands + 1) // 2)
     out = series.shift(QExponent.of_q(pref))
     if not (out.is_univariate_q() and out.has_integer_q_powers()):
@@ -616,7 +630,7 @@ def alexander(b: BraidWord) -> LaurentPoly:
     symmetric in z ↔ z^{-1} and equal to 1 at z = 1."""
     if not closure_is_knot(b):
         raise ValueError("closure is not a knot")
-    reduced = rho_prime(rho(b))
+    reduced, _ = braid_setup(b)
     spec = classical_specialization(reduced)
     mat = poly_mat_sub(poly_mat_identity(reduced.dim), spec)
     det = poly_mat_det(mat)

@@ -2,6 +2,7 @@ import io
 import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import asdict
 
 import pytest
 
@@ -79,6 +80,17 @@ def test_kashaev_float_output():
     assert lines[0].startswith("value: ")
     assert lines[1].startswith("abs: ")
     assert float(lines[1].split()[1]) == pytest.approx(math.sqrt(31), rel=1e-9)
+
+
+def test_one_strand_unknot_prints_one_on_every_route():
+    unknot = ["--word", "", "--strands", "1"]
+    for argv in (["jones", "-N", "3"], ["jones", "-N", "3", "--engine", "oracle"],
+                 ["alexander"], ["kashaev", "-N", "5"]):
+        assert run(argv + unknot) == (0, "1\n", ""), argv
+    code, out, _ = run(["jones", "-N", "3", "--engine", "both"] + unknot)
+    assert (code, out) == (0, "mcmahon: 1\noracle: 1\nverdict: EQUAL\n")
+    code, out, _ = run(["kashaev", "-N", "5", "--float"] + unknot)
+    assert (code, out) == (0, "value: 1.0+0.0j\nabs: 1.0\n")
 
 
 def test_volume_csv_matches_library():
@@ -171,6 +183,21 @@ def test_verify_json_shape():
     assert all(c["pass"] for c in checks)
     names = {c["check"] for c in checks}
     assert {"closure-knot", "jones-cross-engine", "alexander", "kashaev-consistency"} <= names
+
+
+def test_verify_json_times_each_check_kind(tmp_path):
+    subset = [asdict(e) for e in load_corpus() if e.name in ("trefoil", "figure_eight")]
+    path = tmp_path / "mini.json"
+    path.write_text(json.dumps(subset))
+    code, out, _ = run(["verify", "--corpus", str(path), "--json"])
+    assert code == 0
+    obj = json.loads(out)
+    kinds = {c["check"] for c in obj["result"]["checks"]}
+    assert "volume-reference" in kinds
+    timings = obj["timings"]
+    assert set(timings) == kinds | {"total"}
+    assert all(t >= 0 for t in timings.values())
+    assert sum(timings[k] for k in kinds) <= timings["total"]
 
 
 def test_corpus_loader_validates(tmp_path):

@@ -1,8 +1,9 @@
 import functools
 
 import pytest
+from hypothesis import given, strategies as st
 
-from qknot.braid import parse_braid
+from qknot.braid import BraidWord, parse_braid
 from qknot.deformed_burau import (
     QuantumMatrix,
     check_right_quantum,
@@ -12,11 +13,66 @@ from qknot.deformed_burau import (
     s_matrix,
 )
 from qknot.exactpoly import LaurentPoly, poly_mat_identity, poly_mat_mul
-from qknot.qweyl import AlgebraElement, StrandSigns
+from qknot.qweyl import AlgebraElement, StrandSigns, normal_order_product
 
 
 def letters_of(b):
     return [parse_braid(str(i if s > 0 else -i), strands=b.strands) for (i, s) in b.word]
+
+
+def dense_rho(b):
+    """ρ(γ) as the dense product of the block matrices I ⊕ S ⊕ I: the
+    reference for `rho`'s column updates."""
+    signs = StrandSigns(b.signs)
+    m = b.strands
+    one, zero = AlgebraElement.one(), AlgebraElement.zero()
+
+    def identity():
+        return [[one if i == j else zero for j in range(m)] for i in range(m)]
+
+    result = identity()
+    for j, (i, eps) in enumerate(b.word, start=1):
+        block = identity()
+        S = s_matrix(eps, j, signs).entries
+        for di in range(2):
+            for dj in range(2):
+                block[i - 1 + di][i - 1 + dj] = S[di][dj]
+        product = identity()
+        for r in range(m):
+            for c in range(m):
+                acc = AlgebraElement.zero()
+                for t in range(m):
+                    x, y = result[r][t], block[t][c]
+                    if x and y:
+                        acc = acc + normal_order_product(x, y, signs)
+                product[r][c] = acc
+        result = product
+    return QuantumMatrix.from_rows(result, signs)
+
+
+@st.composite
+def braid_words(draw):
+    """Braids of 1 to 4 strands and up to 8 letters."""
+    m = draw(st.integers(1, 4))
+    letter = st.tuples(st.integers(1, max(m - 1, 1)), st.sampled_from([1, -1]))
+    return BraidWord(m, tuple(draw(st.lists(letter, max_size=8 if m > 1 else 0))))
+
+
+def _assert_column_updates_match_dense_product(b):
+    M = rho(b)
+    assert M == dense_rho(b), b.to_text()
+    assert check_right_quantum(M) == [], b.to_text()
+
+
+def test_rho_matches_dense_product_on_benchmark_rotations_and_corpus(benchmark_rotations, corpus_braids):
+    braids = [parse_braid(w) for w in benchmark_rotations] + list(corpus_braids.values())
+    for b in braids:
+        _assert_column_updates_match_dense_product(b)
+
+
+@given(braid_words())
+def test_rho_matches_dense_product_on_random_braids(b):
+    _assert_column_updates_match_dense_product(b)
 
 
 def test_single_crossing_blocks_are_right_quantum():
@@ -38,6 +94,11 @@ def test_rho_dimensions_and_identity(corpus_braids):
     identity = rho(empty)
     assert identity.dim == 3
     assert classical_specialization(identity) == poly_mat_identity(3)
+
+
+def test_rho_prime_of_the_one_strand_unknot_is_empty():
+    P = rho_prime(rho(parse_braid("", strands=1)))
+    assert P.dim == 0 and P.entries == ()
 
 
 def test_rho_prime_removes_first_row_and_column(corpus_braids):

@@ -1,15 +1,17 @@
+import importlib.util
 import logging
 from itertools import islice
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qknot import exactpoly
+from qknot import exactpoly, mcmahon
 from qknot.braid import parse_braid
 from qknot.exactpoly import LaurentPoly, QExponent, parse_univariate, q_pochhammer
-from qknot.kashaev import _series_inputs, kashaev_value
+from qknot.kashaev import _series_inputs, kashaev_series, kashaev_value
 from qknot.mcmahon import (
     _apply_mono,
     _dadd,
@@ -20,6 +22,8 @@ from qknot.mcmahon import (
     _groups,
     _mono_terms,
     alexander,
+    braid_c_sum,
+    braid_setup,
     colored_jones,
     fermionic_terms,
     folded_series_sum,
@@ -55,6 +59,69 @@ def test_unknot_normalization():
     b = parse_braid("1")
     for N in range(1, 6):
         assert colored_jones(b, N) == LaurentPoly.one()
+
+
+def test_one_strand_unknot_is_one_on_every_route():
+    b = parse_braid("", strands=1)
+    one = LaurentPoly.one()
+    for N in range(1, 5):
+        assert colored_jones(b, N, mode="bosonic") == one
+        assert colored_jones(b, N, mode="fermionic") == one
+        assert state_sum_jones(b, N) == one
+        assert kashaev_value(b, N).exact.to_poly() == one
+        assert kashaev_value(b, N).approx == 1
+        assert kashaev_value(b, N, mode="float").approx == 1
+    assert alexander(b) == one
+
+
+# each route and order that reads the per-braid setup
+SETUP_READERS = {
+    "bosonic N=2": lambda b: colored_jones(b, 2, mode="bosonic"),
+    "bosonic N=3": lambda b: colored_jones(b, 3, mode="bosonic"),
+    "bosonic N=4": lambda b: colored_jones(b, 4, mode="bosonic"),
+    "fermionic N=2": lambda b: colored_jones(b, 2, mode="fermionic"),
+    "alexander": alexander,
+    "kashaev N=5": lambda b: kashaev_value(b, 5),
+    "kashaev series": lambda b: kashaev_series(b, 6),
+}
+
+
+def _clear_setup():
+    braid_setup.cache_clear()
+    braid_c_sum.cache_clear()
+
+
+def test_one_setup_serves_every_route_and_order(monkeypatch):
+    calls = []
+    real_rho = mcmahon.rho
+    monkeypatch.setattr(mcmahon, "rho", lambda b: calls.append(b) or real_rho(b))
+    b = parse_braid("1 -2 1 -2")
+    _clear_setup()
+    shared = {name: route(b) for name, route in SETUP_READERS.items()}
+    assert calls == [b]
+    for name, route in SETUP_READERS.items():
+        _clear_setup()
+        assert route(b) == shared[name], name
+    assert len(calls) == 1 + len(SETUP_READERS)
+    # a braid and its mirror are different keys
+    trefoil = parse_braid("1 1 1")
+    _clear_setup()
+    calls.clear()
+    assert colored_jones(trefoil, 2) != colored_jones(trefoil.mirror(), 2)
+    assert colored_jones(trefoil.mirror(), 3) == colored_jones(trefoil, 3).subst_q_inverse()
+    assert calls == [trefoil, trefoil.mirror()]
+
+
+def test_benchmark_cache_reset_empties_the_setup_caches():
+    # perfbench/run.py imports tracer.py from its own directory, not as a package
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    kashaev_value(parse_braid("1 1 1"), 3)
+    assert braid_setup.cache_info().currsize and braid_c_sum.cache_info().currsize
+    tracer.clear_caches()
+    assert braid_setup.cache_info().currsize == braid_c_sum.cache_info().currsize == 0
 
 
 def test_color_one_is_trivial(corpus_braids):

@@ -103,33 +103,16 @@ def _exact_walk_state_sum(word: str, N: int) -> LaurentPoly:
     return total.shift(QExponent.of_v_half(b.writhe * (N * N - 1)))
 
 
-# the seven knots of the benchmark workloads: 3_1, 4_1, 5_1, 5_2, 6_1, 6_2, 6_3
-BENCHMARK_WORDS = [
-    "1 1 1",
-    "1 -2 1 -2",
-    "1 1 1 1 1",
-    "1 1 1 2 -1 2",
-    "1 1 2 -1 -3 2 -3",
-    "1 1 1 -2 1 -2",
-    "1 1 -2 1 -2 -2",
-]
-
-
-def _rotations(word: str) -> list[str]:
-    letters = word.split()
-    return [" ".join(letters[r:] + letters[:r]) for r in range(len(letters))]
-
-
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("rows", ["int64", "object", "one state per batch"])
-def test_exact_state_sum_matches_apply_braiding_walk(monkeypatch, caplog, rows):
+def test_exact_state_sum_matches_apply_braiding_walk(monkeypatch, caplog, benchmark_rotations, rows):
     if rows == "object":
         # every product's bound passes the threshold, so every row leaves int64
         monkeypatch.setattr(exactpoly, "INT64_SAFE", 1.0)
     if rows == "one state per batch":
         monkeypatch.setattr(verma_oracle, "_ENTRY_BUDGET", 1)
         monkeypatch.setattr(verma_oracle, "_CELLS_PER_ENTRY", 1)
-    cases = [(w, N) for word in BENCHMARK_WORDS for w in _rotations(word) for N in (1, 2, 3, 4)]
+    cases = [(w, N) for w in benchmark_rotations for N in (1, 2, 3, 4)]
     cases.append(("1 1 2 -1 -3 2 -3", 5))
     with caplog.at_level(logging.DEBUG, logger="qknot.verma_oracle"):
         for word, N in cases:
