@@ -9,7 +9,9 @@ arbitrary-precision integers throughout.  The numpy kernels of the series
 engine (`mcmahon`) and of the exact state sum (`verma_oracle`) hold
 coefficients as int64 rows instead; the rule that moves those rows to
 Python ints before a sum could wrap is defined once, here, and is the only
-code the two exact routes share.
+code the two exact routes share.  The two Alexander routes (`mcmahon` and
+`foxburau`) likewise share only this module: its determinant and
+`normalize_alexander`.
 """
 from __future__ import annotations
 
@@ -322,19 +324,10 @@ def laurent_divmod(p: LaurentPoly, d: LaurentPoly) -> tuple[LaurentPoly, Laurent
     dlo, dhi = min(dn), max(dn)
     num = [pn.get(e, 0) for e in range(plo, phi + 1)]
     den = [dn.get(e, 0) for e in range(dlo, dhi + 1)]
-    lead = den[-1]
-    if lead not in (1, -1):
-        raise ValueError("divisor leading coefficient must be ±1")
-    deg = len(den) - 1
-    rem = list(num)
-    quot = [0] * max(0, len(rem) - deg)
-    for i in range(len(rem) - 1, deg - 1, -1):
-        c = rem[i] * lead
-        if c:
-            quot[i - deg] = c
-            for j, dj in enumerate(den):
-                rem[i - deg + j] -= c * dj
-    qpoly = LaurentPoly({(Q_UNIT * (plo - dlo + i), 0): c for i, c in enumerate(quot) if c})
+    # divide by the monic sign·d; a divisor that is not ±monic raises there
+    sign = 1 if den[-1] > 0 else -1
+    quot, rem = _polydivmod(num, [sign * c for c in den])
+    qpoly = LaurentPoly({(Q_UNIT * (plo - dlo + i), 0): sign * c for i, c in enumerate(quot) if c})
     rpoly = LaurentPoly({(Q_UNIT * (plo + i), 0): c for i, c in enumerate(rem) if c})
     return qpoly, rpoly
 
@@ -489,7 +482,8 @@ def key_runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# small commutative matrix helpers over LaurentPoly
+# small commutative matrix helpers over LaurentPoly, and the normalization
+# of the Alexander polynomial that both of its routes apply to a determinant
 # ---------------------------------------------------------------------------
 
 PolyMatrix = list[list[LaurentPoly]]
@@ -532,6 +526,26 @@ def poly_mat_det(a: PolyMatrix) -> LaurentPoly:
         term = a[0][j] * poly_mat_det(minor)
         total = total + (term if j % 2 == 0 else -term)
     return total
+
+
+def normalize_alexander(det: LaurentPoly) -> LaurentPoly:
+    """Multiply by the unit ±z^j that centers, symmetrizes and sets Δ(1) = 1."""
+    terms = det.z_terms()
+    if not terms:
+        raise ValueError("vanishing determinant (link, not a knot?)")
+    lo, hi = min(terms), max(terms)
+    if (lo + hi) % 2:
+        raise AssertionError("determinant cannot be centered by an integer power")
+    mid = (lo + hi) // 2
+    centered = {e - mid: c for e, c in terms.items()}
+    if any(centered.get(-e) != c for e, c in centered.items()):
+        raise AssertionError("centered determinant is not palindromic")
+    at_one = sum(centered.values())
+    if at_one not in (1, -1):
+        raise AssertionError(f"determinant evaluates to {at_one} at z=1; expected ±1")
+    if at_one == -1:
+        centered = {e: -c for e, c in centered.items()}
+    return LaurentPoly({(0, e): c for e, c in centered.items()})
 
 
 # ---------------------------------------------------------------------------

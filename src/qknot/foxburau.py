@@ -3,8 +3,9 @@
 A braid acts on the free group on the strand generators; the Fox-derivative
 Jacobian of that action abelianizes (every generator to the same variable)
 to the classical Burau matrix, and the determinant of I minus its reduced
-form recovers the Alexander polynomial.  This route shares nothing with the
-operator-algebra pipeline and cross-validates it.
+form recovers the Alexander polynomial.  This route imports only `braid` and
+`exactpoly` from the package, nothing of the operator-algebra pipeline, and
+cross-validates it.
 
 Convention: a braid word acts as the composite of generator automorphisms
 with the first letter applied first; its abelianized Jacobian then matches
@@ -15,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braid import BraidWord, _free_reduce, closure_is_knot
-from .exactpoly import LaurentPoly, poly_mat_det, poly_mat_identity, poly_mat_sub
-from .mcmahon import normalize_alexander
+from .exactpoly import LaurentPoly, normalize_alexander, poly_mat_det, poly_mat_identity, poly_mat_sub
 
 Letter = tuple[int, int]
 
@@ -143,25 +143,12 @@ class GroupRingElement:
         return " + ".join(f"{c}·{w!r}" for w, c in sorted(self.terms.items(), key=repr))
 
 
-_GEN_IMAGES: dict[tuple[int, int], dict[int, tuple[Letter, ...]]] = {}
-
-
 def _generator_images(j: int, eps: int) -> dict[int, tuple[Letter, ...]]:
     """Images of the touched generators under σ_j^{eps}:
     σ_j: z_j ↦ z_j z_{j+1} z_j^{-1}, z_{j+1} ↦ z_j."""
-    key = (j, eps)
-    if key not in _GEN_IMAGES:
-        if eps == 1:
-            _GEN_IMAGES[key] = {
-                j: ((j, 1), (j + 1, 1), (j, -1)),
-                j + 1: ((j, 1),),
-            }
-        else:
-            _GEN_IMAGES[key] = {
-                j: ((j + 1, 1),),
-                j + 1: ((j + 1, -1), (j, 1), (j + 1, 1)),
-            }
-    return _GEN_IMAGES[key]
+    if eps == 1:
+        return {j: ((j, 1), (j + 1, 1), (j, -1)), j + 1: ((j, 1),)}
+    return {j: ((j + 1, 1),), j + 1: ((j + 1, -1), (j, 1), (j + 1, 1))}
 
 
 def _apply_generator(w: FreeWord, j: int, eps: int) -> FreeWord:

@@ -41,6 +41,7 @@ from .exactpoly import (
     Q_UNIT,
     int64_fits,
     key_runs,
+    normalize_alexander,
     poly_mat_det,
     poly_mat_identity,
     poly_mat_sub,
@@ -499,6 +500,11 @@ def _bosonic_series(Mq: QuantumMatrix, signs: StrandSigns, N: int) -> QDict:
 
     States carry (projected algebra key, z-letter counts); appending letter c
     behind existing letters of larger index contributes q^{-1} per swap.
+    Each letter has one cap: N − 1 until its position is passed, and the
+    order n_c chosen there from then on.  A letter is appended only while
+    its count is below its cap, and a position passes on only the states
+    whose own letter is within its order, so no state is built only to be
+    dropped and the leaf needs no filter.
     """
     dim = Mq.dim
     signs_t = signs.signs
@@ -506,47 +512,43 @@ def _bosonic_series(Mq: QuantumMatrix, signs: StrandSigns, N: int) -> QDict:
     entry_terms = [[_mono_terms(Mq.entries[p][c], k) for c in range(dim)] for p in range(dim)]
     total: QDict = {}
 
-    def apply_Z(states, p):
+    def apply_Z(states, p, caps):
         out: dict[tuple[tuple[int, ...], tuple[int, ...]], QDict] = {}
         for (akey, zc), cd in states.items():
-            for c in range(dim):
-                if zc[c] + 1 > N - 1:
-                    continue
-                inv_shift = -sum(zc[j] for j in range(c + 1, dim))
-                nzc = zc[:c] + (zc[c] + 1,) + zc[c + 1:]
-                for mono, mcd in entry_terms[p][c]:
-                    nk, shift = _apply_mono(akey, mono, signs_t)
-                    contrib = _dconv(cd, mcd, shift + inv_shift)
-                    if not contrib:
-                        continue
-                    skey = (nk, nzc)
-                    acc = out.get(skey)
-                    if acc is None:
-                        out[skey] = contrib
-                    else:
-                        _dadd(acc, contrib)
-                        if not acc:
-                            del out[skey]
+            above = 0  # letters of larger index than c, counted from the top
+            for c in reversed(range(dim)):
+                if zc[c] < caps[c]:
+                    nzc = zc[:c] + (zc[c] + 1,) + zc[c + 1:]
+                    for mono, mcd in entry_terms[p][c]:
+                        nk, shift = _apply_mono(akey, mono, signs_t)
+                        contrib = _dconv(cd, mcd, shift - above)
+                        if not contrib:
+                            continue
+                        skey = (nk, nzc)
+                        acc = out.get(skey)
+                        if acc is None:
+                            out[skey] = contrib
+                        else:
+                            _dadd(acc, contrib)
+                            if not acc:
+                                del out[skey]
+                above += zc[c]
         return out
 
     def recur(p, states, consumed):
         if p == dim:
-            for (akey, zc), cd in states.items():
-                if zc == consumed:
-                    ev = _eval_state(akey, signs_t, N - 1)
-                    if ev:
-                        _dadd(total, _dconv(cd, ev, 0))
+            # every count is at most its order, and the counts sum to
+            # Σ n_p, so every count equals its order: each state is a term
+            for (akey, _), cd in states.items():
+                ev = _eval_state(akey, signs_t, N - 1)
+                if ev:
+                    _dadd(total, _dconv(cd, ev, 0))
             return
+        caps = consumed + (N - 1,) * (dim - p)
         cur = states
         for t in range(N):
             if t > 0:
-                cur = apply_Z(cur, p)
-                # states that already overfilled an earlier position are dead
-                cur = {
-                    key: cd
-                    for key, cd in cur.items()
-                    if all(key[1][j] <= consumed[j] for j in range(p))
-                }
+                cur = apply_Z(cur, p, caps)
                 if not cur:
                     break
             deeper = {key: cd for key, cd in cur.items() if key[1][p] <= t}
@@ -575,51 +577,46 @@ def braid_c_sum(b: BraidWord) -> AlgebraElement:
 _HARD_CAP = 1000
 
 
-def inverse_series_EN(b: BraidWord, N: int, mode: str) -> LaurentPoly:
-    """E_N applied to the reciprocal of the deformed determinant of I − qρ′(γ).
+def colored_jones(b: BraidWord, N: int, mode: str = "bosonic") -> LaurentPoly:
+    """J′ of the braid closure, normalized to 1 on the unknot, for N ≥ 1: the
+    writhe prefactor times E_N applied to the reciprocal of the deformed
+    determinant of I − qρ′(γ).
 
-    mode "fermionic" sums E_N(Cⁿ) at generic q until max(k, m) consecutive
-    terms vanish (k crossings, m strands).  That stop rule is not proved; a
-    test pins it on the corpus at N ≤ 4, where the next 2·max(k, m) terms
-    vanish too.  Mode "bosonic" sums graded diagonal coefficients with the
-    per-exponent bound n_i ≤ N−1.  The root-of-unity sum of the Kashaev
+    Mode "bosonic" sums graded diagonal coefficients with the per-exponent
+    bound n_i ≤ N−1.  Mode "fermionic" sums E_N(Cⁿ) at generic q until
+    max(k, m) consecutive terms vanish (k crossings, m strands).  That stop
+    rule is not proved; a test pins it on the corpus at N ≤ 4, where the
+    next 2·max(k, m) terms vanish too.  The root-of-unity sum of the Kashaev
     invariant is not a mode here: it runs on the folded kernel,
     `folded_series_sum`.
     """
-    _, Mq = braid_setup(b)
-    if mode == "bosonic":
-        result = _bosonic_series(Mq, Mq.signs, N)
-        return LaurentPoly({(Q_UNIT * e, 0): c for e, c in result.items()})
-    if mode != "fermionic":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    C = braid_c_sum(b)
-    if C.ideal_degree() < 1:
-        raise ValueError("C has a monomial of a-degree 0; series is not summable (non-knot input?)")
-    total: QDict = {}
-    window = max(b.length, b.strands)
-    zero_streak = 0
-    for n, value in enumerate(fermionic_terms(C, Mq.signs, N - 1)):
-        if n > _HARD_CAP:
-            raise RuntimeError(
-                f"inverse series unterminated after {_HARD_CAP} terms (window {window})"
-            )
-        _dadd(total, value)
-        zero_streak = 0 if value else zero_streak + 1
-        if zero_streak >= window:
-            break
-    return LaurentPoly({(Q_UNIT * e, 0): c for e, c in total.items()})
-
-
-def colored_jones(b: BraidWord, N: int, mode: str = "bosonic") -> LaurentPoly:
-    """J′ of the braid closure, normalized to 1 on the unknot, for N ≥ 1."""
     if N < 1:
         raise ValueError("N must be a positive integer")
     if not closure_is_knot(b):
         raise ValueError("closure is not a knot")
-    series = inverse_series_EN(b, N, mode)
+    _, Mq = braid_setup(b)
+    if mode == "bosonic":
+        total = _bosonic_series(Mq, Mq.signs, N)
+    elif mode == "fermionic":
+        C = braid_c_sum(b)
+        if C.ideal_degree() < 1:
+            raise ValueError("C has a monomial of a-degree 0; series is not summable (non-knot input?)")
+        total = {}
+        window = max(b.length, b.strands)
+        zero_streak = 0
+        for n, value in enumerate(fermionic_terms(C, Mq.signs, N - 1)):
+            if n > _HARD_CAP:
+                raise RuntimeError(
+                    f"inverse series unterminated after {_HARD_CAP} terms (window {window})"
+                )
+            _dadd(total, value)
+            zero_streak = 0 if value else zero_streak + 1
+            if zero_streak >= window:
+                break
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
     pref = (N - 1) * ((b.writhe - b.strands + 1) // 2)
-    out = series.shift(QExponent.of_q(pref))
+    out = LaurentPoly({(Q_UNIT * (e + pref), 0): c for e, c in total.items()})
     if not (out.is_univariate_q() and out.has_integer_q_powers()):
         raise AssertionError("colored Jones landed off the integer q-lattice")
     return out
@@ -637,23 +634,3 @@ def alexander(b: BraidWord) -> LaurentPoly:
     if not det.is_univariate_z():
         raise AssertionError("specialized determinant unexpectedly involves q")
     return normalize_alexander(det)
-
-
-def normalize_alexander(det: LaurentPoly) -> LaurentPoly:
-    """Multiply by the unit ±z^j that centers, symmetrizes and sets Δ(1) = 1."""
-    terms = det.z_terms()
-    if not terms:
-        raise ValueError("vanishing determinant (link, not a knot?)")
-    lo, hi = min(terms), max(terms)
-    if (lo + hi) % 2:
-        raise AssertionError("determinant cannot be centered by an integer power")
-    mid = (lo + hi) // 2
-    centered = {e - mid: c for e, c in terms.items()}
-    if any(centered.get(-e) != c for e, c in centered.items()):
-        raise AssertionError("centered determinant is not palindromic")
-    at_one = sum(centered.values())
-    if at_one not in (1, -1):
-        raise AssertionError(f"determinant evaluates to {at_one} at z=1; expected ±1")
-    if at_one == -1:
-        centered = {e: -c for e, c in centered.items()}
-    return LaurentPoly({(0, e): c for e, c in centered.items()})

@@ -382,6 +382,8 @@ class _ExactRows:
         p = self.poch[col, l, : int(pdeg.max(initial=0)) + 1]
         bound = self._g1[row, l] * self._p1[col, l]
         if g.dtype != object and bound.max(initial=0) >= exactpoly.INT64_SAFE:
+            _log.debug("%d coefficient rows leave int64: a bound may reach %.3g ≥ 2^62",
+                       len(bound), float(bound.max()))
             g = g.astype(object)
         C = _conv(g, p)
         if sign == -1:

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
@@ -38,3 +41,22 @@ def benchmark_rotations():
         letters = word.split()
         out += [" ".join(letters[r:] + letters[:r]) for r in range(len(letters))]
     return out
+
+
+@pytest.fixture(scope="session")
+def package_imports():
+    """The qknot modules that a source file imports, read from its syntax
+    tree; it must import the package only relatively."""
+
+    def read(path):
+        local = set()
+        for node in ast.walk(ast.parse(Path(path).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                local.update([node.module] if node.module else [a.name for a in node.names])
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module.split(".")[0] != "qknot", node.module
+            elif isinstance(node, ast.Import):
+                assert all(a.name.split(".")[0] != "qknot" for a in node.names)
+        return local
+
+    return read

@@ -135,9 +135,9 @@ def test_gauss_binomial_sign_conventions_differ_by_power():
 
 @given(q_polys, q_polys)
 def test_divmod_reconstructs_dividend(p, d):
-    d = d + LaurentPoly.q_power(51)
-    quot, rem = laurent_divmod(p, d)
-    assert quot * d + rem == p
+    for lead in (LaurentPoly.q_power(51), -LaurentPoly.q_power(51)):
+        quot, rem = laurent_divmod(p, d + lead)
+        assert quot * (d + lead) + rem == p
 
 
 @given(q_polys, q_polys)

@@ -2,6 +2,7 @@ import random
 
 from hypothesis import given, strategies as st
 
+from qknot import foxburau
 from qknot.braid import parse_braid
 from qknot.deformed_burau import classical_specialization, rho
 from qknot.foxburau import (
@@ -140,3 +141,10 @@ def test_both_alexander_pipelines_agree(corpus, corpus_braids):
         fox_delta = abelianize_check(b)[1]
         assert fox_delta == alexander(b)
         assert fox_delta == parse_univariate(entry.alexander, "z")
+
+
+def test_fox_route_imports_only_braid_and_exactpoly_from_the_package(package_imports):
+    # the Fox route checks the operator-algebra Alexander route, so the two
+    # may share exactpoly (the determinant and its normalization) and no more
+    local = package_imports(foxburau.__file__)
+    assert local <= {"braid", "exactpoly"}, local

@@ -360,8 +360,16 @@ def test_generic_series_matches_dict_reference(corpus_braids, monkeypatch, caplo
     assert bool(caplog.records) == (rows == "object")
 
 
+def test_bosonic_mode_is_state_sum_on_every_benchmark_rotation(benchmark_rotations):
+    # the benchmark's bosonic jobs, 6_1 on 4 strands among them, term for term
+    for word in benchmark_rotations:
+        b = parse_braid(word)
+        for N in (2, 3, 4):
+            assert colored_jones(b, N, mode="bosonic") == state_sum_jones(b, N), (word, N)
+
+
 def test_fermionic_stop_rule_leaves_only_zero_terms(corpus_braids):
-    # inverse_series_EN stops after max(k, m) consecutive zero terms; that
+    # colored_jones stops after max(k, m) consecutive zero terms; that
     # rule is not proved, so pin it: the next 2·max(k, m) terms vanish too
     for name, b in corpus_braids.items():
         signs, C = _series_inputs(b)

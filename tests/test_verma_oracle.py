@@ -1,4 +1,3 @@
-import ast
 import logging
 import os
 import subprocess
@@ -8,6 +7,7 @@ from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qknot import exactpoly, verma_oracle
@@ -120,6 +120,18 @@ def test_exact_state_sum_matches_apply_braiding_walk(monkeypatch, caplog, benchm
     assert bool(caplog.records) == (rows == "object")
 
 
+def test_coefficient_rows_leaving_int64_are_logged(monkeypatch, caplog):
+    # the braiding coefficients are the seventh int64 site, and log as the others
+    monkeypatch.setattr(exactpoly, "INT64_SAFE", 1.0)
+    rows = verma_oracle._ExactRows(4)
+    n1, n2, l = np.array([2, 3, 1]), np.array([0, 1, 2]), np.array([1, 2, 1])
+    with caplog.at_level(logging.DEBUG, logger="qknot.verma_oracle"):
+        C, _, _ = rows.coeff(1, n1, n2, l)
+    assert C.dtype == object
+    assert len(caplog.records) == 1
+    assert "leave int64" in caplog.records[0].getMessage()
+
+
 def test_exact_state_sum_refuses_oversized_work_at_once():
     start = time.perf_counter()
     with pytest.raises(ValueError, match="integer cells"):
@@ -146,18 +158,10 @@ def test_exact_state_sum_emits_nothing():
     assert (run.returncode, run.stdout, run.stderr) == (0, "", "")
 
 
-def test_state_sum_imports_only_braid_and_exactpoly_from_the_package():
+def test_state_sum_imports_only_braid_and_exactpoly_from_the_package(package_imports):
     # the state sum checks the series engine, so the two exact routes may
     # share exactpoly (the int64 row rule among it) and nothing else
-    tree = ast.parse(Path(verma_oracle.__file__).read_text(encoding="utf-8"))
-    local = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level:
-            local.update([node.module] if node.module else [a.name for a in node.names])
-        elif isinstance(node, ast.ImportFrom):
-            assert node.module.split(".")[0] != "qknot", node.module
-        elif isinstance(node, ast.Import):
-            assert all(a.name.split(".")[0] != "qknot" for a in node.names)
+    local = package_imports(verma_oracle.__file__)
     assert local <= {"braid", "exactpoly"}, local
 
 
