@@ -3,13 +3,17 @@ the overflow rule of int64 coefficient rows.
 
 Every invariant computed by this package reduces to arithmetic in
 Z[q^{±1/4}, z^{±1}] or in Z[q]/Φ_N(q).  Exponents of q live on a
-quarter-integer lattice stored as plain integers (q ↔ 4, v = q^{1/2} ↔ 2,
-v^{1/2} ↔ 1) so intermediate square roots of q stay exact; coefficients are
-arbitrary-precision integers throughout.  The numpy kernels of the series
-engine (`mcmahon`) and of the exact state sum (`verma_oracle`) hold
-coefficients as int64 rows instead; the rule that moves those rows to
-Python ints before a sum could wrap is defined once, here, and is the only
-code the two exact routes share.  The two Alexander routes (`mcmahon` and
+quarter-integer lattice stored as plain integers (q ↔ Q_UNIT = 4,
+v = q^{1/2} ↔ 2, v^{1/2} ↔ 1) so intermediate square roots of q stay exact;
+every q-exponent argument (`LaurentPoly.term`, `LaurentPoly.shift`,
+`q_pochhammer`) is such a quarter-unit int, and only `LaurentPoly.q_power`
+takes a whole power.  Coefficients are arbitrary-precision integers
+throughout, and the constructor is the one place that drops zero
+coefficients, so arithmetic accumulates freely and returns through it.
+The numpy kernels of the series engine (`mcmahon`) and of the exact state
+sum (`verma_oracle`) hold coefficients as int64 rows instead; the rule that
+moves those rows to Python ints before a sum could wrap is defined once,
+here, and is the only code the two exact routes share.  The two Alexander routes (`mcmahon` and
 `foxburau`) likewise share only this module: its determinant and
 `normalize_alexander`.
 """
@@ -26,61 +30,6 @@ import mpmath
 import numpy as np
 
 Q_UNIT = 4  # quarter-lattice units per whole power of q
-
-
-@dataclass(frozen=True)
-class QExponent:
-    """Exponent of q counted in quarter units.
-
-    value ≡ 0 (mod 4) for elements of Z[q^{±1}]; mod 2 for powers of v.
-    """
-
-    value: int
-
-    @classmethod
-    def of_q(cls, e: int) -> "QExponent":
-        return cls(Q_UNIT * e)
-
-    @classmethod
-    def of_v(cls, e: int) -> "QExponent":
-        return cls(2 * e)
-
-    @classmethod
-    def of_v_half(cls, e: int) -> "QExponent":
-        return cls(e)
-
-    def __add__(self, other: "QExponent") -> "QExponent":
-        return QExponent(self.value + other.value)
-
-    def __sub__(self, other: "QExponent") -> "QExponent":
-        return QExponent(self.value - other.value)
-
-    def __neg__(self) -> "QExponent":
-        return QExponent(-self.value)
-
-    def __mul__(self, k: int) -> "QExponent":
-        return QExponent(self.value * k)
-
-    __rmul__ = __mul__
-
-    def is_integer_q(self) -> bool:
-        return self.value % Q_UNIT == 0
-
-    def as_q_power(self) -> int:
-        """The exponent as a whole power of q; error off the integer sublattice."""
-        if not self.is_integer_q():
-            raise ValueError(f"exponent {Fraction(self.value, Q_UNIT)} is not an integer power of q")
-        return self.value // Q_UNIT
-
-    def __repr__(self) -> str:
-        return f"QExponent(q^{Fraction(self.value, Q_UNIT)})"
-
-
-def _as_quarter(e) -> int:
-    """Accept a QExponent or a raw quarter-unit integer."""
-    if isinstance(e, QExponent):
-        return e.value
-    return int(e)
 
 
 class LaurentPoly:
@@ -114,14 +63,14 @@ class LaurentPoly:
         return cls({(0, 0): int(c)})
 
     @classmethod
-    def term(cls, coeff: int, q_exp=0, z_exp: int = 0) -> "LaurentPoly":
-        return cls({(_as_quarter(q_exp), z_exp): int(coeff)})
+    def term(cls, coeff: int, q_exp: int = 0, z_exp: int = 0) -> "LaurentPoly":
+        """coeff · q^{q_exp/4} z^{z_exp}: q_exp counts quarter units."""
+        return cls({(q_exp, z_exp): int(coeff)})
 
     @classmethod
-    def q_power(cls, e) -> "LaurentPoly":
-        """q^e with e a whole power (int) or a QExponent."""
-        qq = e.value if isinstance(e, QExponent) else Q_UNIT * int(e)
-        return cls({(qq, 0): 1})
+    def q_power(cls, e: int) -> "LaurentPoly":
+        """q^e for a whole power e."""
+        return cls({(Q_UNIT * e, 0): 1})
 
     @classmethod
     def z_power(cls, e: int) -> "LaurentPoly":
@@ -133,11 +82,7 @@ class LaurentPoly:
             return NotImplemented
         d = dict(self.terms)
         for k, v in other.terms.items():
-            nv = d.get(k, 0) + v
-            if nv:
-                d[k] = nv
-            elif k in d:
-                del d[k]
+            d[k] = d.get(k, 0) + v
         return LaurentPoly(d)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -145,11 +90,7 @@ class LaurentPoly:
             return NotImplemented
         d = dict(self.terms)
         for k, v in other.terms.items():
-            nv = d.get(k, 0) - v
-            if nv:
-                d[k] = nv
-            elif k in d:
-                del d[k]
+            d[k] = d.get(k, 0) - v
         return LaurentPoly(d)
 
     def __neg__(self) -> "LaurentPoly":
@@ -165,11 +106,7 @@ class LaurentPoly:
         for (qa, za), ca in a.items():
             for (qb, zb), cb in b.items():
                 k = (qa + qb, za + zb)
-                nv = d.get(k, 0) + ca * cb
-                if nv:
-                    d[k] = nv
-                elif k in d:
-                    del d[k]
+                d[k] = d.get(k, 0) + ca * cb
         return LaurentPoly(d)
 
     def scale(self, c: int) -> "LaurentPoly":
@@ -177,10 +114,9 @@ class LaurentPoly:
             return LaurentPoly()
         return LaurentPoly({k: c * v for k, v in self.terms.items()})
 
-    def shift(self, q_exp=0, z_exp: int = 0) -> "LaurentPoly":
-        """Multiply by the monomial q^{q_exp} z^{z_exp}."""
-        dq = _as_quarter(q_exp)
-        return LaurentPoly({(qq + dq, ze + z_exp): v for (qq, ze), v in self.terms.items()})
+    def shift(self, q_exp: int = 0, z_exp: int = 0) -> "LaurentPoly":
+        """Multiply by the monomial q^{q_exp/4} z^{z_exp} (q_exp in quarter units)."""
+        return LaurentPoly({(qq + q_exp, ze + z_exp): v for (qq, ze), v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self.terms == other.terms
@@ -200,11 +136,7 @@ class LaurentPoly:
         d: dict[tuple[int, int], int] = {}
         for (qq, ze), v in self.terms.items():
             k = (qq + Q_UNIT * e * ze, 0)
-            nv = d.get(k, 0) + v
-            if nv:
-                d[k] = nv
-            elif k in d:
-                del d[k]
+            d[k] = d.get(k, 0) + v
         return LaurentPoly(d)
 
     def subst_q_inverse(self) -> "LaurentPoly":
@@ -262,20 +194,19 @@ class LaurentPoly:
         return "LaurentPoly(" + " + ".join(bits) + ")"
 
 
-def q_pochhammer(base_exp, step: int, d: int, z_degree: int) -> LaurentPoly:
-    """∏_{i=0}^{d-1} (1 − z^{z_degree} · q^{base_exp + step·i}).
+def q_pochhammer(base_exp: int, step: int, d: int, z_degree: int) -> LaurentPoly:
+    """∏_{i=0}^{d-1} (1 − z^{z_degree} · q^{base_exp/4 + step·i}).
 
-    base_exp is a QExponent or a raw quarter-unit integer; step ∈ {+1, −1}
-    counts whole powers of q.  d = 0 gives 1.
+    base_exp counts quarter units (Q_UNIT per whole power of q); step ∈
+    {+1, −1} counts whole powers of q.  d = 0 gives 1.
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
     if step not in (1, -1):
         raise ValueError("step must be +1 or -1")
-    base = _as_quarter(base_exp)
     out = LaurentPoly.one()
     for i in range(d):
-        factor = LaurentPoly.one() - LaurentPoly.term(1, base + Q_UNIT * step * i, z_degree)
+        factor = LaurentPoly.one() - LaurentPoly.term(1, base_exp + Q_UNIT * step * i, z_degree)
         out = out * factor
     return out
 
@@ -288,7 +219,7 @@ def _gauss_binom_std(n: int, l: int) -> LaurentPoly:
     if l == 0 or l == n:
         return LaurentPoly.one()
     # Pascal recurrence: [n,l] = [n-1,l-1] + q^l [n-1,l]
-    return _gauss_binom_std(n - 1, l - 1) + _gauss_binom_std(n - 1, l).shift(QExponent.of_q(l))
+    return _gauss_binom_std(n - 1, l - 1) + _gauss_binom_std(n - 1, l).shift(Q_UNIT * l)
 
 
 def q_int_binom(n: int, l: int, sign: int) -> LaurentPoly:
@@ -305,7 +236,7 @@ def q_int_binom(n: int, l: int, sign: int) -> LaurentPoly:
     std = _gauss_binom_std(n, l)
     if sign == -1:
         return std
-    return std.shift(QExponent.of_q(-l * (n - l)))
+    return std.shift(-Q_UNIT * l * (n - l))
 
 
 def laurent_divmod(p: LaurentPoly, d: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:

@@ -90,11 +90,7 @@ class GroupRingElement:
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
         d = dict(self.terms)
         for w, c in other.terms.items():
-            nc = d.get(w, 0) + c
-            if nc:
-                d[w] = nc
-            elif w in d:
-                del d[w]
+            d[w] = d.get(w, 0) + c
         return GroupRingElement(d)
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
@@ -108,11 +104,7 @@ class GroupRingElement:
         for wa, ca in self.terms.items():
             for wb, cb in other.terms.items():
                 w = wa * wb
-                nc = d.get(w, 0) + ca * cb
-                if nc:
-                    d[w] = nc
-                elif w in d:
-                    del d[w]
+                d[w] = d.get(w, 0) + ca * cb
         return GroupRingElement(d)
 
     def scale(self, c: int) -> "GroupRingElement":
@@ -191,11 +183,7 @@ def fox_derivative(w: FreeWord, i: int) -> GroupRingElement:
                 term, coeff = prefix, 1
             else:
                 term, coeff = prefix * FreeWord.generator(g, -1), -1
-            nc = out.get(term, 0) + coeff
-            if nc:
-                out[term] = nc
-            elif term in out:
-                del out[term]
+            out[term] = out.get(term, 0) + coeff
         prefix = prefix * FreeWord.generator(g, e)
     return GroupRingElement(out)
 

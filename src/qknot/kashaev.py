@@ -18,14 +18,12 @@ import math
 from dataclasses import dataclass
 
 import mpmath
-import numpy as np
 
 from .braid import BraidWord, closure_is_knot
 from .exactpoly import (
     CyclotomicInt,
     LaurentPoly,
     Q_UNIT,
-    QExponent,
     cyclotomic_reduce,
     embed_complex,
 )
@@ -67,10 +65,9 @@ def _series_inputs(b: BraidWord) -> tuple[StrandSigns, AlgebraElement]:
 
 
 def _prefactor_exponent(b: BraidWord) -> int:
-    e = b.strands - b.writhe - 1
-    if e % 2:
-        raise AssertionError("prefactor exponent is not an integer")
-    return e // 2
+    # an integer: both callers run closure_is_knot first, which checks that
+    # w ≡ m − 1 (mod 2) on every knot closure
+    return (b.strands - b.writhe - 1) // 2
 
 
 def kashaev_series(b: BraidWord, depth: int) -> HabiroTruncation:
@@ -109,7 +106,7 @@ def kashaev_value(b: BraidWord, N: int, mode: str = "exact") -> KashaevValue:
     signs, C = _series_inputs(b)
     total = folded_series_sum(C, signs.signs, N)
     poly = _poly_from_whole_powers(dict(enumerate(total)))
-    poly = poly.shift(QExponent.of_q(_prefactor_exponent(b)))
+    poly = poly.shift(Q_UNIT * _prefactor_exponent(b))
     exact = cyclotomic_reduce(poly, N)
     return KashaevValue(N, exact, complex(embed_complex(exact)))
 
@@ -125,7 +122,7 @@ def kz_series(N: int) -> KashaevValue:
         if n > 0:
             partial = partial * (LaurentPoly.one() - LaurentPoly.q_power(n))
         total = total + partial
-    exact = cyclotomic_reduce(total.shift(QExponent.of_q(1)), N)
+    exact = cyclotomic_reduce(total.shift(Q_UNIT), N)
     return KashaevValue(N, exact, complex(embed_complex(exact)))
 
 
@@ -145,39 +142,15 @@ def volume_sequence(
 
 def mahler_measure(delta: LaurentPoly) -> float:
     """|leading coefficient| · ∏ max(1, |root|) of a univariate-z polynomial,
-    roots by companion matrix plus Newton refinement to 1e−9 residual."""
+    roots by mpmath.polyroots at 30 digits."""
     terms = delta.z_terms()
     if not terms:
         raise ValueError("Mahler measure of the zero polynomial is undefined")
     lo, hi = min(terms), max(terms)
-    coeffs = [terms.get(e, 0) for e in range(lo, hi + 1)]
-    if len(coeffs) == 1:
-        return float(abs(coeffs[0]))
-    roots = np.roots(list(reversed(coeffs)))
-    scale = sum(abs(c) for c in coeffs)
-
-    def horner(x: complex) -> tuple[complex, complex]:
-        val, der = 0j, 0j
-        for c in reversed(coeffs):
-            der = der * x + val
-            val = val * x + c
-        return val, der
-
-    measure = float(abs(coeffs[-1]))
-    for r in roots:
-        x = complex(r)
-        for _ in range(50):
-            val, der = horner(x)
-            bound = scale * max(1.0, abs(x)) ** (len(coeffs) - 1)
-            if abs(val) <= 1e-12 * bound or der == 0:
-                break
-            x -= val / der
-        val, _ = horner(x)
-        bound = scale * max(1.0, abs(x)) ** (len(coeffs) - 1)
-        if abs(val) > 1e-9 * bound:
-            raise RuntimeError(f"root refinement did not converge at {x!r}")
-        measure *= max(1.0, abs(x))
-    return measure
+    coeffs = [terms.get(e, 0) for e in range(hi, lo - 1, -1)]
+    with mpmath.workdps(30):
+        roots = mpmath.polyroots(coeffs)
+        return float(abs(coeffs[0]) * mpmath.fprod(max(1, abs(r)) for r in roots))
 
 
 def lobachevsky(theta: float) -> float:
@@ -201,18 +174,8 @@ def reference_volumes() -> dict[str, float]:
     from ideal triangulations: the figure-eight complement is two regular
     ideal tetrahedra; the 5_2 complement is three congruent tetrahedra whose
     shape is the upper root of z³ − z² + 1."""
-    shape = None
-    for r in np.roots([1, -1, 0, 1]):
-        if r.imag > 0:
-            shape = complex(r)
-    if shape is None:
-        raise RuntimeError("shape cubic has no complex root")
-    for _ in range(60):
-        val = shape**3 - shape**2 + 1
-        der = 3 * shape**2 - 2 * shape
-        if abs(val) < 1e-15:
-            break
-        shape -= val / der
+    with mpmath.workdps(30):
+        shape = next(complex(r) for r in mpmath.polyroots([1, -1, 0, 1]) if mpmath.im(r) > 0)
     return {
         "figure_eight": 6 * lobachevsky(math.pi / 3),
         "5_2": 3 * bloch_wigner(shape),

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exactpoly import LaurentPoly, QExponent, Q_UNIT, q_pochhammer
+from .exactpoly import LaurentPoly, Q_UNIT, q_pochhammer
 
 
 @dataclass(frozen=True)
@@ -144,11 +144,7 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         d = dict(self.terms)
         for m, c in other.terms.items():
-            nc = d.get(m, LaurentPoly.zero()) + c
-            if nc:
-                d[m] = nc
-            elif m in d:
-                del d[m]
+            d[m] = d.get(m, LaurentPoly.zero()) + c
         return AlgebraElement(d)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -199,13 +195,9 @@ def normal_order_product(x: AlgebraElement, y: AlgebraElement, signs: StrandSign
     for mx, cx in x.terms.items():
         for my, cy in y.terms.items():
             merged, q_shift = _merge_monomials(mx, my, signs)
-            coeff = (cx * cy).shift(QExponent.of_q(q_shift))
+            coeff = (cx * cy).shift(Q_UNIT * q_shift)
             acc = out.get(merged)
-            nc = coeff if acc is None else acc + coeff
-            if nc:
-                out[merged] = nc
-            elif merged in out:
-                del out[merged]
+            out[merged] = coeff if acc is None else acc + coeff
     return AlgebraElement(out)
 
 
@@ -217,10 +209,10 @@ def _eval_factor(eps: int, r: int, d: int) -> LaurentPoly:
     ε=−1: z^{-r}    ∏_{i=0}^{d-1} (1 − z^{-1} q^{r+i})
     """
     if eps == 1:
-        poch = q_pochhammer(QExponent.of_q(-r), -1, d, 1)
-        return poch.shift(QExponent.of_q(-r * d), r)
-    poch = q_pochhammer(QExponent.of_q(r), 1, d, -1)
-    return poch.shift(QExponent.of_q(0), -r)
+        poch = q_pochhammer(-Q_UNIT * r, -1, d, 1)
+        return poch.shift(-Q_UNIT * r * d, r)
+    poch = q_pochhammer(Q_UNIT * r, 1, d, -1)
+    return poch.shift(0, -r)
 
 
 def eval_E(x: AlgebraElement, signs: StrandSigns) -> LaurentPoly:
@@ -268,20 +260,20 @@ def _apply_generator(state: _State, kind: str, eps: int) -> _State:
             put((ax, ay, au + 2), c)
         elif eps == 1 and kind == "a":
             # (û − ŷ τ_x^{-1}) τ_y^{-1}
-            base = c.shift(QExponent.of_q(-ay))
+            base = c.shift(-Q_UNIT * ay)
             put((ax, ay, au + 1), base)
-            put((ax, ay + 1, au), base.shift(QExponent.of_q(-ax)).scale(-1))
+            put((ax, ay + 1, au), base.shift(-Q_UNIT * ax).scale(-1))
         elif eps == 1 and kind == "c":
             # x̂ τ_y^{-2} τ_u^{-1}
-            put((ax + 1, ay, au), c.shift(QExponent.of_q(-2 * ay - au)))
+            put((ax + 1, ay, au), c.shift(-Q_UNIT * (2 * ay + au)))
         elif eps == -1 and kind == "a":
             # (τ_y − x̂^{-1}) τ_x^{-1} τ_u
-            base = c.shift(QExponent.of_q(au - ax))
-            put((ax, ay, au), base.shift(QExponent.of_q(ay)))
+            base = c.shift(Q_UNIT * (au - ax))
+            put((ax, ay, au), base.shift(Q_UNIT * ay))
             put((ax - 1, ay, au), base.scale(-1))
         elif eps == -1 and kind == "c":
             # ŷ^{-1} τ_x^{-1} τ_u
-            put((ax, ay - 1, au), c.shift(QExponent.of_q(au - ax)))
+            put((ax, ay - 1, au), c.shift(Q_UNIT * (au - ax)))
         else:  # pragma: no cover - guarded by callers
             raise ValueError(f"unknown generator {kind!r}")
     return out
@@ -306,6 +298,6 @@ def operator_action_oracle(mono: NormalMonomial, signs: StrandSigns) -> LaurentP
             state = _apply_generator(state, "b", eps)
         value = LaurentPoly.zero()
         for (ax, ay, _au), c in state.items():
-            value = value + c.shift(QExponent.of_q(0), ax + ay)
+            value = value + c.shift(0, ax + ay)
         result = result * value
     return result

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import exactpoly
 from .braid import BraidWord, closure_is_knot
-from .exactpoly import LaurentPoly, QExponent, int64_fits, key_runs, q_int_binom, row_norms
+from .exactpoly import LaurentPoly, Q_UNIT, int64_fits, key_runs, q_int_binom, row_norms
 
 StateVector = dict[tuple[int, ...], LaurentPoly]
 
@@ -51,8 +51,8 @@ def braiding_coeff(sign: int, n1: int, n2: int, l: int, N: int) -> LaurentPoly:
         binom = q_int_binom(n1, l, 1)
         if binom.is_zero():
             return LaurentPoly.zero()
-        out = binom.shift(QExponent.of_v_half(-(N - 1) ** 2))
-        out = out.shift(QExponent.of_q(n2 * (l - n1) + n2 * (N - 1)))
+        out = binom.shift(-(N - 1) ** 2)
+        out = out.shift(Q_UNIT * (n2 * (l - n1) + n2 * (N - 1)))
         for i in range(l):
             out = out * (LaurentPoly.one() - LaurentPoly.q_power(N - 1 - n2 - i))
         return out
@@ -60,8 +60,8 @@ def braiding_coeff(sign: int, n1: int, n2: int, l: int, N: int) -> LaurentPoly:
         binom = q_int_binom(n2, l, -1)
         if binom.is_zero():
             return LaurentPoly.zero()
-        out = binom.shift(QExponent.of_v_half((N - 1) ** 2))
-        out = out.shift(QExponent.of_q(n1 * (n2 - l) - n1 * (N - 1)))
+        out = binom.shift((N - 1) ** 2)
+        out = out.shift(Q_UNIT * (n1 * (n2 - l) - n1 * (N - 1)))
         for i in range(l):
             out = out * (LaurentPoly.one() - LaurentPoly.q_power(n1 + i - (N - 1)))
         return out
@@ -527,7 +527,7 @@ def state_sum_jones(b: BraidWord, N: int) -> LaurentPoly:
     if max(_ExactRows.table_cells(N), _ExactRows.state_cells(b, N)) > _CELL_LIMIT:
         raise ValueError(f"the exact state sum at N = {N} would hold over {_CELL_LIMIT} integer cells")
     _, total = _state_sum(b, N, _ExactRows)
-    out = total.shift(QExponent.of_v_half(b.writhe * (N * N - 1)))
+    out = total.shift(b.writhe * (N * N - 1))
     if not (out.is_univariate_q() and out.has_integer_q_powers()):
         raise AssertionError("state sum landed off the integer q-lattice")
     return out

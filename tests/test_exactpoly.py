@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from qknot.exactpoly import (
     CyclotomicInt,
     LaurentPoly,
-    QExponent,
+    Q_UNIT,
     cyclotomic_coeffs,
     cyclotomic_reduce,
     embed_complex,
@@ -34,7 +34,7 @@ def poly_from(triples):
 polys = st.lists(st.tuples(coeffs, quarter_exps, z_exps), max_size=6).map(poly_from)
 
 q_polys = st.lists(st.tuples(coeffs, q_exps), max_size=6).map(
-    lambda ts: poly_from((c, QExponent.of_q(e), 0) for c, e in ts)
+    lambda ts: poly_from((c, Q_UNIT * e, 0) for c, e in ts)
 )
 
 z_polys = st.lists(st.tuples(coeffs, z_exps), max_size=6).map(
@@ -42,26 +42,17 @@ z_polys = st.lists(st.tuples(coeffs, z_exps), max_size=6).map(
 )
 
 
-def test_quarter_exponent_lattice():
-    assert QExponent.of_q(3).as_q_power() == 3
-    assert QExponent.of_v(2).as_q_power() == 1
-    assert QExponent.of_v_half(4).as_q_power() == 1
-    assert QExponent.of_q(1).is_integer_q()
-    assert not QExponent.of_v(1).is_integer_q()
-    assert not QExponent.of_v_half(1).is_integer_q()
-    with pytest.raises(ValueError):
-        QExponent.of_v(1).as_q_power()
-
-
 def test_constructors_and_accessors():
-    p = LaurentPoly.term(3, QExponent.of_q(2), 1)
+    p = LaurentPoly.term(3, Q_UNIT * 2, 1)
     assert p == LaurentPoly.const(3) * LaurentPoly.q_power(2) * LaurentPoly.z_power(1)
-    assert p.shift(QExponent.of_q(-2), -1) == LaurentPoly.const(3)
+    assert p.shift(-Q_UNIT * 2, -1) == LaurentPoly.const(3)
     assert LaurentPoly.const(7).as_int() == 7
     assert LaurentPoly.zero().is_zero()
     assert LaurentPoly.q_power(2).is_univariate_q()
     assert LaurentPoly.z_power(2).is_univariate_z()
-    assert not LaurentPoly.term(1, QExponent.of_v(1)).has_integer_q_powers()
+    assert not LaurentPoly.term(1, 2).has_integer_q_powers()
+    with pytest.raises(ValueError):
+        LaurentPoly.term(1, 2).q_terms()
     with pytest.raises(ValueError):
         LaurentPoly.q_power(1).as_int()
 
@@ -97,16 +88,16 @@ def test_cyclotomic_embedding_matches_direct_evaluation(p, N):
     st.integers(min_value=-2, max_value=2),
 )
 def test_pochhammer_q_inverse_symmetry(base, step, d, z_degree):
-    p = q_pochhammer(QExponent.of_q(base), step, d, z_degree)
-    q = q_pochhammer(QExponent.of_q(-base), -step, d, z_degree)
+    p = q_pochhammer(Q_UNIT * base, step, d, z_degree)
+    q = q_pochhammer(-Q_UNIT * base, -step, d, z_degree)
     assert p.subst_q_inverse() == q
 
 
 def test_pochhammer_small_cases():
-    assert q_pochhammer(QExponent.of_q(3), 1, 0, 1) == LaurentPoly.one()
+    assert q_pochhammer(Q_UNIT * 3, 1, 0, 1) == LaurentPoly.one()
     expected = LaurentPoly.one() - LaurentPoly.q_power(3) * LaurentPoly.z_power(2)
-    assert q_pochhammer(QExponent.of_q(3), 1, 1, 2) == expected
-    assert q_pochhammer(QExponent.of_q(0), 1, 2, 0).is_zero()
+    assert q_pochhammer(Q_UNIT * 3, 1, 1, 2) == expected
+    assert q_pochhammer(0, 1, 2, 0).is_zero()
 
 
 def test_gauss_binomial_known_values():
@@ -198,7 +189,7 @@ def test_cyclotomic_integer_roundtrip_and_units():
 
 def test_primitive_root_power_sum_vanishes():
     for N in (5, 7, 11):
-        p = poly_from((1, QExponent.of_q(e), 0) for e in range(N))
+        p = poly_from((1, Q_UNIT * e, 0) for e in range(N))
         assert cyclotomic_reduce(p, N).is_zero()
 
 

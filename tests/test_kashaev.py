@@ -171,6 +171,11 @@ def test_mahler_measure_reference_values(corpus_braids):
         golden_ratio**2, abs=1e-9
     )
     assert mahler_measure(alexander(corpus_braids["5_2"])) == pytest.approx(2.0, abs=1e-9)
+    # 5_1: every root lies on the unit circle
+    assert mahler_measure(alexander(corpus_braids["5_1"])) == pytest.approx(1.0, abs=1e-9)
+    # 6_1: Δ ∝ (2z − 1)(z − 2), leading coefficient 2 and one root at 2
+    six_one = alexander(parse_braid("1 1 2 -1 -3 2 -3"))
+    assert mahler_measure(six_one) == pytest.approx(4.0, abs=1e-9)
     assert mahler_measure(LaurentPoly.const(5)) == pytest.approx(5.0)
     with pytest.raises(ValueError):
         mahler_measure(LaurentPoly.zero())

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qknot.exactpoly import LaurentPoly, QExponent, laurent_divmod, q_pochhammer
+from qknot.exactpoly import LaurentPoly, Q_UNIT, laurent_divmod, q_pochhammer
 from qknot.qweyl import (
     AlgebraElement,
     NormalMonomial,
@@ -134,7 +134,7 @@ def test_eval_EN_divisible_by_pochhammer_of_a_degree():
             for (s, r) in ((0, 0), (1, 2), (2, 1)):
                 mono = NormalMonomial.from_map({1: (s, r, d)})
                 value = eval_EN(AlgebraElement.monomial(mono), signs, 7)
-                divisor = q_pochhammer(QExponent.of_q(1), 1, d, 0)
+                divisor = q_pochhammer(Q_UNIT, 1, d, 0)
                 if value.is_zero():
                     continue
                 _, rem = laurent_divmod(value, divisor)

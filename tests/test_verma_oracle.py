@@ -12,7 +12,7 @@ import pytest
 
 from qknot import exactpoly, verma_oracle
 from qknot.braid import closure_is_knot, parse_braid
-from qknot.exactpoly import LaurentPoly, QExponent, q_int_binom
+from qknot.exactpoly import LaurentPoly, q_int_binom
 from qknot.mcmahon import colored_jones
 from qknot.qweyl import AlgebraElement, NormalMonomial, StrandSigns, normal_order_product
 from qknot.verma_oracle import (
@@ -28,8 +28,8 @@ from qknot.verma_oracle import (
 def test_braiding_identity_coefficient_is_pure_half_power():
     for N in (2, 3, 4, 5):
         half = (N - 1) ** 2
-        assert braiding_coeff(1, 0, 0, 0, N) == LaurentPoly.term(1, QExponent.of_v_half(-half))
-        assert braiding_coeff(-1, 0, 0, 0, N) == LaurentPoly.term(1, QExponent.of_v_half(half))
+        assert braiding_coeff(1, 0, 0, 0, N) == LaurentPoly.term(1, -half)
+        assert braiding_coeff(-1, 0, 0, 0, N) == LaurentPoly.term(1, half)
 
 
 def test_braiding_coefficients_vanish_outside_finite_module():
@@ -100,7 +100,7 @@ def _exact_walk_state_sum(word: str, N: int) -> LaurentPoly:
             frozen = [p for p in range(m) if last[p] == step]
             states = {s: c for s, c in states.items() if all(s[p] == full0[p] for p in frozen)}
         total = total + states.get(full0, LaurentPoly.zero())
-    return total.shift(QExponent.of_v_half(b.writhe * (N * N - 1)))
+    return total.shift(b.writhe * (N * N - 1))
 
 
 @pytest.mark.filterwarnings("error")
