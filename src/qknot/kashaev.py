@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 
@@ -24,6 +25,7 @@ from .exactpoly import (
     CyclotomicInt,
     LaurentPoly,
     Q_UNIT,
+    _polydivmod,
     cyclotomic_reduce,
     embed_complex,
 )
@@ -141,16 +143,26 @@ def volume_sequence(
 
 
 def mahler_measure(delta: LaurentPoly) -> float:
-    """|leading coefficient| · ∏ max(1, |root|) of a univariate-z polynomial,
-    roots by mpmath.polyroots at 30 digits."""
+    """|leading coefficient| · ∏ max(1, |root|) of a univariate-z polynomial f,
+    roots counted with multiplicity, by mpmath.polyroots at 30 digits."""
     terms = delta.z_terms()
     if not terms:
         raise ValueError("Mahler measure of the zero polynomial is undefined")
     lo, hi = min(terms), max(terms)
-    coeffs = [terms.get(e, 0) for e in range(hi, lo - 1, -1)]
+    f = [Fraction(terms.get(e, 0)) for e in range(lo, hi + 1)]
     with mpmath.workdps(30):
-        roots = mpmath.polyroots(coeffs)
-        return float(abs(coeffs[0]) * mpmath.fprod(max(1, abs(r)) for r in roots))
+        measure = mpmath.mpf(abs(terms[hi]))
+        while len(f) > 1:
+            # polyroots converges fast only on distinct roots: take them from the squarefree
+            # f / gcd(f, f′) over ℚ, then go on with the gcd, whose roots repeat once fewer
+            a, b = f, [i * c for i, c in enumerate(f)][1:]
+            while b:
+                a, b = b, _polydivmod(a, [c / b[-1] for c in b])[1]
+            gcd = [c / a[-1] for c in a]
+            s = [mpmath.mpf(c.numerator) / c.denominator for c in _polydivmod(f, gcd)[0]]
+            measure *= mpmath.fprod(max(1, abs(r)) for r in mpmath.polyroots(s[::-1]))
+            f = gcd
+        return float(measure)
 
 
 def lobachevsky(theta: float) -> float:

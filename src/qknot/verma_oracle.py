@@ -123,12 +123,9 @@ def check_braid_relation(N: int, cap: int) -> bool:
         rhs = start
         for pos in (1, 0, 1):
             rhs = apply_braiding(rhs, pos, 1, N, cap)
-        keys = set(lhs) | set(rhs)
-        for key in keys:
-            a = lhs.get(key, LaurentPoly.zero())
-            c = rhs.get(key, LaurentPoly.zero())
-            if not (a - c).is_zero():
-                return False
+        # apply_braiding stores no zero coefficients, so equal maps mean equal vectors
+        if lhs != rhs:
+            return False
     return True
 
 
@@ -140,11 +137,7 @@ def check_braiding_inverse(N: int, cap: int) -> bool:
         vec: StateVector = {state: LaurentPoly.one()}
         vec = apply_braiding(vec, 0, 1, N, cap)
         vec = apply_braiding(vec, 0, -1, N, cap)
-        for key, coeff in vec.items():
-            expect = LaurentPoly.one() if key == state else LaurentPoly.zero()
-            if not (coeff - expect).is_zero():
-                return False
-        if state not in vec:
+        if vec != {state: LaurentPoly.one()}:
             return False
     return True
 

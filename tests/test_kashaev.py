@@ -176,6 +176,11 @@ def test_mahler_measure_reference_values(corpus_braids):
     # 6_1: Δ ∝ (2z − 1)(z − 2), leading coefficient 2 and one root at 2
     six_one = alexander(parse_braid("1 1 2 -1 -3 2 -3"))
     assert mahler_measure(six_one) == pytest.approx(4.0, abs=1e-9)
+    # repeated roots: the granny knot's Δ = (z² − z + 1)², and 3(z − 2)³(z² + z + 1)²,
+    # whose measure 3·2³ counts the root at 2 three times
+    assert mahler_measure(alexander(parse_braid("1 1 1 2 2 2"))) == pytest.approx(1.0, abs=1e-9)
+    cubed = parse_univariate("-24 - 12*z - 18*z^2 + 27*z^3 + 9*z^5 - 12*z^6 + 3*z^7", "z")
+    assert mahler_measure(cubed) == pytest.approx(24.0, abs=1e-9)
     assert mahler_measure(LaurentPoly.const(5)) == pytest.approx(5.0)
     with pytest.raises(ValueError):
         mahler_measure(LaurentPoly.zero())
