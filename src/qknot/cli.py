@@ -24,7 +24,7 @@ from importlib import resources
 from typing import NoReturn
 
 from .braid import BraidParseError, BraidWord, closure_is_knot, parse_braid
-from .exactpoly import cyclotomic_reduce, embed_complex, format_univariate, parse_univariate
+from .exactpoly import cyclotomic_reduce, format_univariate, parse_univariate
 from .foxburau import abelianize_check
 from .kashaev import kashaev_value, reference_volumes, volume_sequence
 from .mcmahon import alexander, colored_jones
@@ -51,8 +51,20 @@ class CorpusEntry:
         return parse_braid(self.word, strands=self.strands)
 
 
+# corpus entry fields: (JSON types accepted, required)
+_CORPUS_FIELDS = {
+    "name": ((str,), True),
+    "strands": ((int,), True),
+    "word": ((str,), True),
+    "alexander": ((str,), False),
+    "volume": ((int, float), False),
+}
+
+
 def load_corpus(path: str | None = None) -> list[CorpusEntry]:
-    """Corpus entries from a JSON file, or the bundled corpus when path is None."""
+    """Corpus entries from a JSON file, or the bundled corpus when path is None.
+    A malformed entry raises ValueError naming the entry and the field; a
+    braid word that does not parse raises BraidParseError."""
     if path is None:
         text = resources.files("qknot").joinpath("corpus.json").read_text("utf-8")
     else:
@@ -62,14 +74,24 @@ def load_corpus(path: str | None = None) -> list[CorpusEntry]:
     if not isinstance(raw, list):
         raise ValueError("corpus must be a JSON array of entries")
     entries = []
-    for item in raw:
-        entry = CorpusEntry(
-            name=str(item["name"]),
-            strands=int(item["strands"]),
-            word=str(item["word"]),
-            alexander=item.get("alexander"),
-            volume=item.get("volume"),
-        )
+    for index, item in enumerate(raw):
+        if not isinstance(item, dict):
+            raise ValueError(f"corpus entry {index} is not a JSON object")
+        where = f"corpus entry {index} ({item.get('name')!r})"
+        for field, (types, required) in _CORPUS_FIELDS.items():
+            value = item.get(field)
+            if value is None:
+                if required:
+                    raise ValueError(f"{where}: field {field!r} is missing")
+                continue
+            if not isinstance(value, types) or isinstance(value, bool):
+                raise ValueError(f"{where}: field {field!r} must be {' or '.join(t.__name__ for t in types)}")
+        entry = CorpusEntry(**{field: item.get(field) for field in _CORPUS_FIELDS})
+        if entry.alexander is not None:
+            try:
+                parse_univariate(entry.alexander, "z")
+            except ValueError as exc:
+                raise ValueError(f"{where}: field 'alexander': {exc}") from None
         entry.braid()
         entries.append(entry)
     return entries
@@ -283,7 +305,7 @@ def _verify_checks(entries: list[CorpusEntry]) -> tuple[list[tuple[str, str, boo
                 break
             numeric = kashaev_value(b, N, mode="float").approx
             scale = 1.0 + abs(numeric)
-            if abs(embed_complex(exact.exact) - numeric) > 1e-9 * scale:
+            if abs(exact.approx - numeric) > 1e-9 * scale:
                 ok = False
                 detail = f"float path drifts from exact value at N={N}"
                 break
@@ -298,7 +320,11 @@ def _verify_checks(entries: list[CorpusEntry]) -> tuple[list[tuple[str, str, boo
 
 def cmd_verify(args: argparse.Namespace) -> int:
     start = time.perf_counter()
-    entries = load_corpus(args.corpus)
+    try:
+        entries = load_corpus(args.corpus)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     checks, seconds = _verify_checks(entries)
     timings = {"total": time.perf_counter() - start, **seconds}
     passed = sum(1 for _, _, ok, _ in checks if ok)

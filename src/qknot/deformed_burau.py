@@ -46,17 +46,12 @@ class QuantumMatrix:
         return QuantumMatrix(self.dim, rows, self.signs)
 
 
-def s_matrix(sign: int, j: int, signs: StrandSigns | None = None) -> QuantumMatrix:
-    """The 2×2 block in the generators of crossing j.
-
-    A sign vector is synthesized when none is supplied; only position j of it
-    is ever consulted by products of this block's entries.
-    """
+def s_matrix(sign: int, j: int, signs: StrandSigns) -> QuantumMatrix:
+    """The 2×2 block in the generators of crossing j, whose sign in the
+    braid's sign vector `signs` must be `sign`."""
     if sign not in (1, -1):
         raise ValueError("sign must be ±1")
-    if signs is None:
-        signs = StrandSigns((1,) * (j - 1) + (sign,))
-    elif signs.sign(j) != sign:
+    if signs.sign(j) != sign:
         raise ValueError(f"sign vector has {signs.sign(j)} at crossing {j}, block wants {sign}")
     a = AlgebraElement.generator("a", j)
     b = AlgebraElement.generator("b", j)

@@ -213,7 +213,8 @@ def q_pochhammer(base_exp: int, step: int, d: int, z_degree: int) -> LaurentPoly
 
 @lru_cache(maxsize=None)
 def _gauss_binom_std(n: int, l: int) -> LaurentPoly:
-    """Standard Gaussian binomial [n choose l] in q with nonnegative powers."""
+    """Standard Gaussian binomial [n choose l] in q with nonnegative powers.
+    It stays for `q_int_binom`."""
     if l < 0 or l > n:
         return LaurentPoly.zero()
     if l == 0 or l == n:
@@ -227,7 +228,9 @@ def q_int_binom(n: int, l: int, sign: int) -> LaurentPoly:
 
     sign=+1: the binomial in q (negative powers, equals q^{-l(n-l)}·[n,l]_std);
     sign=−1: the binomial in q^{-1} (equals the standard nonnegative-power
-    Gaussian binomial).  l outside [0, n] returns 0 by convention.
+    Gaussian binomial).  l outside [0, n] returns 0 by convention.  Only
+    `verma_oracle.braiding_coeff` calls it, and it stays with that function,
+    which the benchmark tracer names.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -424,20 +427,6 @@ def poly_mat_identity(n: int) -> PolyMatrix:
     return [[LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(n)] for i in range(n)]
 
 
-def poly_mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    n, mid, m = len(a), len(b), len(b[0])
-    out = [[LaurentPoly.zero() for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for k in range(mid):
-            aik = a[i][k]
-            if aik.is_zero():
-                continue
-            for j in range(m):
-                if b[k][j]:
-                    out[i][j] = out[i][j] + aik * b[k][j]
-    return out
-
-
 def poly_mat_sub(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -518,6 +507,8 @@ def parse_univariate(text: str, var: str) -> LaurentPoly:
     if var not in ("q", "z"):
         raise ValueError("var must be 'q' or 'z'")
     s = text.strip()
+    if not s:
+        raise ValueError("empty polynomial")
     if s == "0":
         return LaurentPoly.zero()
     chunks = re.split(r"\s+(?=[+-]\s)", s if s[0] in "+-" else "+ " + s)

@@ -198,14 +198,6 @@ def psi_matrix(b: BraidWord) -> list[list[GroupRingElement]]:
     ]
 
 
-def relators(b: BraidWord) -> list[FreeWord]:
-    """r_i = β(z_i)·z_i^{-1}: the knot-group relators of the closure."""
-    return [
-        artin_action(b, i) * FreeWord.generator(i, -1)
-        for i in range(1, b.strands + 1)
-    ]
-
-
 def abelianized_psi(b: BraidWord) -> list[list[LaurentPoly]]:
     """The Fox Jacobian with every generator sent to z: the Burau matrix."""
     return [[entry.abelianize() for entry in row] for row in psi_matrix(b)]

@@ -10,8 +10,8 @@ crossing sign:
 Every element is stored in the canonical normal order b^s c^r a^d per index.
 The evaluation map E sends a normal monomial to a Laurent polynomial in q, z
 (independently of the b-exponents); E_N further substitutes z = q^{N-1}.
-A literal q-difference-operator realization of the generators acts as an
-independent oracle for E.
+The tests hold E to a literal q-difference-operator realization of the
+generators, an independent oracle.
 """
 from __future__ import annotations
 
@@ -224,80 +224,3 @@ def eval_E(x: AlgebraElement, signs: StrandSigns) -> LaurentPoly:
             val = val * _eval_factor(signs.sign(j), r, d)
         total = total + val
     return total
-
-
-def eval_EN(x: AlgebraElement, signs: StrandSigns, N: int) -> LaurentPoly:
-    """eval_E followed by z ↦ q^{N-1}; N may be any integer (N = 0 included)."""
-    return eval_E(x, signs).subst_z_to_qpower(N - 1)
-
-
-# ---------------------------------------------------------------------------
-# literal operator realization (the oracle for eval_E)
-# ---------------------------------------------------------------------------
-
-_State = dict[tuple[int, int, int], LaurentPoly]
-
-
-def _apply_generator(state: _State, kind: str, eps: int) -> _State:
-    """One application of the q-difference operator for a, b or c.
-
-    Monomial x^α y^β u^γ is the key (α, β, γ); shifts τ_x^{±1} multiply the
-    coefficient by q^{±α}, hat operators shift the exponents.
-    """
-    out: _State = {}
-
-    def put(key, coeff):
-        acc = out.get(key)
-        nc = coeff if acc is None else acc + coeff
-        if nc:
-            out[key] = nc
-        elif key in out:
-            del out[key]
-
-    for (ax, ay, au), c in state.items():
-        if kind == "b":
-            # û² for both signs
-            put((ax, ay, au + 2), c)
-        elif eps == 1 and kind == "a":
-            # (û − ŷ τ_x^{-1}) τ_y^{-1}
-            base = c.shift(-Q_UNIT * ay)
-            put((ax, ay, au + 1), base)
-            put((ax, ay + 1, au), base.shift(-Q_UNIT * ax).scale(-1))
-        elif eps == 1 and kind == "c":
-            # x̂ τ_y^{-2} τ_u^{-1}
-            put((ax + 1, ay, au), c.shift(-Q_UNIT * (2 * ay + au)))
-        elif eps == -1 and kind == "a":
-            # (τ_y − x̂^{-1}) τ_x^{-1} τ_u
-            base = c.shift(Q_UNIT * (au - ax))
-            put((ax, ay, au), base.shift(Q_UNIT * ay))
-            put((ax - 1, ay, au), base.scale(-1))
-        elif eps == -1 and kind == "c":
-            # ŷ^{-1} τ_x^{-1} τ_u
-            put((ax, ay - 1, au), c.shift(Q_UNIT * (au - ax)))
-        else:  # pragma: no cover - guarded by callers
-            raise ValueError(f"unknown generator {kind!r}")
-    return out
-
-
-def operator_action_oracle(mono: NormalMonomial, signs: StrandSigns) -> LaurentPoly:
-    """Apply the literal operators for ∏_j b_j^{s_j} c_j^{r_j} a_j^{d_j} to the
-    constant function 1 (rightmost factor first), then set u = 1, x = y = z.
-
-    Distinct indices act on distinct variable triples, so the result is the
-    product over indices of single-index computations.
-    """
-    result = LaurentPoly.one()
-    for j, s, r, d in mono.entries:
-        eps = signs.sign(j)
-        state: _State = {(0, 0, 0): LaurentPoly.one()}
-        for _ in range(d):
-            state = _apply_generator(state, "a", eps)
-        for _ in range(r):
-            state = _apply_generator(state, "c", eps)
-        for _ in range(s):
-            state = _apply_generator(state, "b", eps)
-        value = LaurentPoly.zero()
-        for (ax, ay, _au), c in state.items():
-            value = value + c.shift(0, ax + ay)
-        result = result * value
-    return result

@@ -1,0 +1,153 @@
+"""Independent references that only the tests use.
+
+* `operator_action_oracle`: the generators of `qweyl` realized literally as
+  q-difference operators, the oracle for the evaluation map `eval_E`.
+* `table_braiding`: the braiding b̌± on W_N ⊗ W_N assembled from the integer
+  tables of `verma_oracle._ExactRows`, the ring that `state_sum_jones` runs,
+  with `braid_relation_holds` and `braiding_inverse_holds` checking it on the
+  truncated tensor powers.
+"""
+from itertools import product
+
+import numpy as np
+
+from qknot.exactpoly import LaurentPoly, Q_UNIT
+from qknot.qweyl import NormalMonomial, StrandSigns
+from qknot.verma_oracle import _ExactRows
+
+# ---------------------------------------------------------------------------
+# literal operator realization (the oracle for eval_E)
+# ---------------------------------------------------------------------------
+
+_State = dict[tuple[int, int, int], LaurentPoly]
+
+
+def _apply_generator(state: _State, kind: str, eps: int) -> _State:
+    """One application of the q-difference operator for a, b or c.
+
+    Monomial x^α y^β u^γ is the key (α, β, γ); shifts τ_x^{±1} multiply the
+    coefficient by q^{±α}, hat operators shift the exponents.
+    """
+    out: _State = {}
+
+    def put(key, coeff):
+        acc = out.get(key)
+        nc = coeff if acc is None else acc + coeff
+        if nc:
+            out[key] = nc
+        elif key in out:
+            del out[key]
+
+    for (ax, ay, au), c in state.items():
+        if kind == "b":
+            # û² for both signs
+            put((ax, ay, au + 2), c)
+        elif eps == 1 and kind == "a":
+            # (û − ŷ τ_x^{-1}) τ_y^{-1}
+            base = c.shift(-Q_UNIT * ay)
+            put((ax, ay, au + 1), base)
+            put((ax, ay + 1, au), base.shift(-Q_UNIT * ax).scale(-1))
+        elif eps == 1 and kind == "c":
+            # x̂ τ_y^{-2} τ_u^{-1}
+            put((ax + 1, ay, au), c.shift(-Q_UNIT * (2 * ay + au)))
+        elif eps == -1 and kind == "a":
+            # (τ_y − x̂^{-1}) τ_x^{-1} τ_u
+            base = c.shift(Q_UNIT * (au - ax))
+            put((ax, ay, au), base.shift(Q_UNIT * ay))
+            put((ax - 1, ay, au), base.scale(-1))
+        elif eps == -1 and kind == "c":
+            # ŷ^{-1} τ_x^{-1} τ_u
+            put((ax, ay - 1, au), c.shift(Q_UNIT * (au - ax)))
+        else:  # pragma: no cover - guarded by callers
+            raise ValueError(f"unknown generator {kind!r}")
+    return out
+
+
+def operator_action_oracle(mono: NormalMonomial, signs: StrandSigns) -> LaurentPoly:
+    """Apply the literal operators for ∏_j b_j^{s_j} c_j^{r_j} a_j^{d_j} to the
+    constant function 1 (rightmost factor first), then set u = 1, x = y = z.
+
+    Distinct indices act on distinct variable triples, so the result is the
+    product over indices of single-index computations.
+    """
+    result = LaurentPoly.one()
+    for j, s, r, d in mono.entries:
+        eps = signs.sign(j)
+        state: _State = {(0, 0, 0): LaurentPoly.one()}
+        for _ in range(d):
+            state = _apply_generator(state, "a", eps)
+        for _ in range(r):
+            state = _apply_generator(state, "c", eps)
+        for _ in range(s):
+            state = _apply_generator(state, "b", eps)
+        value = LaurentPoly.zero()
+        for (ax, ay, _au), c in state.items():
+            value = value + c.shift(0, ax + ay)
+        result = result * value
+    return result
+
+
+# ---------------------------------------------------------------------------
+# the braiding of the exact state sum, from its own tables
+# ---------------------------------------------------------------------------
+
+
+def table_coefficients(N: int, sign: int) -> dict[tuple[int, int, int], LaurentPoly]:
+    """The coefficient of every (n1, n2, l) in 0..N−1, as `_ExactRows.coeff`
+    gives it: q^{∓(N−1)²/4} times q^{shift} · (gauss ⊛ poch)."""
+    n1, n2, l = (a.ravel() for a in np.indices((N, N, N)))
+    C, shift, _ = _ExactRows(N).coeff(sign, n1, n2, l)
+    phase = -sign * (N - 1) ** 2
+    return {
+        (int(a), int(b), int(c)): LaurentPoly(
+            {(phase + Q_UNIT * (int(s) + j), 0): int(x) for j, x in enumerate(row) if x}
+        )
+        for a, b, c, s, row in zip(n1, n2, l, shift, C)
+    }
+
+
+def table_braiding(N: int, sign: int) -> dict[tuple[int, int], dict[tuple[int, int], LaurentPoly]]:
+    """b̌_sign on W_N ⊗ W_N from the tables: e_{n1} ⊗ e_{n2} ↦ its image.
+    Raises AssertionError if a nonzero coefficient falls outside the range
+    of l that the state sum expands, or leaves W_N ⊗ W_N."""
+    out: dict = {(n1, n2): {} for n1, n2 in product(range(N), repeat=2)}
+    for (n1, n2, l), c in table_coefficients(N, sign).items():
+        lmax = min(n1, N - 1 - n2) if sign == 1 else min(n2, N - 1 - n1)
+        if l > lmax:
+            assert c.is_zero(), (sign, n1, n2, l)
+        elif c:
+            out[n1, n2][(n2 + l, n1 - l) if sign == 1 else (n2 - l, n1 + l)] = c
+    return out
+
+
+def _apply(op, vec: dict, pos: int) -> dict:
+    """id ⊗ … ⊗ op ⊗ … ⊗ id at 0-based factor pair (pos, pos+1)."""
+    out: dict = {}
+    for state, c in vec.items():
+        for pair, b in op[state[pos : pos + 2]].items():
+            new = state[:pos] + pair + state[pos + 2 :]
+            out[new] = out.get(new, LaurentPoly.zero()) + c * b
+    return {s: c for s, c in out.items() if c}
+
+
+def braid_relation_holds(N: int) -> bool:
+    """b̌₁₂ b̌₂₃ b̌₁₂ = b̌₂₃ b̌₁₂ b̌₂₃ on every basis vector of W_N^⊗3, for b̌₊
+    and b̌₋ from the tables."""
+    for sign in (1, -1):
+        op = table_braiding(N, sign)
+        for state in product(range(N), repeat=3):
+            lhs = rhs = {state: LaurentPoly.one()}
+            for left, right in ((0, 1), (1, 0), (0, 1)):
+                lhs, rhs = _apply(op, lhs, left), _apply(op, rhs, right)
+            if lhs != rhs:
+                return False
+    return True
+
+
+def braiding_inverse_holds(N: int) -> bool:
+    """b̌₋ b̌₊ = id on every basis vector of W_N^⊗2, both from the tables."""
+    plus, minus = table_braiding(N, 1), table_braiding(N, -1)
+    for state in product(range(N), repeat=2):
+        if _apply(minus, _apply(plus, {state: LaurentPoly.one()}, 0), 0) != {state: LaurentPoly.one()}:
+            return False
+    return True

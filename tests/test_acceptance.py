@@ -28,8 +28,10 @@ from qknot.kashaev import (
     volume_sequence,
 )
 from qknot.mcmahon import alexander, colored_jones
-from qknot.qweyl import AlgebraElement, NormalMonomial, StrandSigns, eval_E, operator_action_oracle
-from qknot.verma_oracle import check_braid_relation, check_braiding_inverse, state_sum_jones
+from qknot.qweyl import AlgebraElement, NormalMonomial, StrandSigns, eval_E
+from qknot.verma_oracle import state_sum_jones
+
+from oracles import braid_relation_holds, braiding_inverse_holds, operator_action_oracle
 
 
 def test_criterion_01_trefoil_closed_form():
@@ -202,8 +204,8 @@ def test_criterion_09_structural_checks(corpus_braids):
     for name, b in corpus_braids.items():
         assert check_right_quantum(rho(b)) == [], name
     for N in range(1, 5):
-        assert check_braid_relation(N, N)
-        assert check_braiding_inverse(N, N)
+        assert braid_relation_holds(N)
+        assert braiding_inverse_holds(N)
     for eps in (1, -1):
         signs = StrandSigns((eps,))
         for s in range(5):

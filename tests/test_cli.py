@@ -213,6 +213,11 @@ def test_corpus_loader_validates(tmp_path):
     )
     with pytest.raises(ValueError):
         load_corpus(str(bad_word))
+    for raw in ([3], [{"name": "x", "strands": True, "word": "1 1 1"}]):
+        bad_entry = tmp_path / "entry.json"
+        bad_entry.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match="corpus entry 0"):
+            load_corpus(str(bad_entry))
 
 
 def test_verify_reads_alternate_corpus(tmp_path):
@@ -224,3 +229,27 @@ def test_verify_reads_alternate_corpus(tmp_path):
     code, out, _ = run(["verify", "--corpus", str(path)])
     assert code == 0
     assert "trefoil" in out
+
+
+@pytest.mark.parametrize(
+    "entry,field",
+    [
+        ({"name": "trefoil", "strands": 2, "word": "1 1 1", "alexander": ""}, "alexander"),
+        ({"name": "trefoil", "strands": 2, "word": "1 1 1", "alexander": 3}, "alexander"),
+        ({"name": "figure_eight", "strands": 3, "word": "1 -2 1 -2", "volume": "2.03"}, "volume"),
+        ({"name": "trefoil", "word": "1 1 1"}, "strands"),
+    ],
+)
+def test_malformed_corpus_entry_exits_2_naming_entry_and_field(tmp_path, entry, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([entry]))
+    code, out, err = run(["verify", "--corpus", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+    assert repr(entry["name"]) in err and repr(field) in err
+
+
+def test_unreadable_corpus_path_exits_1(tmp_path):
+    code, out, err = run(["verify", "--corpus", str(tmp_path / "missing.json")])
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "Traceback" not in err

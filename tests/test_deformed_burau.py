@@ -12,8 +12,13 @@ from qknot.deformed_burau import (
     rho_prime,
     s_matrix,
 )
-from qknot.exactpoly import LaurentPoly, poly_mat_identity, poly_mat_mul
+from qknot.exactpoly import LaurentPoly, poly_mat_identity
 from qknot.qweyl import AlgebraElement, StrandSigns, normal_order_product
+
+
+def poly_mat_mul(a, b):
+    """Product of two matrices of LaurentPoly entries."""
+    return [[sum((x * y for x, y in zip(row, col)), LaurentPoly.zero()) for col in zip(*b)] for row in a]
 
 
 def letters_of(b):
@@ -77,7 +82,7 @@ def test_rho_matches_dense_product_on_random_braids(b):
 
 def test_single_crossing_blocks_are_right_quantum():
     for sign in (1, -1):
-        assert check_right_quantum(s_matrix(sign, 1)) == []
+        assert check_right_quantum(s_matrix(sign, 1, StrandSigns((sign,)))) == []
 
 
 def test_rho_of_corpus_braids_is_right_quantum(corpus_braids):
@@ -121,8 +126,8 @@ def test_trefoil_rho_prime_is_the_expected_single_entry():
 
 
 def test_classical_specialization_of_single_crossings():
-    plus = classical_specialization(s_matrix(1, 1))
-    minus = classical_specialization(s_matrix(-1, 1))
+    plus = classical_specialization(s_matrix(1, 1, StrandSigns((1,))))
+    minus = classical_specialization(s_matrix(-1, 1, StrandSigns((-1,))))
     z = LaurentPoly.z_power(1)
     one = LaurentPoly.one()
     assert plus == [[one - z, one], [z, LaurentPoly.zero()]]

@@ -14,12 +14,16 @@ from qknot.foxburau import (
     artin_action,
     fox_derivative,
     psi_matrix,
-    relators,
 )
 from qknot.mcmahon import alexander
 
 letters = st.integers(min_value=-4, max_value=4).filter(lambda i: i != 0)
 word_lists = st.lists(letters, max_size=10)
+
+
+def relators(b):
+    """r_i = β(z_i)·z_i^{-1}: the knot-group relators of the closure."""
+    return [artin_action(b, i) * FreeWord.generator(i, -1) for i in range(1, b.strands + 1)]
 
 
 def word_of(ls):

@@ -7,11 +7,11 @@ from qknot.qweyl import (
     NormalMonomial,
     StrandSigns,
     eval_E,
-    eval_EN,
     normal_order_product,
-    operator_action_oracle,
     reorder_exponent,
 )
+
+from oracles import operator_action_oracle
 
 signs2 = st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1])).map(StrandSigns)
 exps = st.integers(min_value=0, max_value=2)
@@ -84,18 +84,11 @@ def test_eval_examples():
     assert eval_E(a1, plus) == LaurentPoly.one() - LaurentPoly.z_power(1)
     assert eval_E(c1, plus) == LaurentPoly.z_power(1)
     assert eval_E(c1, minus) == LaurentPoly.z_power(-1)
-    assert eval_EN(a1, plus, 1).is_zero()
-    assert eval_EN(a1, plus, 0) == LaurentPoly.one() - LaurentPoly.q_power(-1)
+    # E_N: z = q^{N-1}
+    assert eval_E(a1, plus).subst_z_to_qpower(0).is_zero()
+    assert eval_E(a1, plus).subst_z_to_qpower(-1) == LaurentPoly.one() - LaurentPoly.q_power(-1)
     ca = AlgebraElement.monomial(NormalMonomial.from_map({1: (0, 1, 1)}))
-    assert eval_EN(ca, plus, 2).is_zero()
-
-
-def test_eval_EN_is_eval_E_with_z_substituted():
-    signs = StrandSigns((1, -1))
-    mono = NormalMonomial.from_map({1: (1, 2, 1), 2: (0, 1, 2)})
-    x = AlgebraElement.monomial(mono)
-    for N in (0, 1, 3, 5):
-        assert eval_EN(x, signs, N) == eval_E(x, signs).subst_z_to_qpower(N - 1)
+    assert eval_E(ca, plus).subst_z_to_qpower(1).is_zero()
 
 
 def test_oracle_agreement_exhaustive_small_exponents():
@@ -133,7 +126,7 @@ def test_eval_EN_divisible_by_pochhammer_of_a_degree():
         for d in range(1, 7):
             for (s, r) in ((0, 0), (1, 2), (2, 1)):
                 mono = NormalMonomial.from_map({1: (s, r, d)})
-                value = eval_EN(AlgebraElement.monomial(mono), signs, 7)
+                value = eval_E(AlgebraElement.monomial(mono), signs).subst_z_to_qpower(6)
                 divisor = q_pochhammer(Q_UNIT, 1, d, 0)
                 if value.is_zero():
                     continue
