@@ -63,8 +63,8 @@ _CORPUS_FIELDS = {
 
 def load_corpus(path: str | None = None) -> list[CorpusEntry]:
     """Corpus entries from a JSON file, or the bundled corpus when path is None.
-    A malformed entry raises ValueError naming the entry and the field; a
-    braid word that does not parse raises BraidParseError."""
+    A malformed entry, such as a braid word that does not parse, raises
+    ValueError naming the entry and the field."""
     if path is None:
         text = resources.files("qknot").joinpath("corpus.json").read_text("utf-8")
     else:
@@ -87,12 +87,14 @@ def load_corpus(path: str | None = None) -> list[CorpusEntry]:
             if not isinstance(value, types) or isinstance(value, bool):
                 raise ValueError(f"{where}: field {field!r} must be {' or '.join(t.__name__ for t in types)}")
         entry = CorpusEntry(**{field: item.get(field) for field in _CORPUS_FIELDS})
-        if entry.alexander is not None:
-            try:
+        field = "alexander"
+        try:
+            if entry.alexander is not None:
                 parse_univariate(entry.alexander, "z")
-            except ValueError as exc:
-                raise ValueError(f"{where}: field 'alexander': {exc}") from None
-        entry.braid()
+            field = "word"
+            entry.braid()
+        except ValueError as exc:
+            raise ValueError(f"{where}: field {field!r}: {exc}") from None
         entries.append(entry)
     return entries
 

@@ -378,11 +378,11 @@ def embed_complex(c: CyclotomicInt) -> complex:
 # ---------------------------------------------------------------------------
 #
 # int64 sums wrap silently, so a kernel that adds rows of int64 coefficients
-# bounds every sum beforehand: from each row's ‖row‖∞ (`row_norms`) and the
-# ℓ₁ norm of what multiplies it, it forms a bound per row and checks the sum
-# of those bounds over each group of rows to be added (`int64_fits`).  The
-# rows stay int64 while every group sum stays under INT64_SAFE, and past it
-# they move to object dtype of Python ints, the same code exact at any size.
+# bounds every sum beforehand, from a bound on each row's ‖row‖∞ (measured by
+# `row_norms`, or carried and measured only when it fails) and the ℓ₁ norm of
+# what multiplies it: `int64_fits` checks the sum over each group of rows.
+# The rows stay int64 while every group sum stays under INT64_SAFE, and past
+# it they move to object dtype of Python ints, the same code exact at any size.
 
 INT64_SAFE = float(2**62)
 

@@ -32,7 +32,9 @@ from itertools import combinations, permutations
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
+from . import exactpoly
 from .braid import BraidWord, closure_is_knot
 from .deformed_burau import QuantumMatrix, classical_specialization, rho, rho_prime
 from .exactpoly import (
@@ -188,9 +190,11 @@ def _eval_state(key: tuple[int, ...], signs_t: tuple[int, ...], z_pow: int) -> Q
 # q^{O_i}..q^{O_i+W−1}, with O a length-S array of offsets.  At a root of unity
 # r_j is reduced mod N, d_j < N, and row i holds the N coefficients of state i
 # mod q^N − 1.  Every sum of rows is bounded beforehand, under the int64 row
-# rule of `exactpoly` (`row_norms`, `int64_fits`): by Σ‖row‖∞·‖factor‖₁ in
-# the series steps and the generic evaluator, and by the measured ‖row‖∞
-# before each binomial and each merge in the folded evaluator.
+# rule of `exactpoly` (`row_norms`, `int64_fits`), by Σ‖row‖∞·‖factor‖₁.  The
+# generic kernel measures ‖row‖∞ each time.  The folded kernel carries a bound
+# B on each row's ‖row‖∞ (a step multiplies it by the monomial's ℓ₁ norm, a
+# merge sums it, a binomial doubles it; object rows carry 0) and measures the
+# rows only when a group of carried bounds reaches INT64_SAFE.
 
 
 def _mono_arrays(C: AlgebraElement, signs_t: tuple[int, ...]) -> tuple:
@@ -389,22 +393,50 @@ def fermionic_terms(
 # folded series kernel: ℤ[q]/(q^N − 1) as rows of N integers
 # ---------------------------------------------------------------------------
 
+def _summable(V, B, rows, scale, starts):
+    """(V, bounds of the summands V[rows]·scale) for sums over the runs that
+    begin at `starts`: the carried bounds while no run's sum reaches
+    INT64_SAFE, else measured ones, and `int64_fits` on those decides."""
+    bound = B[rows] * scale
+    if V.dtype != object and np.add.reduceat(bound, starts).max(initial=0) >= exactpoly.INT64_SAFE:
+        bound = row_norms(V)[rows] * scale
+        if not int64_fits(bound, starts, _log):
+            return V.astype(object), np.zeros_like(bound)
+    return V, bound
+
+
+@lru_cache(maxsize=256)
+def _cyclic_columns(N: int):
+    """Row o holds (o + c) mod N for c < N: read-only windows over 0..N−1
+    written twice, so that no roll computes its column indices."""
+    twice = np.tile(np.arange(N), 2)
+    return as_strided(twice, (N, N), twice.strides * 2, writeable=False)
+
+
 def _roll_rows(V, rows, shift, N: int):
     """V[rows], row i multiplied by q^{shift[i]} mod q^N − 1."""
-    cols = (np.arange(N) - (shift % N)[:, None]) % N
-    return V[rows[:, None], cols]
+    return V[rows[:, None], _cyclic_columns(N)[-shift % N]]
 
 
-def _merge(R, D, V, N: int):
-    """Sum the rows of equal keys."""
-    order, starts = _groups([*R.T, *D.T], [N] * 2 * R.shape[1], len(V))
-    V = V[order]
-    if V.dtype != object and not int64_fits(row_norms(V), starts, _log):
-        V = V.astype(object)
-    return _compact(R[order][starts], D[order][starts], np.add.reduceat(V, starts, axis=0))
+def _state_groups(R, D, N: int):
+    """`_groups` of the folded keys (R, D), entries in [0, N): one packed
+    word R·N^j + D·N^{k+j} when N^{2k} < 2^62, else the 2k columns."""
+    k = R.shape[1]
+    if N ** (2 * k) < 2**62:
+        w = N ** np.arange(k, dtype=np.int64)
+        return _groups([R @ w + D @ (w * N**k)], [N ** (2 * k)], len(R))
+    return _groups([*R.T, *D.T], [N] * 2 * k, len(R))
 
 
-def _folded_step(R, D, V, mono: tuple, N: int):
+def _merge(R, D, B, V, N: int):
+    """Sum the rows of equal keys, and their bounds."""
+    order, starts = _state_groups(R, D, N)
+    V, B = _summable(V, B, order, 1.0, starts)
+    sel = order[starts]
+    return _compact(R[sel], D[sel], np.add.reduceat(B, starts), np.add.reduceat(V[order], starts, axis=0))
+
+
+def _folded_step(R, D, B, V, mono: tuple, N: int):
     """Right-multiply every state by every C-monomial mod q^N − 1 and merge.
 
     A product with some d_j ≥ N is pruned: its E-factor contains N
@@ -414,19 +446,18 @@ def _folded_step(R, D, V, mono: tuple, N: int):
     nD = D[:, None, :] + d2[None]
     src, m = np.nonzero((nD < N).all(axis=2))
     if not len(src):
-        return R[:0], D[:0], V[:0]
+        return R[:0], D[:0], B[:0], V[:0]
     nR = (R[src] + r2[m]) % N
     nD = nD[src, m]
-    shift = (D[src] * w_d[m]).sum(axis=1) + (R[src] * w_r[m]).sum(axis=1)
-    order, starts = _groups([*nR.T, *nD.T], [N] * 2 * R.shape[1], len(src))
+    shift = (D @ w_d.T + R @ w_r.T)[src, m]
+    order, starts = _state_groups(nR, nD, N)
     src, m, shift = src[order], m[order], shift[order]
-    if V.dtype != object and not int64_fits(row_norms(V)[src] * l1[m], starts, _log):
-        V = V.astype(object)
+    V, B = _summable(V, B, src, l1[m], starts)
     out = coeffs[m, :1] * _roll_rows(V, src, shift + exps[m, 0], N)
     for t in range(1, exps.shape[1]):
         out += coeffs[m, t : t + 1] * _roll_rows(V, src, shift + exps[m, t], N)
     sel = order[starts]
-    return _compact(nR[sel], nD[sel], np.add.reduceat(out, starts, axis=0))
+    return _compact(nR[sel], nD[sel], np.add.reduceat(B, starts), np.add.reduceat(out, starts, axis=0))
 
 
 def _eval_folded(R, D, V, signs_t: tuple[int, ...], N: int):
@@ -439,25 +470,25 @@ def _eval_folded(R, D, V, signs_t: tuple[int, ...], N: int):
     such states are dropped first.  Bottom-up over j = k−1..0: each row is
     rolled by its q-power and, sorted by d_j so that the rows with d_j > i
     form a prefix, multiplied by its i-th binomial in place; then rows that
-    share the remaining key prefix are merged.  A binomial at most doubles
-    ‖row‖∞, so each is checked against the measured magnitudes.
+    share the remaining key prefix are merged.  The row bounds are measured
+    once, here, and carried from then on.
     """
     live = ~np.any(R + D >= N, axis=1)
     R, D, V = R[live], D[live], V[live]
+    B = np.zeros(len(V)) if V.dtype == object else row_norms(V)
     for j in reversed(range(len(signs_t))):
         if not len(V):
             break
         by = np.argsort(-D[:, j])
-        R, D = R[by], D[by]
+        R, D, B = R[by], D[by], B[by]
         r, d, eps = R[:, j], D[:, j], signs_t[j]
         V = _roll_rows(V, by, -r * (d + 1) if eps == 1 else r, N)
-        for i in range(int(d[0])):
-            n = int(np.count_nonzero(d > i))
+        # n rows have d_j > i
+        for i, n in enumerate(np.searchsorted(-d, -np.arange(d[0])).tolist()):
             head = np.arange(n)
-            if V.dtype != object and not int64_fits(2 * row_norms(V[:n]), head, _log):
-                V = V.astype(object)
+            V, B[:n] = _summable(V, B, head, 2.0, head)
             V[:n] -= _roll_rows(V, head, -eps * (r[:n] + 1 + i), N)
-        R, D, V = _merge(R[:, :j], D[:, :j], V, N)
+        R, D, B, V = _merge(R[:, :j], D[:, :j], B, V, N)
     if not len(V):
         return np.zeros(N, dtype=np.int64)
     return V[0]
@@ -474,23 +505,22 @@ def folded_series_sum(C: AlgebraElement, signs_t: tuple[int, ...], N: int) -> li
     """
     k = len(signs_t)
     mono = _mono_arrays(C, signs_t)
-    R = np.zeros((1, k), dtype=np.int64)
-    D = np.zeros((1, k), dtype=np.int64)
-    V = np.zeros((1, N), dtype=np.int64)
-    V[0, 0] = 1
-    acc, pending = (R, D, V), []
+    R = D = np.zeros((1, k), dtype=np.int64)
+    B, V = np.ones(1), np.eye(1, N, dtype=np.int64)
+    acc, pending = (R, D, B, V), []
     for _ in range(max(k, 1) * N):
-        R, D, V = _folded_step(R, D, V, mono, N)
+        R, D, B, V = _folded_step(R, D, B, V, mono, N)
         if not len(V):
             break
-        pending.append((R, D, V))
+        pending.append((R, D, B, V))
         # merge when the unmerged rows outgrow the merged ones
-        if sum(len(p[2]) for p in pending) > len(acc[2]):
+        if sum(len(p[3]) for p in pending) > len(acc[3]):
             acc = _merge(*(np.concatenate(part) for part in zip(acc, *pending)), N)
             pending = []
     if pending:
         acc = _merge(*(np.concatenate(part) for part in zip(acc, *pending)), N)
-    return [int(c) for c in _eval_folded(*acc, signs_t, N)]
+    R, D, _, V = acc
+    return [int(c) for c in _eval_folded(R, D, V, signs_t, N)]
 
 
 def _bosonic_series(Mq: QuantumMatrix, signs: StrandSigns, N: int) -> QDict:

@@ -238,6 +238,7 @@ def test_verify_reads_alternate_corpus(tmp_path):
         ({"name": "trefoil", "strands": 2, "word": "1 1 1", "alexander": 3}, "alexander"),
         ({"name": "figure_eight", "strands": 3, "word": "1 -2 1 -2", "volume": "2.03"}, "volume"),
         ({"name": "trefoil", "word": "1 1 1"}, "strands"),
+        ({"name": "x", "strands": 2, "word": "5"}, "word"),
     ],
 )
 def test_malformed_corpus_entry_exits_2_naming_entry_and_field(tmp_path, entry, field):

@@ -1,5 +1,6 @@
 import importlib.util
 import logging
+import math
 from itertools import islice
 from pathlib import Path
 from unittest import mock
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qknot import exactpoly, mcmahon
 from qknot.braid import parse_braid
-from qknot.exactpoly import LaurentPoly, Q_UNIT, parse_univariate, q_pochhammer
+from qknot.exactpoly import LaurentPoly, Q_UNIT, parse_univariate, q_pochhammer, row_norms
 from qknot.kashaev import _series_inputs, kashaev_series, kashaev_value
 from qknot.mcmahon import (
     _apply_mono,
@@ -19,6 +20,7 @@ from qknot.mcmahon import (
     _efactor_items,
     _eval_folded,
     _eval_population,
+    _folded_step,
     _groups,
     _mono_terms,
     alexander,
@@ -209,14 +211,32 @@ def test_factor_items_zero_exponent_kills_the_product():
     assert dict(_efactor_items(1, 0, 1, 2)) == {0: 1, 2: -1}
 
 
+def key_groups(order, starts, n):
+    """`_groups`' (order, starts) as a set of groups of row indices."""
+    return {frozenset(order[a:b].tolist()) for a, b in zip(starts, [*starts[1:], n])}
+
+
+def dict_key_groups(rows):
+    want = {}
+    for i, row in enumerate(rows):
+        want.setdefault(tuple(row), set()).add(i)
+    return set(map(frozenset, want.values()))
+
+
 @st.composite
 def wide_key_columns(draw):
-    """Key columns whose sizes need 2–3 int64 words: 2 or 3 of them hold
-    sizes ≥ 2^31, and no two of those share a word.  Rows repeat a few
-    distinct keys, so that groups have several members."""
+    """Key columns whose sizes need several int64 words: either 2 or 3 of
+    them hold sizes ≥ 2^31, and no two of those share a word, or the sizes'
+    product lies just below or just above 2^62, the edge between one word
+    and two.  Rows repeat a few distinct keys, so that groups have several
+    members."""
     sizes = draw(st.lists(st.integers(1, 6), max_size=3))
-    for _ in range(draw(st.integers(2, 3))):
-        sizes.insert(draw(st.integers(0, len(sizes))), draw(st.integers(2**31, 2**61)))
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(2, 3))):
+            sizes.insert(draw(st.integers(0, len(sizes))), draw(st.integers(2**31, 2**61)))
+    else:
+        edge = 2**62 // math.prod(sizes) + draw(st.integers(-1, 1))
+        sizes.insert(draw(st.integers(0, len(sizes))), edge)
     column = [st.integers(0, size - 1) | st.sampled_from([0, size - 1]) for size in sizes]
     pool = draw(st.lists(st.tuples(*column), min_size=1, max_size=5))
     rows = draw(st.lists(st.sampled_from(pool), max_size=30))
@@ -224,17 +244,42 @@ def wide_key_columns(draw):
 
 
 @given(wide_key_columns())
-@settings(max_examples=60)
+@settings(max_examples=80)
 def test_groups_on_several_words_match_dict_grouping(columns):
     sizes, rows = columns
     cols = [np.array([row[i] for row in rows], dtype=np.int64) for i in range(len(sizes))]
     order, starts = _groups(iter(cols), sizes, len(rows))
     assert sorted(order.tolist()) == list(range(len(rows)))
-    got = [order[a:b].tolist() for a, b in zip(starts, [*starts[1:], len(rows)])]
-    want = {}
-    for i, row in enumerate(rows):
-        want.setdefault(row, []).append(i)
-    assert sorted(map(sorted, got)) == sorted(want.values())
+    assert key_groups(order, starts, len(rows)) == dict_key_groups(rows)
+
+
+@st.composite
+def folded_keys(draw):
+    """Folded state keys (R, D) with entries in [0, N), for N at the edge of
+    the one-word key, N^{2k} just below or just above 2^62, or small.  The
+    keys include one with R and D swapped, which a key that mixes up the
+    R and D columns would not tell apart."""
+    k = draw(st.integers(1, 4))
+    edge = math.ceil(2 ** (31 / k)) - 1  # the largest N with N^{2k} < 2^62
+    N = draw(st.sampled_from([edge, edge + 1]) | st.integers(1, 6))
+    entry = st.integers(0, N - 1) | st.sampled_from([0, N - 1])
+    pool = draw(st.lists(st.lists(entry, min_size=2 * k, max_size=2 * k), min_size=1, max_size=5))
+    pool.append(pool[0][k:] + pool[0][:k])
+    rows = np.array(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30)), dtype=np.int64)
+    return N, rows[:, :k], rows[:, k:]
+
+
+@given(folded_keys())
+@settings(max_examples=60)
+def test_packed_state_key_groups_as_the_key_columns(keys):
+    N, R, D = keys
+    k, n = R.shape[1], len(R)
+    with mock.patch.object(mcmahon, "_groups", wraps=_groups) as spy:
+        order, starts = mcmahon._state_groups(R, D, N)
+    # one packed word below the edge, the 2k columns from it on
+    assert len(spy.call_args.args[0]) == (1 if N ** (2 * k) < 2**62 else 2 * k)
+    columns = _groups([*R.T, *D.T], [N] * 2 * k, n)
+    assert key_groups(order, starts, n) == key_groups(*columns, n) == dict_key_groups(np.hstack([R, D]).tolist())
 
 
 def naive_population_eval(P, signs_t, z_pow, fold):
@@ -404,12 +449,23 @@ def test_int64_escalation_is_logged(caplog, monkeypatch):
     assert set(loggers[counts[1] :]) == {"qknot.verma_oracle"}
 
 
-def test_folded_evaluation_of_figure_eight_at_60_stays_int64(caplog):
-    # bounding each E-factor by ‖row‖∞·‖factor‖₁ instead of the measured
-    # ‖row‖∞ per binomial sends these rows to Python ints
+@pytest.mark.parametrize(
+    "word,N,records",
+    [
+        pytest.param("1 -2 1 -2", 60, [], id="4_1-60"),
+        pytest.param("1 -2 1 -2", 80, ["144 rows leave int64: a group sum may reach 5.53e+18 ≥ 2^62"], id="4_1-80"),
+        pytest.param("1 1 1 1 1", 40, ["1552 rows leave int64: a group sum may reach 1.13e+19 ≥ 2^62"], id="5_1-40"),
+    ],
+)
+def test_folded_int64_switch_stays_where_measured_rows_need_it(caplog, word, N, records):
+    # carried bounds only decide when rows are measured, and only the
+    # measured check moves them, so the rows leave int64 exactly where a
+    # kernel that measures before every step, binomial and merge moves them.
+    # Bounding each E-factor by ‖row‖∞·‖factor‖₁ instead would send the
+    # figure-eight's rows at N = 60 to Python ints
     with caplog.at_level(logging.DEBUG, logger="qknot.mcmahon"):
-        kashaev_value(parse_braid("1 -2 1 -2"), 60)
-    assert not any("leave int64" in rec.getMessage() for rec in caplog.records)
+        kashaev_value(parse_braid(word), N)
+    assert [rec.getMessage() for rec in caplog.records] == records
 
 
 def folded_dict_series(C, signs_t, N, max_n):
@@ -438,6 +494,19 @@ def folded_dict_series(C, signs_t, N, max_n):
     return [total.get(e, 0) for e in range(N)]
 
 
+def bound_checked(kernel):
+    """`_folded_step` or `_merge`, asserting that every int64 row it returns
+    is within the bound it carries."""
+
+    def run(*args):
+        out = kernel(*args)
+        if out[-1].dtype != object:
+            assert (row_norms(out[-1]) <= out[-2]).all(), kernel.__name__
+        return out
+
+    return run
+
+
 @st.composite
 def folded_populations(draw):
     N = draw(st.integers(min_value=1, max_value=8))
@@ -453,12 +522,15 @@ def folded_populations(draw):
 
 @given(folded_populations(), st.sampled_from(["int64", "huge", "object"]))
 @example((8, (-1,), [(((0, 2),), [9, 0, 0, 0, 0, 9, -9, -9])]), "huge")
+@example((2, (1,), [(((0, 0),), [5, 0]), (((1, 0),), [0, 5])]), "int64")
 @settings(max_examples=80)
 def test_folded_evaluation_matches_folded_dict_reference(population, rows):
     # "huge" rows come near the int64 bound, so most sums must trip it;
     # "object" lowers the bound so that every sum runs on Python ints.  In
-    # the explicit example, (1 − q)(1 − q²) lines up with the row and takes
-    # its peak to 4·9·2^58 > 2^63 unless a binomial is checked before it runs
+    # the first explicit example, (1 − q)(1 − q²) lines up with the row and
+    # takes its peak to 4·9·2^58 > 2^63 unless a binomial is checked before
+    # it runs; in the second, q^{-1} lines the two rows up, so their merged
+    # row reaches the sum of their bounds
     N, signs_t, states = population
     scale = 2**58 if rows == "huge" else 1
     R = np.array([[r for r, _ in key] for key, _ in states], dtype=np.int64)
@@ -470,8 +542,10 @@ def test_folded_evaluation_matches_folded_dict_reference(population, rows):
         cd = P.setdefault(flat, {})
         for e, c in enumerate(row):
             cd[e] = cd.get(e, 0) + c * scale
-    with mock.patch.object(exactpoly, "INT64_SAFE", 1.0 if rows == "object" else exactpoly.INT64_SAFE):
-        got = _eval_folded(R, D, V, signs_t, N)
+    safe = 1.0 if rows == "object" else exactpoly.INT64_SAFE
+    with mock.patch.object(exactpoly, "INT64_SAFE", safe):
+        with mock.patch.object(mcmahon, "_merge", bound_checked(mcmahon._merge)):
+            got = _eval_folded(R, D, V, signs_t, N)
     want = naive_population_eval(P, signs_t, -1, N)
     assert [int(c) for c in got] == [want.get(e, 0) for e in range(N)]
     if rows == "object" and any(got):
@@ -497,6 +571,39 @@ def test_folded_series_matches_folded_dict_reference(corpus_braids, monkeypatch,
             want = folded_dict_series(several, signs.signs, N, k * N)
             assert folded_series_sum(several, signs.signs, N) == want, (name, N)
     assert bool(caplog.records) == (rows == "object")
+
+
+def test_folded_series_steps_leave_int64_where_sums_pass_2_63(corpus_braids, monkeypatch):
+    # C·2^40 takes the rows past 2^63 within a few steps: a carried bound
+    # that a step does not multiply by ℓ₁ lets int64 wrap
+    step_dtypes = []
+
+    def step(*args):
+        out = _folded_step(*args)
+        step_dtypes.append(out[-1].dtype)
+        return out
+
+    monkeypatch.setattr(mcmahon, "_folded_step", step)
+    for name, b in corpus_braids.items():
+        signs, C = _series_inputs(b)
+        big = C.scale(LaurentPoly.const(2**40))
+        for N in (2, 3):
+            want = folded_dict_series(big, signs.signs, N, len(signs.signs) * N)
+            assert folded_series_sum(big, signs.signs, N) == want, (name, N)
+    assert object in step_dtypes
+
+
+def test_folded_carried_bounds_bound_the_rows(corpus_braids, monkeypatch):
+    # several-term coefficients make ℓ₁ > 1; the binomials of `_eval_folded`
+    # precede its merges
+    monkeypatch.setattr(mcmahon, "_folded_step", bound_checked(_folded_step))
+    monkeypatch.setattr(mcmahon, "_merge", bound_checked(mcmahon._merge))
+    for b in corpus_braids.values():
+        signs, C = _series_inputs(b)
+        several = C.scale(LaurentPoly.const(2) - LaurentPoly.q_power(3))
+        for elem in (C, several):
+            for N in (3, 5, 8):
+                folded_series_sum(elem, signs.signs, N)
 
 
 def test_pairwise_dict_convolution_matches_polynomials():
