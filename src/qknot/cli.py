@@ -10,8 +10,9 @@ Subcommands
 Exit codes: 0 success, 1 usage or parse error, 2 math-domain error
 (non-knot closure, divergent series), 3 verification or equality failure,
 or a broken internal invariant ("internal error: …" on stderr).
-Every subcommand accepts --json, emitting one object with fields
-{input, result, engine, timings}.
+Every subcommand accepts --json. Each returns a `Report`, and `main` alone
+writes it to stdout: with --json the one object {input, result, engine,
+timings}, otherwise the report's text lines.
 """
 from __future__ import annotations
 
@@ -63,8 +64,9 @@ _CORPUS_FIELDS = {
 
 def load_corpus(path: str | None = None) -> list[CorpusEntry]:
     """Corpus entries from a JSON file, or the bundled corpus when path is None.
-    A malformed entry, such as a braid word that does not parse, raises
-    ValueError naming the entry and the field."""
+    A corpus with no entries raises ValueError, and so does a malformed
+    entry, such as a braid word that does not parse, naming the entry and
+    the field."""
     if path is None:
         text = resources.files("qknot").joinpath("corpus.json").read_text("utf-8")
     else:
@@ -73,6 +75,8 @@ def load_corpus(path: str | None = None) -> list[CorpusEntry]:
     raw = json.loads(text)
     if not isinstance(raw, list):
         raise ValueError("corpus must be a JSON array of entries")
+    if not raw:
+        raise ValueError("corpus has no entries")
     entries = []
     for index, item in enumerate(raw):
         if not isinstance(item, dict):
@@ -87,8 +91,11 @@ def load_corpus(path: str | None = None) -> list[CorpusEntry]:
             if not isinstance(value, types) or isinstance(value, bool):
                 raise ValueError(f"{where}: field {field!r} must be {' or '.join(t.__name__ for t in types)}")
         entry = CorpusEntry(**{field: item.get(field) for field in _CORPUS_FIELDS})
-        field = "alexander"
+        field = "strands"
         try:
+            if entry.strands < 1:
+                raise ValueError(f"strand count must be at least 1, have {entry.strands}")
+            field = "alexander"
             if entry.alexander is not None:
                 parse_univariate(entry.alexander, "z")
             field = "word"
@@ -97,6 +104,23 @@ def load_corpus(path: str | None = None) -> list[CorpusEntry]:
             raise ValueError(f"{where}: field {field!r}: {exc}") from None
         entries.append(entry)
     return entries
+
+
+@dataclass(frozen=True)
+class Report:
+    """A command's outcome: the fields of its --json object, the text lines
+    printed without --json, and the exit code."""
+
+    input: dict
+    result: object
+    engine: str
+    timings: dict
+    lines: list[str]
+    code: int = EXIT_OK
+
+
+class UsageError(Exception):
+    """A command input that cannot be used, reported with exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,126 +157,75 @@ def _n_range(text: str) -> list[int]:
     return values
 
 
-def _emit_json(input_obj: object, result: object, engine: str, timings: dict) -> None:
-    payload = {
-        "input": input_obj,
-        "result": result,
-        "engine": engine,
-        "timings": timings,
-    }
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-
-
-def _braid_input(b: BraidWord, extra: dict | None = None) -> dict:
-    obj: dict = {"word": b.to_text(), "strands": b.strands}
-    if extra:
-        obj.update(extra)
-    return obj
+def _braid_input(b: BraidWord, **extra) -> dict:
+    return {"word": b.to_text(), "strands": b.strands, **extra}
 
 
 def _fmt_complex(value: complex) -> str:
     return f"{value.real!r}{value.imag:+}j"
 
 
-def cmd_jones(args: argparse.Namespace) -> int:
+def _timed(f, *args, **kwargs) -> tuple[object, float]:
+    """f's value and the seconds it took."""
+    start = time.perf_counter()
+    value = f(*args, **kwargs)
+    return value, time.perf_counter() - start
+
+
+def cmd_jones(args: argparse.Namespace) -> Report:
     b = parse_braid(args.word, strands=args.strands)
     engines = ("mcmahon", "oracle") if args.engine == "both" else (args.engine,)
-    results: dict[str, object] = {}
-    timings: dict[str, float] = {}
+    route = {"mcmahon": colored_jones, "oracle": state_sum_jones}
+    polys, timings = {}, {}
     for engine in engines:
-        start = time.perf_counter()
-        if engine == "mcmahon":
-            poly = colored_jones(b, args.N)
-        else:
-            poly = state_sum_jones(b, args.N)
-        timings[engine] = time.perf_counter() - start
-        results[engine] = poly
-    strings = {name: format_univariate(p, "q") for name, p in results.items()}
+        polys[engine], timings[engine] = _timed(route[engine], b, args.N)
+    strings = {name: format_univariate(p, "q") for name, p in polys.items()}
+    input_obj = _braid_input(b, N=args.N)
     if args.engine != "both":
-        engine = engines[0]
-        if args.json:
-            _emit_json(_braid_input(b, {"N": args.N}), strings[engine], engine, timings)
-        else:
-            print(strings[engine])
-        return EXIT_OK
-    equal = results["mcmahon"] == results["oracle"]
-    verdict = "EQUAL" if equal else "MISMATCH"
-    if args.json:
-        _emit_json(
-            _braid_input(b, {"N": args.N}),
-            {"mcmahon": strings["mcmahon"], "oracle": strings["oracle"], "verdict": verdict},
-            "both",
-            timings,
-        )
-    else:
-        print(f"mcmahon: {strings['mcmahon']}")
-        print(f"oracle: {strings['oracle']}")
-        print(f"verdict: {verdict}")
-    return EXIT_OK if equal else EXIT_VERIFY
+        text = strings[args.engine]
+        return Report(input_obj, text, args.engine, timings, [text])
+    equal = polys["mcmahon"] == polys["oracle"]
+    result = {**strings, "verdict": "EQUAL" if equal else "MISMATCH"}
+    lines = [f"{name}: {text}" for name, text in result.items()]
+    return Report(input_obj, result, "both", timings, lines, EXIT_OK if equal else EXIT_VERIFY)
 
 
-def cmd_alexander(args: argparse.Namespace) -> int:
+def cmd_alexander(args: argparse.Namespace) -> Report:
     b = parse_braid(args.word, strands=args.strands)
-    start = time.perf_counter()
-    delta = alexander(b)
-    timings = {"total": time.perf_counter() - start}
+    delta, seconds = _timed(alexander, b)
     text = format_univariate(delta, "z")
-    if args.json:
-        _emit_json(_braid_input(b), text, "mcmahon", timings)
-    else:
-        print(text)
-    return EXIT_OK
+    return Report(_braid_input(b), text, "mcmahon", {"total": seconds}, [text])
 
 
-def cmd_kashaev(args: argparse.Namespace) -> int:
+def cmd_kashaev(args: argparse.Namespace) -> Report:
     b = parse_braid(args.word, strands=args.strands)
     mode = "float" if args.float_mode else "exact"
-    start = time.perf_counter()
-    value = kashaev_value(b, args.N, mode=mode)
-    timings = {"total": time.perf_counter() - start}
+    value, seconds = _timed(kashaev_value, b, args.N, mode=mode)
+    approx = value.approx
+    input_obj = _braid_input(b, N=args.N)
+    timings = {"total": seconds}
     if mode == "exact":
         text = format_univariate(value.exact.to_poly(), "q")
-        if args.json:
-            result = {
-                "exact": text,
-                "approx": [value.approx.real, value.approx.imag],
-                "abs": abs(value.approx),
-            }
-            _emit_json(_braid_input(b, {"N": args.N}), result, "mcmahon", timings)
-        else:
-            print(text)
-        return EXIT_OK
-    if args.json:
-        result = {"value": [value.approx.real, value.approx.imag], "abs": abs(value.approx)}
-        _emit_json(_braid_input(b, {"N": args.N}), result, "oracle", timings)
-    else:
-        print(f"value: {_fmt_complex(value.approx)}")
-        print(f"abs: {abs(value.approx)!r}")
-    return EXIT_OK
+        result = {"exact": text, "approx": [approx.real, approx.imag], "abs": abs(approx)}
+        return Report(input_obj, result, "mcmahon", timings, [text])
+    result = {"value": [approx.real, approx.imag], "abs": abs(approx)}
+    lines = [f"value: {_fmt_complex(approx)}", f"abs: {abs(approx)!r}"]
+    return Report(input_obj, result, "oracle", timings, lines)
 
 
-def cmd_volume(args: argparse.Namespace) -> int:
+def cmd_volume(args: argparse.Namespace) -> Report:
     b = parse_braid(args.word, strands=args.strands)
-    start = time.perf_counter()
-    rows = volume_sequence(b, args.N)
-    timings = {"total": time.perf_counter() - start}
-    if args.json:
-        result = [
-            {"N": N, "abs_value": mag, "rate": rate} for N, mag, rate in rows
-        ]
-        _emit_json(_braid_input(b, {"N": args.N}), result, "oracle", timings)
-    else:
-        print("N,abs_value,rate")
-        for N, mag, rate in rows:
-            print(f"{N},{mag!r},{'' if rate is None else repr(rate)}")
-    return EXIT_OK
+    rows, seconds = _timed(volume_sequence, b, args.N)
+    result = [{"N": N, "abs_value": mag, "rate": rate} for N, mag, rate in rows]
+    lines = ["N,abs_value,rate"]
+    lines += [f"{N},{mag!r},{'' if rate is None else repr(rate)}" for N, mag, rate in rows]
+    return Report(_braid_input(b, N=args.N), result, "oracle", {"total": seconds}, lines)
 
 
-def _verify_checks(entries: list[CorpusEntry]) -> tuple[list[tuple[str, str, bool, str]], dict[str, float]]:
-    """The checks, as (entry, check, pass, detail), and the seconds spent on
-    each kind of check, summed over the entries."""
-    checks: list[tuple[str, str, bool, str]] = []
+def _verify_checks(entries: list[CorpusEntry]) -> tuple[list[dict], dict[str, float]]:
+    """The checks, as {entry, check, pass, detail} objects, and the seconds
+    spent on each kind of check, summed over the entries."""
+    checks: list[dict] = []
     seconds: dict[str, float] = {}
     references = reference_volumes()
     clock = time.perf_counter()
@@ -263,7 +236,7 @@ def _verify_checks(entries: list[CorpusEntry]) -> tuple[list[tuple[str, str, boo
         now = time.perf_counter()
         seconds[check] = seconds.get(check, 0.0) + now - clock
         clock = now
-        checks.append((name, check, ok, detail))
+        checks.append({"entry": name, "check": check, "pass": ok, "detail": detail})
 
     for entry in entries:
         b = entry.braid()
@@ -320,34 +293,25 @@ def _verify_checks(entries: list[CorpusEntry]) -> tuple[list[tuple[str, str, boo
     return checks, seconds
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> Report:
     start = time.perf_counter()
     try:
         entries = load_corpus(args.corpus)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(exc) from None
     checks, seconds = _verify_checks(entries)
     timings = {"total": time.perf_counter() - start, **seconds}
-    passed = sum(1 for _, _, ok, _ in checks if ok)
-    if args.json:
-        result = {
-            "checks": [
-                {"entry": name, "check": check, "pass": ok, "detail": detail}
-                for name, check, ok, detail in checks
-            ],
-            "passed": passed,
-            "total": len(checks),
-        }
-        _emit_json({"corpus": args.corpus or "bundled"}, result, "verify", timings)
-    else:
-        width = max(len(name) for name, _, _, _ in checks)
-        for name, check, ok, detail in checks:
-            status = "PASS" if ok else "FAIL"
-            suffix = f"  ({detail})" if detail else ""
-            print(f"{status} {name:<{width}} {check}{suffix}")
-        print(f"passed {passed} of {len(checks)} checks")
-    return EXIT_OK if passed == len(checks) else EXIT_VERIFY
+    passed = sum(c["pass"] for c in checks)
+    result = {"checks": checks, "passed": passed, "total": len(checks)}
+    width = max(len(c["entry"]) for c in checks)
+    lines = [
+        f"{'PASS' if c['pass'] else 'FAIL'} {c['entry']:<{width}} {c['check']}"
+        + (f"  ({c['detail']})" if c["detail"] else "")
+        for c in checks
+    ]
+    lines.append(f"passed {passed} of {len(checks)} checks")
+    code = EXIT_OK if passed == len(checks) else EXIT_VERIFY
+    return Report({"corpus": args.corpus or "bundled"}, result, "verify", timings, lines, code)
 
 
 def build_parser() -> _Parser:
@@ -412,8 +376,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
-    except BraidParseError as exc:
+        report = args.func(args)
+    except (BraidParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, RuntimeError) as exc:
@@ -423,6 +387,14 @@ def main(argv: list[str] | None = None) -> int:
         # a broken internal invariant: no result of this run can be trusted
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    if args.json:
+        fields = ("input", "result", "engine", "timings")
+        json.dump({f: getattr(report, f) for f in fields}, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+    else:
+        for line in report.lines:
+            print(line)
+    return report.code
 
 
 if __name__ == "__main__":

@@ -225,14 +225,15 @@ def _groups(cols, sizes, n: int):
     adjacent, and the first position of each run of equal keys.  Columns are
     packed by their ranges into as few int64 words as hold them, so the sort
     usually runs on one word.  `cols` may be a generator, so that no
-    n×len(cols) array is built."""
+    n×len(cols) array is built.  The columns are never written: a word
+    starts as its first column itself, and each packed word is a new array."""
     words, span = [], 2**62
     for c, size in zip(cols, map(int, sizes)):
         if span * size >= 2**62:
-            words.append(c.copy())
+            words.append(c)
             span = size
         else:
-            words[-1] += c * span
+            words[-1] = words[-1] + c * span
             span *= size
     if not words:
         return np.arange(n), np.arange(min(n, 1))

@@ -9,7 +9,7 @@ import pytest
 from qknot.braid import parse_braid
 from qknot.cli import load_corpus, main
 from qknot.exactpoly import parse_univariate
-from qknot.kashaev import volume_sequence
+from qknot.kashaev import kashaev_value, volume_sequence
 from qknot.mcmahon import alexander, colored_jones
 
 
@@ -60,6 +60,25 @@ def test_jones_json_dual_engine_shape():
     assert set(obj["timings"]) == {"mcmahon", "oracle"}
 
 
+def test_jones_json_single_oracle_engine():
+    code, out, _ = run(["jones", "--word", "1 1 1", "-N", "2", "--engine", "oracle", "--json"])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["engine"] == "oracle"
+    assert set(obj["timings"]) == {"oracle"}
+    assert obj["result"] == "q + q^3 - q^4"
+
+
+def test_alexander_json_shape():
+    code, out, _ = run(["alexander", "--word", "1 -2 1 -2", "--json"])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["input"] == {"word": "1 -2 1 -2", "strands": 3}
+    assert obj["result"] == "-z^-1 + 3 - z"
+    assert obj["engine"] == "mcmahon"
+    assert set(obj["timings"]) == {"total"}
+
+
 def test_alexander_output_roundtrip():
     code, out, _ = run(["alexander", "--word", "1 -2 1 -2"])
     assert code == 0
@@ -80,6 +99,30 @@ def test_kashaev_float_output():
     assert lines[0].startswith("value: ")
     assert lines[1].startswith("abs: ")
     assert float(lines[1].split()[1]) == pytest.approx(math.sqrt(31), rel=1e-9)
+
+
+def test_kashaev_json_carries_the_library_value():
+    code, out, _ = run(["kashaev", "--word", "1 -2 1 -2", "-N", "7", "--json"])
+    assert code == 0
+    obj = json.loads(out)
+    want = kashaev_value(parse_braid("1 -2 1 -2"), 7)
+    assert obj["input"] == {"word": "1 -2 1 -2", "strands": 3, "N": 7}
+    assert obj["engine"] == "mcmahon"
+    assert set(obj["timings"]) == {"total"}
+    assert set(obj["result"]) == {"exact", "approx", "abs"}
+    assert obj["result"]["exact"] == "100 - 14*q^2 - 25*q^3 - 25*q^4 - 14*q^5"
+    assert obj["result"]["approx"] == [want.approx.real, want.approx.imag]
+    assert obj["result"]["abs"] == abs(want.approx)
+
+
+def test_kashaev_float_json_carries_the_library_value():
+    code, out, _ = run(["kashaev", "--word", "1 -2 1 -2", "-N", "7", "--float", "--json"])
+    assert code == 0
+    obj = json.loads(out)
+    want = kashaev_value(parse_braid("1 -2 1 -2"), 7, mode="float").approx
+    assert obj["engine"] == "oracle"
+    assert set(obj["timings"]) == {"total"}
+    assert obj["result"] == {"value": [want.real, want.imag], "abs": abs(want)}
 
 
 def test_one_strand_unknot_prints_one_on_every_route():
@@ -231,6 +274,25 @@ def test_verify_reads_alternate_corpus(tmp_path):
     assert "trefoil" in out
 
 
+def test_verify_prints_a_failing_check_and_exits_3(tmp_path):
+    path = tmp_path / "wrong.json"
+    path.write_text(json.dumps([{"name": "trefoil", "strands": 2, "word": "1 1 1", "alexander": "z^-1 + 1 + z"}]))
+    code, out, err = run(["verify", "--corpus", str(path)])
+    assert (code, err) == (3, "")
+    lines = out.splitlines()
+    assert "FAIL trefoil alexander  (expected 'z^-1 + 1 + z', got 'z^-1 - 1 + z')" in lines
+    assert lines[-1] == "passed 3 of 4 checks"
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_verify_refuses_an_empty_corpus(tmp_path, json_flag):
+    path = tmp_path / "empty.json"
+    path.write_text("[]")
+    code, out, err = run(["verify", "--corpus", str(path), *json_flag])
+    assert (code, out) == (2, "")
+    assert err == "error: corpus has no entries\n"
+
+
 @pytest.mark.parametrize(
     "entry,field",
     [
@@ -239,6 +301,8 @@ def test_verify_reads_alternate_corpus(tmp_path):
         ({"name": "figure_eight", "strands": 3, "word": "1 -2 1 -2", "volume": "2.03"}, "volume"),
         ({"name": "trefoil", "word": "1 1 1"}, "strands"),
         ({"name": "x", "strands": 2, "word": "5"}, "word"),
+        ({"name": "x", "strands": 0, "word": ""}, "strands"),
+        ({"name": "x", "strands": -3, "word": "1"}, "strands"),
     ],
 )
 def test_malformed_corpus_entry_exits_2_naming_entry_and_field(tmp_path, entry, field):

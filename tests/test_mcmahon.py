@@ -244,13 +244,18 @@ def wide_key_columns(draw):
 
 
 @given(wide_key_columns())
+@example(([3, 4, 5], [(1, 2, 0), (0, 3, 4), (1, 2, 0)]))  # one word
+@example(([2**40, 3, 2**40], [(1, 2, 5), (7, 0, 5), (1, 2, 5)]))  # two words
 @settings(max_examples=80)
 def test_groups_on_several_words_match_dict_grouping(columns):
     sizes, rows = columns
     cols = [np.array([row[i] for row in rows], dtype=np.int64) for i in range(len(sizes))]
+    before = [c.copy() for c in cols]
     order, starts = _groups(iter(cols), sizes, len(rows))
     assert sorted(order.tolist()) == list(range(len(rows)))
     assert key_groups(order, starts, len(rows)) == dict_key_groups(rows)
+    # the columns are read, never written, whether they pack into one word or several
+    assert all(np.array_equal(c, b) for c, b in zip(cols, before))
 
 
 @st.composite
