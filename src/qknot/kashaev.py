@@ -14,7 +14,9 @@ the Lobachevsky/dilogarithm functions.
 """
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,6 +34,8 @@ from .exactpoly import (
 from .mcmahon import braid_c_sum, fermionic_terms, folded_series_sum
 from .qweyl import AlgebraElement, StrandSigns
 from .verma_oracle import numeric_state_sum
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -132,13 +136,16 @@ def volume_sequence(
     b: BraidWord, N_values: list[int]
 ) -> list[tuple[int, float, float | None]]:
     """(N, |⟨K⟩_N|, 2π·ln|⟨K⟩_N|/N) by the float path for each requested N, in
-    request order; an exactly zero magnitude yields rate None."""
+    request order; an exactly zero magnitude yields rate None.  Logs one
+    DEBUG record per N, with its seconds, as each order finishes."""
     if any(N < 2 for N in N_values):
         raise ValueError("all N must be ≥ 2")
     rows = []
     for N in N_values:
+        start = time.perf_counter()
         mag = abs(numeric_state_sum(b, N))
         rows.append((N, mag, 2 * math.pi * math.log(mag) / N if mag > 0 else None))
+        _log.debug("volume N = %d: |<K>_N| = %.6g in %.3f s", N, mag, time.perf_counter() - start)
     return rows
 
 

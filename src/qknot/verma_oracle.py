@@ -112,14 +112,16 @@ def _last_touch(b: BraidWord) -> tuple[list[tuple[int, int]], list[int]]:
     return steps, last
 
 
-# Largest count of expanded entries (live state × l) that one braiding step
-# of the state sum holds at once, counted in float entries; batches of
-# initial states grow only while they stay under it.
+# Largest count of entries (live state, l) that one braiding step of the
+# float state sum builds at once; batches of initial states grow only while
+# they stay under it.  A step that closes a factor builds at most one entry
+# per live state (see `_step_entries`).
 _ENTRY_BUDGET = 4096
 
-# The exact ring counts its budget in row cells (entries × the width of their
-# rows), this many per float entry.  A step holds about six arrays of that
-# size, so the default budget keeps its int64 temporaries near 12 MB.
+# The exact ring counts its budget in row cells (the pairs (live state, l) a
+# step considers × the width of their rows), this many per float entry.  A
+# step holds about six arrays of that size, so the default budget keeps its
+# int64 temporaries near 12 MB.
 _CELLS_PER_ENTRY = 64
 
 # The exact sum refuses an input whose tables, or whose rows for a single
@@ -193,8 +195,9 @@ class _NumericTables:
         return N**b.strands
 
     @staticmethod
-    def cells(val: Split, entries: int) -> int:
-        return entries
+    def cells(val: Split, pairs: int, built: int) -> int:
+        """A step's size: the entries it builds."""
+        return built
 
     def _prefix(self, start: int, step: int) -> list[complex]:
         out = [1 + 0j]
@@ -315,8 +318,13 @@ class _ExactRows:
         return N**b.strands * (len(b.word) * (5 * (N - 1) ** 2 // 4) + 1)
 
     @staticmethod
-    def cells(val: Rows, entries: int) -> int:
-        return entries * val[0].shape[1]
+    def cells(val: Rows, pairs: int, built: int) -> int:
+        """A step's size: the pairs (live state, l) it considers, built or
+        not, times the batch's window.  Charged by built entries, batches grow
+        until their shared window slows every `_conv` more than the fewer
+        calls save: the figure-eight at N = 20 took 12 batches and 1.04 s,
+        against 79 batches and 0.75 s (2-CPU Xeon, one run each)."""
+        return pairs * val[0].shape[1]
 
     def phases(self, quarter_units: np.ndarray) -> Rows:
         """The monomials q^{u/4} as rows."""
@@ -409,18 +417,41 @@ def _sum_by_group(group: np.ndarray, values: np.ndarray, count: int, zero) -> np
     return out
 
 
+def _step_entries(n1, n2, eps: int, N: int, close_lo, close_hi) -> tuple:
+    """(pairs (state, l) considered, source state of each entry, its l) for
+    one braiding step at factors (i−1, i) on live states holding n1 and n2
+    there, in state order and then in order of l = 0..lmax.  The new digits
+    are n2 + εl and n1 − εl, so a factor that no later step changes fixes l:
+    close_lo (close_hi) holds per state the initial digit that factor i−1
+    (i) must return to, or is None.  Then only the entry of that l is built,
+    when it lies in 0..lmax and both closed factors agree on it."""
+    reps = 1 + (np.minimum(n1, N - 1 - n2) if eps == 1 else np.minimum(n2, N - 1 - n1))
+    pairs = int(reps.sum())
+    if close_lo is None and close_hi is None:
+        src = np.repeat(np.arange(len(reps)), reps)
+        return pairs, src, np.arange(pairs) - np.repeat(np.cumsum(reps) - reps, reps)
+    l = eps * (close_lo - n2) if close_lo is not None else eps * (n1 - close_hi)
+    ok = (l >= 0) & (l < reps)
+    if close_lo is not None and close_hi is not None:
+        ok &= eps * (n1 - close_hi) == l
+    src = np.flatnonzero(ok)
+    return pairs, src, l[src]
+
+
 def _state_sum(b: BraidWord, N: int, ring) -> tuple:
     """The state sum before the writhe phase, in the coefficient ring whose
     tables `ring(N)` builds: (tables, total).
 
     Initial states run in batches; the live entries of a batch are flat
     arrays of initial state and base-N state code, and the ring's values.
-    Each step expands every live state over l, drops the entries that leave
-    a factor no later step changes off its initial value, and merges equal
-    (initial state, code) keys with the ring's `merge`.  A batch starts as
-    large as the ring's budget allows for its per-state prediction
-    (`state_cells`), and doubles or halves with the peak it measured: float
-    entries, or int row cells (entries × row width) for the exact ring.
+    Each step expands every live state over l (`_step_entries`): a step that
+    changes a factor for the last time builds only the entry whose l returns
+    that factor to its initial digit.  It then merges equal (initial state,
+    code) keys with the ring's `merge`.  A batch starts as large as the
+    ring's budget allows for its per-state prediction (`state_cells`), and
+    doubles or halves with the peak step size it measured (`cells`): the
+    entries built for the float ring, or int row cells (pairs considered ×
+    row width) for the exact ring.
 
     The float ring sums in a fixed order (see `_NumericTables.merge` and
     `collect`), so its result is independent of the batch sizes.  The exact
@@ -454,19 +485,13 @@ def _state_sum(b: BraidWord, N: int, ring) -> tuple:
         for t, (i, eps) in enumerate(steps):
             lo, hi = place[i - 1], place[i]
             n1, n2 = (code // lo) % N, (code // hi) % N
-            reps = 1 + (np.minimum(n1, N - 1 - n2) if eps == 1 else np.minimum(n2, N - 1 - n1))
-            src = np.repeat(np.arange(len(code)), reps)
-            l = np.arange(len(src)) - np.repeat(np.cumsum(reps) - reps, reps)
-            peak = max(peak, tables.cells(val, len(src)))
+            close = [digits[p][seg] if last[p] == t else None for p in (i - 1, i)]
+            pairs, src, l = _step_entries(n1, n2, eps, N, *close)
+            peak = max(peak, tables.cells(val, pairs, len(src)))
             n1, n2 = n1[src], n2[src]
             shift = l if eps == 1 else -l
             code = code[src] + (n2 + shift - n1) * lo + (n1 - shift - n2) * hi
             seg = seg[src]
-            keep = np.ones(len(code), dtype=bool)
-            for p in range(m):
-                if last[p] == t:
-                    keep &= (code // place[p]) % N == digits[p][seg]
-            src, n1, n2, l, code, seg = (a[keep] for a in (src, n1, n2, l, code, seg))
             first, val = tables.merge(val, src, eps, n1, n2, l, seg * place[m] + code)
             code, seg = code[first], seg[first]
         hit = np.flatnonzero(code == full0[seg])
@@ -500,12 +525,19 @@ def numeric_state_sum(b: BraidWord, N: int) -> complex:
     """The state sum with coefficients at q = exp(2πi/N): the order-N Kashaev
     value of the closure.  With cmath replaced by a stand-in whose exp
     returns mpmath numbers (as perfbench/make_refs.py does for 60-digit
-    references), the same kernel runs on object arrays at that precision."""
+    references), the same kernel runs on object arrays at that precision.
+
+    Entries that overflow stay inside the sum (no RuntimeWarning); a value
+    that is not finite is refused with ValueError naming N."""
     if N < 1:
         raise ValueError("N must be a positive integer")
     if not closure_is_knot(b):
         raise ValueError("closure is not a knot")
-    tables, total = _state_sum(b, N, _NumericTables)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables, total = _state_sum(b, N, _NumericTables)
     phase = tables.phase(b.writhe * (N * N - 1))
     # complex, or the stand-in's complex type under a high-precision cmath
-    return phase * type(phase)(*total)
+    value = phase * type(phase)(*total)
+    if not (abs(value.real) < np.inf and abs(value.imag) < np.inf):
+        raise ValueError(f"the float state sum at N = {N} overflowed to {value}")
+    return value

@@ -6,6 +6,7 @@ from hypothesis import settings
 
 from qknot.braid import parse_braid
 from qknot.cli import load_corpus
+from qknot.verma_oracle import _NumericTables
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -41,6 +42,15 @@ def benchmark_rotations():
         letters = word.split()
         out += [" ".join(letters[r:] + letters[:r]) for r in range(len(letters))]
     return out
+
+
+@pytest.fixture
+def overflowing_float_sum(monkeypatch):
+    """Scale every float braiding coefficient by 1e300, so that the float
+    state sum of a braid of a few crossings overflows at small N."""
+    coeff = _NumericTables.coeff
+    monkeypatch.setattr(_NumericTables, "coeff",
+                        lambda self, *args: tuple(1e300 * part for part in coeff(self, *args)))
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,9 @@
   tables of `verma_oracle._ExactRows`, the ring that `state_sum_jones` runs,
   with `braid_relation_holds` and `braiding_inverse_holds` checking it on the
   truncated tensor powers.
+* `expand_then_filter`: one braiding step of the state sum built by
+  expanding every live state over l and then filtering on the closed
+  factors, the reference for `verma_oracle._step_entries`.
 """
 from itertools import product
 
@@ -151,3 +154,28 @@ def braiding_inverse_holds(N: int) -> bool:
         if _apply(minus, _apply(plus, {state: LaurentPoly.one()}, 0), 0) != {state: LaurentPoly.one()}:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# one braiding step of the state sum, expanded and then filtered
+# ---------------------------------------------------------------------------
+
+
+def expand_then_filter(n1, n2, eps: int, N: int, close_lo, close_hi):
+    """(pairs (state, l) considered, source state of each kept entry, its l)
+    for live states holding n1, n2 at factors (i−1, i): every state is
+    expanded over l = 0..lmax, and an entry is kept when each closed factor
+    holds its initial digit again (close_lo[s] at i−1, close_hi[s] at i)."""
+    pairs, src, ls = 0, [], []
+    for s, (a, b) in enumerate(zip(n1.tolist(), n2.tolist())):
+        lmax = min(a, N - 1 - b) if eps == 1 else min(b, N - 1 - a)
+        pairs += lmax + 1
+        for l in range(lmax + 1):
+            lo, hi = (b + l, a - l) if eps == 1 else (b - l, a + l)
+            if close_lo is not None and lo != close_lo[s]:
+                continue
+            if close_hi is not None and hi != close_hi[s]:
+                continue
+            src.append(s)
+            ls.append(l)
+    return pairs, src, ls

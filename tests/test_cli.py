@@ -1,5 +1,6 @@
 import io
 import json
+import logging
 import math
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict
@@ -167,6 +168,26 @@ def test_volume_json_rows():
     assert row["N"] == 5
     assert row["abs_value"] == want[1]
     assert row["rate"] == want[2]
+
+
+def test_volume_logs_progress_without_changing_stdout(caplog):
+    argv = ["volume", "--word", "1 -2 1 -2", "--N", "5,3"]
+    quiet = run(argv)
+    with caplog.at_level(logging.DEBUG, logger="qknot.kashaev"):
+        loud = run(argv)
+    assert loud == quiet
+    assert [rec.args[0] for rec in caplog.records if rec.name == "qknot.kashaev"] == [5, 3]
+
+
+@pytest.mark.parametrize("argv", [
+    ["volume", "--word", "1 1 1", "--N", "4,5"],
+    ["volume", "--word", "1 1 1", "--N", "4", "--json"],
+    ["kashaev", "--word", "1 1 1", "-N", "4", "--float"],
+])
+def test_float_value_that_is_not_finite_exits_2(overflowing_float_sum, argv):
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the float state sum at N = 4 ")
 
 
 def test_volume_rejects_the_removed_workers_flag():

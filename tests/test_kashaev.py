@@ -1,4 +1,5 @@
 import cmath
+import logging
 import math
 
 import pytest
@@ -151,6 +152,18 @@ def test_volume_sequence_rows_and_rate_formula():
     for N, abs_value, rate in rows:
         assert abs_value > 0
         assert rate == pytest.approx(2 * math.pi * math.log(abs_value) / N, rel=1e-12)
+
+
+def test_volume_sequence_logs_each_order_with_its_seconds(caplog):
+    fig8 = parse_braid("1 -2 1 -2")
+    with caplog.at_level(logging.DEBUG, logger="qknot.kashaev"):
+        rows = volume_sequence(fig8, [9, 5, 7])
+    records = [rec for rec in caplog.records if rec.name == "qknot.kashaev"]
+    assert len(records) == len(rows)
+    for rec, (N, mag, _) in zip(records, rows):
+        assert rec.levelno == logging.DEBUG
+        assert rec.args[:2] == (N, mag) and rec.args[2] >= 0
+        assert rec.getMessage().startswith(f"volume N = {N}: ") and rec.getMessage().endswith(" s")
 
 
 def test_volume_sequence_follows_request_order():

@@ -17,7 +17,7 @@ from qknot.mcmahon import colored_jones
 from qknot.qweyl import AlgebraElement, NormalMonomial, StrandSigns, normal_order_product
 from qknot.verma_oracle import apply_braiding, braiding_coeff, numeric_state_sum, state_sum_jones
 
-from oracles import braid_relation_holds, braiding_inverse_holds, table_coefficients
+from oracles import braid_relation_holds, braiding_inverse_holds, expand_then_filter, table_coefficients
 
 
 def test_braiding_identity_coefficient_is_pure_half_power():
@@ -210,15 +210,52 @@ def _bits(z: complex) -> tuple[str, str]:
     return z.real.hex(), z.imag.hex()
 
 
-@pytest.mark.parametrize("budget", [1, verma_oracle._ENTRY_BUDGET])
+@pytest.mark.parametrize("budget", [1, verma_oracle._ENTRY_BUDGET, 8**5])
 def test_float_state_sum_matches_dict_walk_bit_for_bit(corpus_braids, monkeypatch, budget):
-    # budget 1 keeps one initial state per batch; the default packs many
+    # budget 1 keeps one initial state per batch; the default packs many; 8^5
+    # starts each case with all N^(m−1) initial states, budget // N^m of them
+    # (m ≤ 3 at N ≤ 8, and m = 4 at N = 4), so each sum runs in one batch
     monkeypatch.setattr(verma_oracle, "_ENTRY_BUDGET", budget)
+    batches = []  # initial states per batch: `phases` runs once per batch
+    phases = verma_oracle._NumericTables.phases
+
+    def counted(self, units):
+        batches.append(len(units))
+        return phases(self, units)
+
+    monkeypatch.setattr(verma_oracle._NumericTables, "phases", counted)
     cases = [(b, N) for b in corpus_braids.values() for N in (1, 2, 3, 5, 8)]
     cases.append((parse_braid("1 1 2 -1 -3 2 -3"), 4))
+    cases = [(b, N) for b, N in cases if closure_is_knot(b)]
     for b, N in cases:
-        if closure_is_knot(b):
-            assert _bits(numeric_state_sum(b, N)) == _bits(_dict_walk_state_sum(b, N)), (b, N)
+        assert _bits(numeric_state_sum(b, N)) == _bits(_dict_walk_state_sum(b, N)), (b, N)
+    if budget == 8**5:
+        assert batches == [N ** (b.strands - 1) for b, N in cases]
+
+
+def test_closing_step_builds_the_entries_expand_then_filter_keeps(corpus_braids, monkeypatch):
+    # the entries each step hands to merge, in number and order, for both rings;
+    # the rotations of 6_1 close factors 0 and 1 together while factor 2 or 3
+    # is still open, so the two closing digits can ask for different l
+    step_entries = verma_oracle._step_entries
+    kinds = set()
+
+    def checked(n1, n2, eps, N, close_lo, close_hi):
+        pairs, src, l = step_entries(n1, n2, eps, N, close_lo, close_hi)
+        want = expand_then_filter(n1, n2, eps, N, close_lo, close_hi)
+        assert (pairs, src.tolist(), l.tolist()) == want, (eps, N, close_lo, close_hi)
+        kinds.add((close_lo is not None, close_hi is not None))
+        return pairs, src, l
+
+    monkeypatch.setattr(verma_oracle, "_step_entries", checked)
+    letters = "1 1 2 -1 -3 2 -3".split()
+    rotations = [parse_braid(" ".join(letters[r:] + letters[:r])) for r in range(len(letters))]
+    cases = [(b, N) for b in corpus_braids.values() for N in range(1, 7)]
+    cases += [(b, N) for b in rotations for N in range(1, 5)]
+    for b, N in cases:
+        numeric_state_sum(b, N)
+        state_sum_jones(b, N)
+    assert kinds == {(False, False), (True, False), (False, True), (True, True)}
 
 
 def test_float_state_sum_rejects_oversized_code_space():
@@ -235,9 +272,20 @@ FLOAT_STATE_SUM_BITS = [
     ("1 2 -1 2 1 1", 15, "0x1.0a7f900977427p+15", "0x1.f68c2b78017f0p+10"),
     ("1 1 1 1 1", 25, "-0x1.5c29d23ffa429p+4", "0x1.58621c8389a90p+3"),
     ("1 1 2 -1 -3 2 -3", 6, "-0x1.73ffffffffbb0p+6", "0x1.5a6900584f1f1p+6"),
+    # recorded from the batched kernel before its closing steps built only
+    # the kept entries, which lets these sums run in fewer, larger batches
+    ("1 -2 1 -2", 60, "0x1.5bfb98cb8c15fp+36", "-0x1.893cfbdf6a384p+12"),
+    ("1 -2 1 -2", 100, "0x1.35b7925dc7117p+56", "-0x1.b751aa512363ep+54"),
+    ("1 2 -1 2 1 1", 30, "0x1.e67037e0b2821p+25", "-0x1.7991bbb7f6a26p+25"),
 ]
 
 
 @pytest.mark.parametrize("word,N,real,imag", FLOAT_STATE_SUM_BITS)
 def test_float_state_sum_is_pinned_bit_for_bit(word, N, real, imag):
     assert _bits(numeric_state_sum(parse_braid(word), N)) == (real, imag)
+
+
+def test_float_state_sum_refuses_a_value_that_is_not_finite(overflowing_float_sum):
+    # the RuntimeWarnings stay inside the sum (warnings are errors here)
+    with pytest.raises(ValueError, match="N = 5"):
+        numeric_state_sum(parse_braid("1 1 1"), 5)
