@@ -1,4 +1,5 @@
-"""Braid words: parsing, writhe and permutation, knot-closure test, Markov moves.
+"""Braid words: parsing, writhe and permutation, knot-closure test, cyclic
+rotations, Markov moves.
 
 A braid on m strands is a sequence of signed Artin generators; the closure
 ties top to bottom strand-wise and yields a knot exactly when the induced
@@ -110,6 +111,18 @@ def closure_is_knot(b: BraidWord) -> bool:
     if is_knot and (b.writhe - b.strands + 1) % 2:
         raise AssertionError("writhe parity differs from strands − 1 on a knot closure")
     return is_knot
+
+
+def cyclic_rotations(b: BraidWord) -> list[BraidWord]:
+    """The distinct cyclic rotations of b's word, b first, then in the order
+    of the letter each starts at.  A rotation is a conjugate of b, so every
+    one has b's closure, writhe and strand count."""
+    out = [b]
+    for r in range(1, b.length):
+        w = BraidWord(b.strands, b.word[r:] + b.word[:r])
+        if w not in out:
+            out.append(w)
+    return out
 
 
 def _free_reduce(word: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:

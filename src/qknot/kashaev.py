@@ -5,10 +5,16 @@ of integer Laurent polynomials whose n-th term is divisible by
 (1−q)(1−q²)⋯(1−q^{⌊n/k⌋}); it therefore evaluates at every root of unity,
 where only finitely many terms survive.  With the writhe prefactor
 q^{(m−w−1)/2}, the value at q = exp(2πi/N) is the order-N Kashaev invariant
-of the closure.  C comes from the per-braid cache `mcmahon.braid_c_sum`,
-shared with the colored Jones route and every order N.  A complex
-floating-point state sum provides the production path for growth-rate
-sequences 2π·ln|⟨K⟩_N|/N, whose conjectured limit is the hyperbolic volume;
+of the closure.  Cyclic rotations of a braid word are conjugate braids with
+the same closure, writhe and strand count, so the exact value may sum the
+series on any of them, and the work differs by orders of magnitude between
+them: `mcmahon.rotated_series_sum` sums it on the rotation whose C has the
+fewest monomials, as long as reading the rotations' C costs less than the
+series.  C comes from the per-braid cache `mcmahon.braid_c_sum`, shared with
+the colored Jones route and every order N.  `kashaev_series` keeps the
+given word, as its terms t_n are not invariants.  A complex floating-point
+state sum provides the production path for growth-rate sequences
+2π·ln|⟨K⟩_N|/N, whose conjectured limit is the hyperbolic volume;
 independent volume references come from ideal triangulations evaluated with
 the Lobachevsky/dilogarithm functions.
 """
@@ -31,7 +37,7 @@ from .exactpoly import (
     cyclotomic_reduce,
     embed_complex,
 )
-from .mcmahon import braid_c_sum, fermionic_terms, folded_series_sum
+from .mcmahon import braid_c_sum, fermionic_terms, rotated_series_sum
 from .qweyl import AlgebraElement, StrandSigns
 from .verma_oracle import numeric_state_sum
 
@@ -98,8 +104,13 @@ def kashaev_value(b: BraidWord, N: int, mode: str = "exact") -> KashaevValue:
 
     exact: sum the z = q^{-1} series in ℤ[q]/(q^N − 1), where states with
     some d_j ≥ N vanish and are pruned, so the sum is finite; apply
-    q^{(m−w−1)/2} and reduce mod Φ_N.
-    float: evaluate the R-matrix state sum at q = exp(2πi/N).
+    q^{(m−w−1)/2} and reduce mod Φ_N.  The series runs on b or on a
+    cyclic rotation of b with fewer C-monomials, as `rotated_series_sum`
+    decides; a rotation is a conjugate of b with b's writhe and strand
+    count, so the value is the same on every rotation.  Logs one DEBUG
+    record naming the word summed on, how many rotation classes had their C
+    read, and the C-monomials of b and of that word.
+    float: evaluate the R-matrix state sum at q = exp(2πi/N) on b itself.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
@@ -109,8 +120,11 @@ def kashaev_value(b: BraidWord, N: int, mode: str = "exact") -> KashaevValue:
         return KashaevValue(N, None, numeric_state_sum(b, N))
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    signs, C = _series_inputs(b)
-    total = folded_series_sum(C, signs.signs, N)
+    total, word, read, classes = rotated_series_sum(b, N)
+    _log.debug("kashaev N = %d: series on %r of %r after reading C of %d of its %d rotation "
+               "classes; C-monomials %d of the given word, %d of the word summed on",
+               N, word.to_text(), b.to_text(), read, classes,
+               len(braid_c_sum(b).terms), len(braid_c_sum(word).terms))
     poly = _poly_from_whole_powers(dict(enumerate(total)))
     poly = poly.shift(Q_UNIT * _prefactor_exponent(b))
     exact = cyclotomic_reduce(poly, N)

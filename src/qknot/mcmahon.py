@@ -12,7 +12,10 @@ Alexander polynomial.
 `braid_setup` and `braid_c_sum` build them once per braid word (the last 256
 are kept), and their `cache_clear()` empties them.  `rho` and `c_sum` stay
 uncached, as `perfbench`'s tracer wraps them and would hide a cache there.
-Nothing may mutate what the caches return.
+Nothing may mutate what the caches return.  `rotated_series_sum` sums the
+folded series on the cyclic rotation of a braid word whose C has the fewest
+monomials, reading C of one rotation per class of rotations with the same C
+(`_rotation_classes`), and only while the series would have cost as much.
 
 The fermionic series runs on numpy int64 rows: at generic q on windows of
 whole powers of q (`fermionic_terms`), and for the root-of-unity sum of the
@@ -29,13 +32,14 @@ from __future__ import annotations
 import logging
 from functools import lru_cache
 from itertools import combinations, permutations
+from time import perf_counter
 from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import exactpoly
-from .braid import BraidWord, closure_is_knot
+from .braid import BraidWord, closure_is_knot, cyclic_rotations
 from .deformed_burau import QuantumMatrix, classical_specialization, rho, rho_prime
 from .exactpoly import (
     LaurentPoly,
@@ -504,6 +508,13 @@ def folded_series_sum(C: AlgebraElement, signs_t: tuple[int, ...], N: int) -> li
     n = k·N; the sum stops there in any case.  E is linear, so the
     populations of every n are summed first and the sum is evaluated once.
     """
+    *_, total = _folded_steps(C, signs_t, N)
+    return total
+
+
+def _folded_steps(C: AlgebraElement, signs_t: tuple[int, ...], N: int) -> Iterator[list[int] | None]:
+    """`folded_series_sum` one kernel step at a time: None after each step,
+    then the sum."""
     k = len(signs_t)
     mono = _mono_arrays(C, signs_t)
     R = D = np.zeros((1, k), dtype=np.int64)
@@ -518,10 +529,11 @@ def folded_series_sum(C: AlgebraElement, signs_t: tuple[int, ...], N: int) -> li
         if sum(len(p[3]) for p in pending) > len(acc[3]):
             acc = _merge(*(np.concatenate(part) for part in zip(acc, *pending)), N)
             pending = []
+        yield None
     if pending:
         acc = _merge(*(np.concatenate(part) for part in zip(acc, *pending)), N)
     R, D, _, V = acc
-    return [int(c) for c in _eval_folded(R, D, V, signs_t, N)]
+    yield [int(c) for c in _eval_folded(R, D, V, signs_t, N)]
 
 
 def _bosonic_series(Mq: QuantumMatrix, signs: StrandSigns, N: int) -> QDict:
@@ -601,6 +613,67 @@ def braid_setup(b: BraidWord) -> tuple[QuantumMatrix, QuantumMatrix]:
 def braid_c_sum(b: BraidWord) -> AlgebraElement:
     """C = `c_sum`(q·ρ′(γ)) of braid b."""
     return c_sum(braid_setup(b)[1])
+
+
+def _rotation_classes(b: BraidWord) -> list[BraidWord]:
+    """b, then one rotation from each other class of b's rotations whose C
+    are the same up to relabelling the crossings.
+
+    Moving a letter σ_i^{±1} with i ≥ 2 from the front of a word to its back
+    keeps C so: the letter's block X fixes strand 1, so ρ′ is X·M before the
+    move and M·X after it, and X's entries commute with M's (a test checks
+    the equality on random words).  So a class runs from one rotation that
+    ends in σ_1^{±1} to the next, and that rotation stands for it.
+    """
+    ones = [s for s, (i, _) in enumerate(b.word) if i == 1]
+    if not ones:
+        return [b]
+    # the rotation after b's last σ_1^{±1} stands for b's own class
+    own = BraidWord(b.strands, b.word[ones[-1] + 1:] + b.word[: ones[-1] + 1])
+    return [b] + [w for w in cyclic_rotations(b)[1:] if w.word[-1][0] == 1 and w != own]
+
+
+def rotated_series_sum(b: BraidWord, N: int) -> tuple[list[int], BraidWord, int, int]:
+    """(`folded_series_sum` of b at N, the word it was summed on, how many of
+    b's rotation classes had their C read, how many there are).
+
+    A rotation is a conjugate of b, so its closure, writhe and strand count
+    are b's, and its folded series gives b's value mod Φ_N.  The kernel's
+    rows differ by orders of magnitude between rotations, and the number of
+    C's monomials ranks them at every N.  Reading C of one rotation per
+    class (`_rotation_classes`) can cost more than b's own series at small
+    N, so the choice is a ski rental: the classes' C are read one at a time,
+    and after each, the series on the word with the fewest monomials so far
+    (b unless another has strictly fewer) steps until the time it has run
+    catches up with the time spent reading.  The sum is that series once it
+    ends; if every class is read first, it is the series on the first word
+    with the fewest monomials.  Reading thus costs no more than the series
+    stepped plus one C build, and a C in `braid_c_sum`'s cache costs nothing
+    to read, so a word met before is planned at once.  The value is the same
+    on every route; only its cost and the word logged depend on timings.
+    """
+    words = _rotation_classes(b)
+    if len(words) == 1:
+        return folded_series_sum(braid_c_sum(b), b.signs, N), b, 1, 1
+    chosen, fewest = b, len(braid_c_sum(b).terms)
+    steps = _folded_steps(braid_c_sum(b), b.signs, N)
+    lead = 0.0  # seconds spent reading C beyond those the series has run
+    for read, w in enumerate(words[1:], 2):
+        start = perf_counter()
+        monomials = len(braid_c_sum(w).terms)
+        lead += perf_counter() - start
+        if monomials < fewest:
+            chosen, fewest = w, monomials
+            steps.close()
+            steps = _folded_steps(braid_c_sum(w), w.signs, N)
+        while lead > 0:
+            start = perf_counter()
+            total = next(steps)
+            lead -= perf_counter() - start
+            if total is not None:
+                return total, chosen, read, len(words)
+    *_, total = steps
+    return total, chosen, len(words), len(words)
 
 
 # Fermionic terms summed before the series is declared unterminated.

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from qknot.braid import parse_braid
+from qknot.braid import cyclic_rotations, parse_braid
 from qknot.cli import load_corpus
 from qknot.verma_oracle import _NumericTables
 
@@ -36,12 +36,8 @@ BENCHMARK_WORDS = (
 
 @pytest.fixture(scope="session")
 def benchmark_rotations():
-    """Every cyclic rotation of every benchmark knot's word, as text."""
-    out = []
-    for word in BENCHMARK_WORDS:
-        letters = word.split()
-        out += [" ".join(letters[r:] + letters[:r]) for r in range(len(letters))]
-    return out
+    """Every distinct cyclic rotation of every benchmark knot's word, as text."""
+    return [w.to_text() for word in BENCHMARK_WORDS for w in cyclic_rotations(parse_braid(word))]
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ from qknot.braid import (
     BraidParseError,
     BraidWord,
     closure_is_knot,
+    cyclic_rotations,
     markov_moves,
     parse_braid,
 )
@@ -116,6 +117,27 @@ def test_reversal_and_mirror_preserve_closure_knot(ls):
     assert b.mirror().writhe == -b.writhe
     assert b.reversed_word().reversed_word() == b
     assert b.mirror().mirror() == b
+
+
+def test_cyclic_rotations_are_distinct_and_start_with_the_word():
+    def texts(word, strands=None):
+        return [w.to_text() for w in cyclic_rotations(parse_braid(word, strands))]
+
+    assert texts("1 1 2 -1") == ["1 1 2 -1", "1 2 -1 1", "2 -1 1 1", "-1 1 1 2"]
+    assert texts("1 -2 1 -2") == ["1 -2 1 -2", "-2 1 -2 1"]
+    assert texts("1 1 1") == ["1 1 1"]
+    assert texts("", strands=1) == [""]
+
+
+@given(words)
+def test_rotations_keep_strands_writhe_and_closure(ls):
+    b = braid_of(ls)
+    rotations = cyclic_rotations(b)
+    assert rotations[0] == b and len(set(rotations)) == len(rotations)
+    assert {w.word for w in rotations} == {b.word[r:] + b.word[:r] for r in range(b.length)}
+    for w in rotations:
+        assert (w.strands, w.writhe) == (b.strands, b.writhe)
+        assert closure_component_count(w) == closure_component_count(b)
 
 
 def test_markov_moves_reject_bad_arguments():

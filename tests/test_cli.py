@@ -179,6 +179,16 @@ def test_volume_logs_progress_without_changing_stdout(caplog):
     assert [rec.args[0] for rec in caplog.records if rec.name == "qknot.kashaev"] == [5, 3]
 
 
+def test_kashaev_logs_its_rotation_without_changing_stdout(caplog):
+    argv = ["kashaev", "--word", "1 1 1 2 -1 2", "-N", "5"]
+    quiet = run(argv)
+    with caplog.at_level(logging.DEBUG, logger="qknot.kashaev"):
+        loud = run(argv)
+    assert loud == quiet
+    records = [rec.args for rec in caplog.records if rec.name == "qknot.kashaev"]
+    assert [(args[0], args[2]) for args in records] == [(5, "1 1 1 2 -1 2")]
+
+
 @pytest.mark.parametrize("argv", [
     ["volume", "--word", "1 1 1", "--N", "4,5"],
     ["volume", "--word", "1 1 1", "--N", "4", "--json"],

@@ -4,15 +4,18 @@ import math
 
 import pytest
 
-from qknot.braid import markov_moves, parse_braid
+from qknot import mcmahon
+from qknot.braid import cyclic_rotations, markov_moves, parse_braid
 from qknot.exactpoly import (
     CyclotomicInt,
     LaurentPoly,
+    Q_UNIT,
     cyclotomic_reduce,
     embed_complex,
     parse_univariate,
 )
 from qknot.kashaev import (
+    _poly_from_whole_powers,
     _prefactor_exponent,
     _series_inputs,
     bloch_wigner,
@@ -24,7 +27,13 @@ from qknot.kashaev import (
     reference_volumes,
     volume_sequence,
 )
-from qknot.mcmahon import alexander, colored_jones, folded_series_sum
+from qknot.mcmahon import (
+    alexander,
+    braid_c_sum,
+    colored_jones,
+    folded_series_sum,
+    rotated_series_sum,
+)
 from qknot.verma_oracle import numeric_state_sum, state_sum_jones
 
 
@@ -52,6 +61,126 @@ def test_folded_series_is_state_sum_mod_q_N_minus_1(corpus_braids):
         for e, c in state_sum_jones(b, N).q_terms().items():
             want[e % N] += c
         assert [folded[(e - shift) % N] for e in range(N)] == want, (name, N)
+
+
+def _value_on_word(b, N):
+    """The exact value of b's closure from the folded series on b itself."""
+    total = folded_series_sum(braid_c_sum(b), b.signs, N)
+    poly = _poly_from_whole_powers(dict(enumerate(total))).shift(Q_UNIT * _prefactor_exponent(b))
+    return cyclotomic_reduce(poly, N)
+
+
+@pytest.fixture
+def slow(monkeypatch):
+    """Makes a named `mcmahon` callable take one second per call on a fake
+    clock, the one `rotated_series_sum` weighs reading C against stepping
+    the series by, so that its choice does not hang on real timings."""
+    now = [0.0]
+    monkeypatch.setattr(mcmahon, "perf_counter", lambda: now[0])
+
+    def make(name):
+        real = getattr(mcmahon, name)
+
+        def timed(*args):
+            now[0] += 1.0
+            return real(*args)
+
+        monkeypatch.setattr(mcmahon, name, timed)
+
+    return make
+
+
+@pytest.mark.parametrize("word,rotation,classes", [
+    ("1 1 1 2 -1 2", "1 1 2 -1 2 1", 4),
+    ("1 1 2 -1 -3 2 -3", "1 2 -1 -3 2 -3 1", 3),
+])
+def test_exact_value_sums_on_the_cheapest_rotation(slow, word, rotation, classes):
+    # with series steps dearer than reading C, every class is read first
+    slow("_folded_step")
+    b, cheap = parse_braid(word), parse_braid(rotation)
+    total, summed, read, count = rotated_series_sum(b, 4)
+    assert (summed, read, count) == (cheap, classes, classes)
+    assert total == folded_series_sum(braid_c_sum(cheap), cheap.signs, 4)
+    assert kashaev_value(b, 4).exact == _value_on_word(b, 4)
+
+
+@pytest.mark.parametrize("word,summed", [
+    ("1 1 1 -2 1 -2", "1 1 1 -2 1 -2"),
+    ("1 1 1 2 -1 2", "1 1 2 -1 2 1"),
+])
+def test_series_that_ends_first_is_the_sum(slow, word, summed):
+    # with reading C dearer than a whole series, the series on the word with
+    # the fewest monomials after the first other class is read runs to its
+    # end, and the other two classes are never read
+    slow("braid_c_sum")
+    b, w = parse_braid(word), parse_braid(summed)
+    total, chosen, read, count = rotated_series_sum(b, 5)
+    assert (chosen, read, count) == (w, 2, 4)
+    assert total == folded_series_sum(braid_c_sum(w), w.signs, 5)
+
+
+@pytest.mark.parametrize("word,classes", [("1 -2 1 -2", 1), ("1 1 1 1 1", 1), ("1 1 1 -2 1 -2", 4)])
+def test_ties_keep_the_given_word(slow, word, classes):
+    # 4_1's two rotations have one C, crossings aside, and 5_1 has one
+    # rotation; two of 6_2's other classes have more monomials, one as many
+    slow("_folded_step")
+    b = parse_braid(word)
+    assert rotated_series_sum(b, 5)[1:] == (b, classes, classes)
+
+
+def test_chosen_rotation_steps_the_fewest_kernel_rows(monkeypatch, slow):
+    # the prediction reads only C, so hold it to the kernel's own count of
+    # rows stepped, not to a timing
+    rows = []
+    step = mcmahon._folded_step
+
+    def counted(R, D, B, V, mono, N):
+        rows.append(len(V))
+        return step(R, D, B, V, mono, N)
+
+    monkeypatch.setattr(mcmahon, "_folded_step", counted)
+    slow("_folded_step")
+    N = 7
+    for word in ("1 1 1 2 -1 2", "1 1 2 -1 -3 2 -3", "1 1 1 -2 1 -2", "1 1 -2 1 -2 -2"):
+        stepped = {}
+        for w in cyclic_rotations(parse_braid(word)):
+            rows.clear()
+            folded_series_sum(braid_c_sum(w), w.signs, N)
+            stepped[w] = sum(rows)
+        assert len(set(stepped.values())) > 1, word
+        for w in stepped:
+            rows.clear()
+            chosen = rotated_series_sum(w, N)[1]
+            assert sum(rows) == stepped[chosen] <= stepped[w], w.to_text()
+            # C's monomials tie five of 6_3's rotations, which step 1,246
+            # or 2,478 rows; the count alone keeps the given word there
+            if word != "1 1 -2 1 -2 -2":
+                assert stepped[chosen] == min(stepped.values()), w.to_text()
+
+
+@pytest.mark.parametrize("route", ["_folded_step", "braid_c_sum"])
+def test_kernel_runs_on_every_rotation(benchmark_rotations, slow, route):
+    # the value on the word summed on is the value on the given word, both
+    # when every class is read first and when b's own series ends first
+    slow(route)
+    cases = [(parse_braid(w), N) for w in benchmark_rotations for N in (2, 3, 5)]
+    cases.append((parse_braid("1 1 1 2 -1 2"), 13 if route == "_folded_step" else 7))
+    for b, N in cases:
+        assert kashaev_value(b, N).exact == _value_on_word(b, N), (b.to_text(), N)
+
+
+def test_exact_value_logs_the_word_it_sums_on(caplog, slow):
+    slow("_folded_step")
+    b = parse_braid("1 1 1 2 -1 2")
+    with caplog.at_level(logging.DEBUG, logger="qknot.kashaev"):
+        kashaev_value(b, 5)
+        kashaev_value(b, 5, mode="float")
+    records = [rec for rec in caplog.records if rec.name == "qknot.kashaev"]
+    assert [rec.levelno for rec in records] == [logging.DEBUG]
+    # C of 1 1 1 2 -1 2 has 6 monomials; its rotations 1 and 2 have 3 each,
+    # and the first of them is chosen
+    assert records[0].args == (5, "1 1 2 -1 2 1", "1 1 1 2 -1 2", 4, 4, 6, 3)
+    assert records[0].getMessage().startswith("kashaev N = 5: series on '1 1 2 -1 2 1' of ")
 
 
 def test_universal_series_evaluates_to_left_trefoil_values():

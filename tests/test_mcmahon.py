@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qknot import exactpoly, mcmahon
-from qknot.braid import parse_braid
+from qknot.braid import BraidWord, parse_braid
 from qknot.exactpoly import LaurentPoly, Q_UNIT, parse_univariate, q_pochhammer, row_norms
 from qknot.kashaev import _series_inputs, kashaev_series, kashaev_value
 from qknot.mcmahon import (
@@ -23,6 +23,7 @@ from qknot.mcmahon import (
     _folded_step,
     _groups,
     _mono_terms,
+    _rotation_classes,
     alexander,
     braid_c_sum,
     braid_setup,
@@ -30,6 +31,7 @@ from qknot.mcmahon import (
     fermionic_terms,
     folded_series_sum,
 )
+from qknot.qweyl import AlgebraElement, NormalMonomial
 from qknot.verma_oracle import state_sum_jones
 
 
@@ -124,6 +126,39 @@ def test_benchmark_cache_reset_empties_the_setup_caches():
     assert braid_setup.cache_info().currsize and braid_c_sum.cache_info().currsize
     tracer.clear_caches()
     assert braid_setup.cache_info().currsize == braid_c_sum.cache_info().currsize == 0
+
+
+def _relabelled(C, k):
+    """C with crossing j renamed j − 1, and crossing 1 renamed k."""
+    return AlgebraElement({
+        NormalMonomial(tuple(sorted((j - 1 or k, s, r, d) for j, s, r, d in mono.entries))): c
+        for mono, c in C.terms.items()
+    })
+
+
+@settings(max_examples=40)
+@given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=1, max_size=7))
+def test_moving_a_letter_off_strand_one_relabels_c(ls):
+    # what lets the exact Kashaev route read one rotation per class
+    b = parse_braid(" ".join(map(str, ls)))
+    k = b.length
+    rotations = [BraidWord(b.strands, b.word[r:] + b.word[:r]) for r in range(k)]
+    for r, w in enumerate(rotations):
+        if w.word[0][0] != 1:
+            assert braid_c_sum(rotations[(r + 1) % k]) == _relabelled(braid_c_sum(w), k), r
+    classes = _rotation_classes(b)
+    assert classes[0] == b and len(set(classes)) == len(classes) and set(classes) <= set(rotations)
+    assert {len(braid_c_sum(w).terms) for w in classes} == {len(braid_c_sum(w).terms) for w in rotations}
+
+
+def test_rotation_classes_split_at_the_letters_on_strand_one():
+    def texts(word):
+        return [w.to_text() for w in _rotation_classes(parse_braid(word))]
+
+    assert texts("1 -2 1 -2") == ["1 -2 1 -2"]
+    assert texts("1 1 1 1 1") == ["1 1 1 1 1"]
+    assert texts("1 1 2 -1 -3 2 -3") == ["1 1 2 -1 -3 2 -3", "1 2 -1 -3 2 -3 1", "2 -1 -3 2 -3 1 1"]
+    assert texts("-1 2 1 1 1 2") == ["-1 2 1 1 1 2", "2 1 1 1 2 -1", "1 1 2 -1 2 1", "1 2 -1 2 1 1"]
 
 
 def test_color_one_is_trivial(corpus_braids):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qknot import exactpoly, verma_oracle
-from qknot.braid import closure_is_knot, parse_braid
+from qknot.braid import closure_is_knot, cyclic_rotations, parse_braid
 from qknot.exactpoly import LaurentPoly, q_int_binom
 from qknot.mcmahon import colored_jones
 from qknot.qweyl import AlgebraElement, NormalMonomial, StrandSigns, normal_order_product
@@ -248,10 +248,8 @@ def test_closing_step_builds_the_entries_expand_then_filter_keeps(corpus_braids,
         return pairs, src, l
 
     monkeypatch.setattr(verma_oracle, "_step_entries", checked)
-    letters = "1 1 2 -1 -3 2 -3".split()
-    rotations = [parse_braid(" ".join(letters[r:] + letters[:r])) for r in range(len(letters))]
     cases = [(b, N) for b in corpus_braids.values() for N in range(1, 7)]
-    cases += [(b, N) for b in rotations for N in range(1, 5)]
+    cases += [(b, N) for b in cyclic_rotations(parse_braid("1 1 2 -1 -3 2 -3")) for N in range(1, 5)]
     for b, N in cases:
         numeric_state_sum(b, N)
         state_sum_jones(b, N)
