@@ -113,16 +113,17 @@ def closure_is_knot(b: BraidWord) -> bool:
     return is_knot
 
 
-def cyclic_rotations(b: BraidWord) -> list[BraidWord]:
+def cyclic_rotations(b: BraidWord, count: int | None = None) -> list[BraidWord]:
     """The distinct cyclic rotations of b's word, b first, then in the order
-    of the letter each starts at.  A rotation is a conjugate of b, so every
-    one has b's closure, writhe and strand count."""
-    out = [b]
-    for r in range(1, b.length):
-        w = BraidWord(b.strands, b.word[r:] + b.word[:r])
-        if w not in out:
-            out.append(w)
-    return out
+    of the letter each starts at; only the first `count` of them when given.
+    A rotation is a conjugate of b, so every one has b's closure, writhe and
+    strand count.  The rotations starting at letters r and s agree exactly
+    when the word's least period divides r − s, so the distinct ones start
+    at the letters before that period."""
+    w = b.word
+    period = next((p for p in range(1, len(w)) if w[p:] + w[:p] == w), len(w))
+    stop = period if count is None else min(period, count)
+    return [b] + [BraidWord(b.strands, w[r:] + w[:r]) for r in range(1, stop)]
 
 
 def _free_reduce(word: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:

@@ -10,16 +10,22 @@ Subcommands
 Exit codes: 0 success, 1 usage or parse error, 2 math-domain error
 (non-knot closure, divergent series), 3 verification or equality failure,
 or a broken internal invariant ("internal error: …" on stderr).
-Every subcommand accepts --json. Each returns a `Report`, and `main` alone
-writes it to stdout: with --json the one object {input, result, engine,
-timings}, otherwise the report's text lines.
+Every subcommand accepts --json and -v/--verbose. Each returns a `Report`,
+and `main` alone writes it to stdout: with --json the one object {input,
+result, engine, timings}, otherwise the report's text lines.  `volume`
+reports the orders that finished before one failed, then the error on
+stderr, with exit code 2.  -v sends the qknot loggers' DEBUG records
+(per-order progress, the rotation each sum runs on) to stderr.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from typing import NoReturn
@@ -27,7 +33,7 @@ from typing import NoReturn
 from .braid import BraidParseError, BraidWord, closure_is_knot, parse_braid
 from .exactpoly import cyclotomic_reduce, format_univariate, parse_univariate
 from .foxburau import abelianize_check
-from .kashaev import kashaev_value, reference_volumes, volume_sequence
+from .kashaev import kashaev_value, reference_volumes, volume_rows
 from .mcmahon import alexander, colored_jones
 from .verma_oracle import state_sum_jones
 
@@ -109,7 +115,9 @@ def load_corpus(path: str | None = None) -> list[CorpusEntry]:
 @dataclass(frozen=True)
 class Report:
     """A command's outcome: the fields of its --json object, the text lines
-    printed without --json, and the exit code."""
+    printed without --json, the exit code, and an error that ended the
+    command after part of its result was found (printed to stderr after
+    the result)."""
 
     input: dict
     result: object
@@ -117,6 +125,7 @@ class Report:
     timings: dict
     lines: list[str]
     code: int = EXIT_OK
+    error: str | None = None
 
 
 class UsageError(Exception):
@@ -214,12 +223,25 @@ def cmd_kashaev(args: argparse.Namespace) -> Report:
 
 
 def cmd_volume(args: argparse.Namespace) -> Report:
+    """The rows of the orders that finished; an order that fails ends the
+    report there, with its error and exit code 2, or, when it is the first,
+    is raised."""
     b = parse_braid(args.word, strands=args.strands)
-    rows, seconds = _timed(volume_sequence, b, args.N)
+    start = time.perf_counter()
+    rows, error = [], None
+    try:
+        for row in volume_rows(b, args.N):
+            rows.append(row)
+    except (ValueError, RuntimeError) as exc:
+        if not rows:
+            raise
+        error = str(exc)
+    seconds = time.perf_counter() - start
     result = [{"N": N, "abs_value": mag, "rate": rate} for N, mag, rate in rows]
     lines = ["N,abs_value,rate"]
     lines += [f"{N},{mag!r},{'' if rate is None else repr(rate)}" for N, mag, rate in rows]
-    return Report(_braid_input(b, N=args.N), result, "oracle", {"total": seconds}, lines)
+    code = EXIT_OK if error is None else EXIT_DOMAIN
+    return Report(_braid_input(b, N=args.N), result, "oracle", {"total": seconds}, lines, code, error)
 
 
 def _verify_checks(entries: list[CorpusEntry]) -> tuple[list[dict], dict[str, float]]:
@@ -318,13 +340,20 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="qknot", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
 
+    def add_output(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--json", action="store_true", help="emit one JSON object")
+        p.add_argument(
+            "-v", "--verbose", action="store_true",
+            help="log the qknot DEBUG records (progress, routes taken) to stderr",
+        )
+
     def add_word(p: argparse.ArgumentParser) -> None:
         p.add_argument("--word", required=True, help="braid word, e.g. '1 -2 1 -2'")
         p.add_argument(
             "--strands", type=_positive_int, default=None,
             help="strand count (default: smallest compatible with the word)",
         )
-        p.add_argument("--json", action="store_true", help="emit one JSON object")
+        add_output(p)
 
     p = sub.add_parser("jones", help="colored Jones polynomial of the closure")
     add_word(p)
@@ -363,10 +392,30 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run the corpus cross-check suite")
     p.add_argument("--corpus", default=None, help="corpus JSON path (default: bundled)")
-    p.add_argument("--json", action="store_true", help="emit one JSON object")
+    add_output(p)
     p.set_defaults(func=cmd_verify)
 
     return parser
+
+
+@contextmanager
+def _verbose(on: bool) -> Iterator[None]:
+    """While the command runs, send the qknot loggers' DEBUG records to
+    stderr, if on; the logger's level and handlers are restored after."""
+    if not on:
+        yield
+        return
+    logger = logging.getLogger("qknot")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -376,7 +425,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        report = args.func(args)
+        with _verbose(args.verbose):
+            report = args.func(args)
     except (BraidParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -394,6 +444,8 @@ def main(argv: list[str] | None = None) -> int:
     else:
         for line in report.lines:
             print(line)
+    if report.error is not None:
+        print(f"error: {report.error}", file=sys.stderr)
     return report.code
 
 

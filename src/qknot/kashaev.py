@@ -14,7 +14,11 @@ series.  C comes from the per-braid cache `mcmahon.braid_c_sum`, shared with
 the colored Jones route and every order N.  `kashaev_series` keeps the
 given word, as its terms t_n are not invariants.  A complex floating-point
 state sum provides the production path for growth-rate sequences
-2π·ln|⟨K⟩_N|/N, whose conjectured limit is the hyperbolic volume;
+2π·ln|⟨K⟩_N|/N, whose conjectured limit is the hyperbolic volume.  It too
+runs on a rotation: `verma_oracle.float_sum_word` picks the one whose sum
+builds the fewest entries at N = 2, which cuts both its time and its
+cancellation error, and chooses by counts alone, so a word always gives
+the same floats;
 independent volume references come from ideal triangulations evaluated with
 the Lobachevsky/dilogarithm functions.
 """
@@ -23,6 +27,7 @@ from __future__ import annotations
 import logging
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,7 +44,7 @@ from .exactpoly import (
 )
 from .mcmahon import braid_c_sum, fermionic_terms, rotated_series_sum
 from .qweyl import AlgebraElement, StrandSigns
-from .verma_oracle import numeric_state_sum
+from .verma_oracle import float_sum_word, numeric_state_sum
 
 _log = logging.getLogger(__name__)
 
@@ -110,14 +115,16 @@ def kashaev_value(b: BraidWord, N: int, mode: str = "exact") -> KashaevValue:
     count, so the value is the same on every rotation.  Logs one DEBUG
     record naming the word summed on, how many rotation classes had their C
     read, and the C-monomials of b and of that word.
-    float: evaluate the R-matrix state sum at q = exp(2πi/N) on b itself.
+    float: evaluate the R-matrix state sum at q = exp(2πi/N) on the
+    rotation of b that `float_sum_word` plans: b unless another rotation's
+    sum builds strictly fewer entries at N = 2.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
     if not closure_is_knot(b):
         raise ValueError("closure is not a knot")
     if mode == "float":
-        return KashaevValue(N, None, numeric_state_sum(b, N))
+        return KashaevValue(N, None, numeric_state_sum(float_sum_word(b, N), N))
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
     total, word, read, classes = rotated_series_sum(b, N)
@@ -146,21 +153,30 @@ def kz_series(N: int) -> KashaevValue:
     return KashaevValue(N, exact, complex(embed_complex(exact)))
 
 
+def volume_rows(b: BraidWord, N_values: list[int]) -> Iterator[tuple[int, float, float | None]]:
+    """The rows of `volume_sequence`, each yielded as its order finishes, so
+    a caller keeps the finished rows when a later order fails."""
+    if any(N < 2 for N in N_values):
+        raise ValueError("all N must be ≥ 2")
+    if not closure_is_knot(b):
+        raise ValueError("closure is not a knot")
+    probed: dict[BraidWord, int] = {}
+    for N in N_values:
+        start = time.perf_counter()
+        mag = abs(numeric_state_sum(float_sum_word(b, N, probed), N))
+        _log.debug("volume N = %d: |<K>_N| = %.6g in %.3f s", N, mag, time.perf_counter() - start)
+        yield N, mag, 2 * math.pi * math.log(mag) / N if mag > 0 else None
+
+
 def volume_sequence(
     b: BraidWord, N_values: list[int]
 ) -> list[tuple[int, float, float | None]]:
     """(N, |⟨K⟩_N|, 2π·ln|⟨K⟩_N|/N) by the float path for each requested N, in
-    request order; an exactly zero magnitude yields rate None.  Logs one
+    request order; an exactly zero magnitude yields rate None.  Each order
+    sums `numeric_state_sum` on the rotation of b that `float_sum_word`
+    plans, and each rotation is probed at most once per call.  Logs one
     DEBUG record per N, with its seconds, as each order finishes."""
-    if any(N < 2 for N in N_values):
-        raise ValueError("all N must be ≥ 2")
-    rows = []
-    for N in N_values:
-        start = time.perf_counter()
-        mag = abs(numeric_state_sum(b, N))
-        rows.append((N, mag, 2 * math.pi * math.log(mag) / N if mag > 0 else None))
-        _log.debug("volume N = %d: |<K>_N| = %.6g in %.3f s", N, mag, time.perf_counter() - start)
-    return rows
+    return list(volume_rows(b, N_values))
 
 
 def mahler_measure(delta: LaurentPoly) -> float:

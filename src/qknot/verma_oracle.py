@@ -9,8 +9,8 @@ gives J′ normalized to 1 on the unknot.  This route shares only
 `exactpoly` with the determinant-series engine and serves as its
 cross-validation oracle.
 
-One batched traversal (`_state_sum`) runs the sum over either coefficient
-ring.  The exact ring (`_ExactRows`, for `state_sum_jones`) holds each value
+One batched traversal (`_state_sum`) runs the sum over any of three
+rings.  The exact ring (`_ExactRows`, for `state_sum_jones`) holds each value
 as an int64 row of whole-q coefficients on a window its batch shares, with
 one quarter-exponent offset per sum.  Each product is bounded beforehand by
 Σ‖row‖∞·‖coeff‖₁ under the int64 row rule of `exactpoly`; past 2^62 the
@@ -18,9 +18,12 @@ rows move to object dtype of Python ints.  An input whose predicted tables
 or rows pass _CELL_LIMIT cells is refused with ValueError before anything
 is allocated.  The float ring (`_NumericTables`, for `numeric_state_sum`)
 works in complex floats at q = exp(2πi/N), the Kashaev value for large N.
-`apply_braiding` (with `braiding_coeff`) is the single-vector form of the
-braiding: the walk reference that the tests hold the exact ring to, kept
-here because the benchmark tracer wraps both names.
+The probe ring (`_ProbeCounts`, for `state_sum_entries`) carries no values
+and counts the entries the float ring would build; `float_sum_word` uses
+it at N = 2 to pick the cyclic rotation of a word whose float sum builds
+the fewest.  `apply_braiding` (with `braiding_coeff`) is the single-vector
+form of the braiding: the walk reference that the tests hold the exact
+ring to, kept here because the benchmark tracer wraps both names.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ import logging
 import numpy as np
 
 from . import exactpoly
-from .braid import BraidWord, closure_is_knot
+from .braid import BraidWord, closure_is_knot, cyclic_rotations
 from .exactpoly import LaurentPoly, Q_UNIT, int64_fits, key_runs, q_int_binom, row_norms
 
 StateVector = dict[tuple[int, ...], LaurentPoly]
@@ -244,6 +247,32 @@ class _NumericTables:
         return tuple(np.cumsum(np.concatenate(([acc], d)))[-1] for acc, d in zip(total, diag))
 
 
+class _ProbeCounts:
+    """The state sum's probe ring: indices without values.  `merge` only
+    groups the keys (`key_runs`), and `entries` counts the entries the
+    traversal builds, which at the same N are the float ring's, batch for
+    batch."""
+
+    zero = None
+    budget = staticmethod(_NumericTables.budget)
+    state_cells = staticmethod(_NumericTables.state_cells)
+    cells = staticmethod(_NumericTables.cells)
+
+    def __init__(self, N: int):
+        self.entries = 0
+
+    def phases(self, quarter_units: np.ndarray) -> None:
+        return None
+
+    def merge(self, val: None, src, sign: int, n1, n2, l, key) -> tuple[np.ndarray, None]:
+        self.entries += len(key)
+        order, starts = key_runs(key)
+        return order[starts], None
+
+    def collect(self, total: None, val: None, hit, seg, size: int) -> None:
+        return None
+
+
 Rows = tuple[np.ndarray, int]
 
 
@@ -438,6 +467,13 @@ def _step_entries(n1, n2, eps: int, N: int, close_lo, close_hi) -> tuple:
     return pairs, src, l[src]
 
 
+def _check_code_space(m: int, N: int, budget: int) -> None:
+    """Refuse a state sum whose keys would not fit int64: a batch holds at
+    most `budget` initial states, each with N^m codes."""
+    if N**m * min(budget, N ** (m - 1)) >= 2**63:
+        raise ValueError(f"N^strands = {N}^{m} is too large for the state sum")
+
+
 def _state_sum(b: BraidWord, N: int, ring) -> tuple:
     """The state sum before the writhe phase, in the coefficient ring whose
     tables `ring(N)` builds: (tables, total).
@@ -450,8 +486,8 @@ def _state_sum(b: BraidWord, N: int, ring) -> tuple:
     code) keys with the ring's `merge`.  A batch starts as large as the
     ring's budget allows for its per-state prediction (`state_cells`), and
     doubles or halves with the peak step size it measured (`cells`): the
-    entries built for the float ring, or int row cells (pairs considered ×
-    row width) for the exact ring.
+    entries built for the float and probe rings, or int row cells (pairs
+    considered × row width) for the exact ring.
 
     The float ring sums in a fixed order (see `_NumericTables.merge` and
     `collect`), so its result is independent of the batch sizes.  The exact
@@ -462,9 +498,7 @@ def _state_sum(b: BraidWord, N: int, ring) -> tuple:
     _CELL_LIMIT cells before this runs."""
     m = b.strands
     budget = ring.budget()
-    # a batch holds at most budget initial states; its keys must fit int64
-    if N**m * min(budget, N ** (m - 1)) >= 2**63:
-        raise ValueError(f"N^strands = {N}^{m} is too large for the state sum")
+    _check_code_space(m, N, budget)
     tables = ring(N)
     steps, last = _last_touch(b)
     place = [N**p for p in range(m + 1)]
@@ -541,3 +575,53 @@ def numeric_state_sum(b: BraidWord, N: int) -> complex:
     if not (abs(value.real) < np.inf and abs(value.imag) < np.inf):
         raise ValueError(f"the float state sum at N = {N} overflowed to {value}")
     return value
+
+
+def state_sum_entries(b: BraidWord, N: int) -> int:
+    """The entries (live state, l) that the state sum of b at N builds over
+    all its steps, counted on the probe ring (`_ProbeCounts`): the float
+    ring's work, without its values."""
+    tables, _ = _state_sum(b, N, _ProbeCounts)
+    return tables.entries
+
+
+# The order at which the planner probes rotations: 2^(m−1) initial states.
+# On 5_2, 6_1 and 6_2 the rotation with the fewest entries at N = 2 has the
+# fewest at N = 15 too; on 6_3 it has 2% more than the fewest.
+_PROBE_N = 2
+
+
+def float_sum_word(b: BraidWord, N: int, probed: dict[BraidWord, int] | None = None) -> BraidWord:
+    """The cyclic rotation of b on which to run `numeric_state_sum` at N.
+
+    A rotation is a conjugate of b, so its closure, writhe and strand count
+    are b's, and its state sum is b's Kashaev value; its entries, and with
+    them the sum's time and its cancellation error, differ by orders of
+    magnitude between rotations.  The planner counts each rotation's entries
+    at N = _PROBE_N (`state_sum_entries`), b first, for at most
+    ⌊(N/2)^(m−1)⌋ rotations: a probe covers 2^(m−1) initial states and the
+    sum N^(m−1), so planning costs about one sum.  It keeps b unless another
+    word has strictly fewer entries, and then takes the first of the fewest.
+    A sum that runs in one batch is not planned: its time is then mostly
+    the per-step numpy calls, which a probe pays as well, so a probe costs
+    0.3–0.4 of the sum (5_2 at N = 3 to 5) and no rotation repays it.
+    No timing enters the choice, so the same input gives the same floats.
+    `probed` (word → entries) lets a caller share probes between orders.
+    An order the state sum refuses is refused before any probe.  Logs one
+    DEBUG record when it compares two words or more."""
+    m = b.strands
+    _check_code_space(m, N, _ENTRY_BUDGET)
+    if N ** (m - 1) * _NumericTables.state_cells(b, N) <= _NumericTables.budget():
+        return b
+    words = cyclic_rotations(b, N ** (m - 1) // 2 ** (m - 1))
+    if len(words) == 1:
+        return b
+    probed = {} if probed is None else probed
+    for w in words:
+        if w not in probed:
+            probed[w] = state_sum_entries(w, _PROBE_N)
+    chosen = min(words, key=probed.__getitem__)
+    _log.debug("float N = %d: state sum on %r of %r after probing %d of its rotations; "
+               "entries at N = %d: %d of the given word, %d of the word summed on",
+               N, chosen.to_text(), b.to_text(), len(words), _PROBE_N, probed[b], probed[chosen])
+    return chosen

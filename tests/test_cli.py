@@ -7,6 +7,7 @@ from dataclasses import asdict
 
 import pytest
 
+from qknot import kashaev
 from qknot.braid import parse_braid
 from qknot.cli import load_corpus, main
 from qknot.exactpoly import parse_univariate
@@ -198,6 +199,51 @@ def test_float_value_that_is_not_finite_exits_2(overflowing_float_sum, argv):
     code, out, err = run(argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: the float state sum at N = 4 ")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_volume_reports_the_orders_that_finished_before_one_failed(monkeypatch, json_flag):
+    numeric_state_sum = kashaev.numeric_state_sum
+
+    def failing(b, N):
+        if N == 5:
+            raise ValueError("the float state sum at N = 5 overflowed")
+        return numeric_state_sum(b, N)
+
+    monkeypatch.setattr(kashaev, "numeric_state_sum", failing)
+    code, out, err = run(["volume", "--word", "1 -2 1 -2", "--N", "4,5,6", *json_flag])
+    assert (code, err) == (2, "error: the float state sum at N = 5 overflowed\n")
+    (want,) = volume_sequence(parse_braid("1 -2 1 -2"), [4])
+    if json_flag:
+        assert json.loads(out)["result"] == [{"N": 4, "abs_value": want[1], "rate": want[2]}]
+    else:
+        assert out == f"N,abs_value,rate\n4,{want[1]!r},{want[2]!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["volume", "--word", "1 -2 1 -2", "--N", "5,3"],
+    ["volume", "--word", "1 -2 1 -2", "--N", "5,3", "--json"],
+    ["kashaev", "--word", "1 1 1 2 -1 2", "-N", "7", "--float"],
+    ["kashaev", "--word", "1 1 1 2 -1 2", "-N", "5"],
+    ["jones", "--word", "1 1 1", "-N", "3"],
+    ["alexander", "--word", "1 -2 1 -2"],
+])
+def test_verbose_logs_to_stderr_without_changing_stdout(argv):
+    logger = logging.getLogger("qknot")
+    state = (logger.level, list(logger.handlers))
+    quiet = run(argv)
+    code, out, err = run([*argv, "-v"])
+    if "--json" in argv:
+        # the timings differ between runs
+        out, quiet = json.loads(out), (quiet[0], json.loads(quiet[1]))
+        del out["timings"], quiet[1]["timings"]
+    assert (code, out) == quiet[:2]
+    assert (logger.level, logger.handlers) == state
+    if argv[0] == "volume":
+        assert [line.split(":")[1] for line in err.splitlines() if "volume N = " in line] == [
+            " volume N = 5", " volume N = 3"]
+    if argv[0] == "kashaev":
+        assert err.startswith("qknot.")
 
 
 def test_volume_rejects_the_removed_workers_flag():

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from qknot import mcmahon
+from qknot import mcmahon, verma_oracle
 from qknot.braid import cyclic_rotations, markov_moves, parse_braid
 from qknot.exactpoly import (
     CyclotomicInt,
@@ -34,7 +34,7 @@ from qknot.mcmahon import (
     folded_series_sum,
     rotated_series_sum,
 )
-from qknot.verma_oracle import numeric_state_sum, state_sum_jones
+from qknot.verma_oracle import float_sum_word, numeric_state_sum, state_sum_jones
 
 
 def test_exact_value_is_reduced_colored_jones(corpus_braids):
@@ -304,6 +304,50 @@ def test_volume_sequence_follows_request_order():
         mag = abs(numeric_state_sum(fig8, N))
         want.append((N, mag, 2 * math.pi * math.log(mag) / N))
     assert rows == want
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def test_float_values_are_the_sum_on_the_planned_word(benchmark_rotations):
+    for word in benchmark_rotations:
+        b = parse_braid(word)
+        rows = volume_sequence(b, [5, 10])
+        for N, mag, _ in rows:
+            want = numeric_state_sum(float_sum_word(b, N), N)
+            assert _bits(kashaev_value(b, N, mode="float").approx) == _bits(want), (word, N)
+            assert mag == abs(want), (word, N)
+
+
+def test_volume_sequence_probes_each_rotation_once(monkeypatch):
+    probed = []
+    entries = verma_oracle.state_sum_entries
+
+    def counted(w, N):
+        probed.append(w.to_text())
+        return entries(w, N)
+
+    monkeypatch.setattr(verma_oracle, "state_sum_entries", counted)
+    b = parse_braid("1 1 1 2 -1 2")
+    volume_sequence(b, [10, 15, 10, 3])
+    assert sorted(probed) == sorted(w.to_text() for w in cyclic_rotations(b))
+
+
+@pytest.mark.parametrize("word,N,tolerance", [
+    ("1 1 1 2 -1 2", 25, 1e-10),
+    ("1 1 1 2 -1 2", 30, 1e-10),
+    ("1 1 2 -1 -3 2 -3", 10, 1e-12),
+])
+def test_float_value_from_every_rotation_is_near_the_exact_value(word, N, tolerance):
+    # observed, not certified (no error bound covers the float sum): summed
+    # on its given word, rotation 0 of 5_2 is off by 6.8e-4 at N = 25 and by
+    # 105% at N = 30; the planned rotation was within 4e-14 on every one
+    b = parse_braid(word)
+    exact = kashaev_value(b, N).approx
+    for w in cyclic_rotations(b):
+        approx = kashaev_value(w, N, mode="float").approx
+        assert abs(approx - exact) <= tolerance * abs(exact), (w.to_text(), N)
 
 
 def test_mahler_measure_reference_values(corpus_braids):

@@ -1,5 +1,6 @@
 import logging
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,11 +12,18 @@ import numpy as np
 import pytest
 
 from qknot import exactpoly, verma_oracle
-from qknot.braid import closure_is_knot, cyclic_rotations, parse_braid
+from qknot.braid import BraidWord, closure_is_knot, cyclic_rotations, parse_braid
 from qknot.exactpoly import LaurentPoly, q_int_binom
 from qknot.mcmahon import colored_jones
 from qknot.qweyl import AlgebraElement, NormalMonomial, StrandSigns, normal_order_product
-from qknot.verma_oracle import apply_braiding, braiding_coeff, numeric_state_sum, state_sum_jones
+from qknot.verma_oracle import (
+    apply_braiding,
+    braiding_coeff,
+    float_sum_word,
+    numeric_state_sum,
+    state_sum_entries,
+    state_sum_jones,
+)
 
 from oracles import braid_relation_holds, braiding_inverse_holds, expand_then_filter, table_coefficients
 
@@ -257,8 +265,9 @@ def test_closing_step_builds_the_entries_expand_then_filter_keeps(corpus_braids,
 
 
 def test_float_state_sum_rejects_oversized_code_space():
-    # the guard sits in the traversal both rings share
-    for state_sum in (numeric_state_sum, state_sum_jones):
+    # the guard sits in the traversal the rings share, and the planner checks
+    # it before probing
+    for state_sum in (numeric_state_sum, state_sum_jones, float_sum_word):
         with pytest.raises(ValueError):
             state_sum(parse_braid("1 2 3 4 5 6 7 8 9"), 50)
 
@@ -287,3 +296,89 @@ def test_float_state_sum_refuses_a_value_that_is_not_finite(overflowing_float_su
     # the RuntimeWarnings stay inside the sum (warnings are errors here)
     with pytest.raises(ValueError, match="N = 5"):
         numeric_state_sum(parse_braid("1 1 1"), 5)
+
+
+def test_probe_ring_counts_the_entries_the_float_ring_builds(corpus_braids, benchmark_rotations, monkeypatch):
+    built = []
+    merge = verma_oracle._NumericTables.merge
+
+    def counted(self, val, src, sign, n1, n2, l, key):
+        built.append(len(key))
+        return merge(self, val, src, sign, n1, n2, l, key)
+
+    monkeypatch.setattr(verma_oracle._NumericTables, "merge", counted)
+    words = [b for b in corpus_braids.values() if closure_is_knot(b)]
+    words += [parse_braid(w) for w in benchmark_rotations]
+    for b in words:
+        for N in range(1, 6):
+            built.clear()
+            numeric_state_sum(b, N)
+            assert state_sum_entries(b, N) == sum(built), (b.to_text(), N)
+
+
+# a random 4-strand knot word of 11 crossings, whose rotations' entries
+# differ 3.6-fold at N = 5
+RANDOM_4_STRAND = "-1 3 2 -1 3 3 -1 2 -1 2 -1"
+
+
+@pytest.mark.parametrize("word", [
+    "1 1 1 2 -1 2",  # 5_2
+    "1 1 2 -1 -3 2 -3",  # 6_1
+    "1 1 1 -2 1 -2",  # 6_2
+    "1 1 -2 1 -2 -2",  # 6_3
+    "1 1 -2 1 3 -2 3",  # 7_6
+    "1 -2 1 -2 3 -2 3",  # 7_7
+    RANDOM_4_STRAND,
+])
+def test_planned_word_builds_near_the_fewest_entries(word):
+    rotations = cyclic_rotations(parse_braid(word))
+    N = 8 if rotations[0].strands == 3 else 5
+    entries = {w: state_sum_entries(w, N) for w in rotations}
+    for b in rotations:
+        assert entries[float_sum_word(b, N)] <= 1.3 * min(entries.values()), (b.to_text(), N)
+
+
+def test_planner_keeps_the_given_word_on_a_tie():
+    # both rotations of the figure-eight build 17 entries at N = 2
+    for b in cyclic_rotations(parse_braid("1 -2 1 -2")):
+        assert state_sum_entries(b, 2) == 17
+        assert all(float_sum_word(b, N) == b for N in range(1, 31))
+    # strictly fewer switches, to the first word with the fewest
+    assert float_sum_word(parse_braid("1 1 1 2 -1 2"), 10).to_text() == "1 1 2 -1 2 1"
+
+
+def _long_knot_word(strands: int, letters: int, seed: int):
+    rng = random.Random(seed)
+    while True:
+        word = tuple((rng.randrange(1, strands), rng.choice((1, -1))) for _ in range(letters))
+        b = BraidWord(strands, word)
+        if closure_is_knot(b):
+            return b
+
+
+def test_planner_probes_at_most_its_cap_b_first(monkeypatch, caplog):
+    # ⌊(N/2)^(m−1)⌋ rotations at most, and none while the sum runs in one
+    # batch (N^(2m−1) ≤ 4096 entries); all 200 would cost about 90 sums at N = 3
+    b = _long_knot_word(3, 200, seed=7)
+    probed = []
+    entries = verma_oracle.state_sum_entries
+
+    def counted(w, N):
+        probed.append(w)
+        return entries(w, N)
+
+    monkeypatch.setattr(verma_oracle, "state_sum_entries", counted)
+    rotations = cyclic_rotations(b)
+    assert len(rotations) == 200
+    chosen = {}
+    for N, cap in ((2, 0), (5, 0), (6, 9), (10, 25)):
+        probed.clear()
+        with caplog.at_level(logging.DEBUG, logger="qknot.verma_oracle"):
+            chosen[N] = float_sum_word(b, N)
+        assert probed == rotations[:cap]
+        assert chosen[N] in rotations[: max(1, cap)]
+    # one record per plan that compares words, naming both words and counts
+    records = [rec.args for rec in caplog.records if rec.name == "qknot.verma_oracle"]
+    assert [args[:4] for args in records] == [(N, chosen[N].to_text(), b.to_text(), cap)
+                                              for N, cap in ((6, 9), (10, 25))]
+    assert records[-1][4:] == (2, entries(b, 2), entries(chosen[10], 2))
