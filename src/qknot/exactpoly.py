@@ -11,9 +11,10 @@ takes a whole power.  Coefficients are arbitrary-precision integers
 throughout, and the constructor is the one place that drops zero
 coefficients, so arithmetic accumulates freely and returns through it.
 The numpy kernels of the series engine (`mcmahon`) and of the exact state
-sum (`verma_oracle`) hold coefficients as int64 rows instead; the rule that
-moves those rows to Python ints before a sum could wrap is defined once,
-here, and is the only code the two exact routes share.  The two Alexander routes (`mcmahon` and
+sum (`verma_oracle`) hold coefficients as int64 rows instead; `fit_rows`
+moves those rows to Python ints before a sum could wrap, at every site of
+both, and with the cell limit of their arrays it is the only code the two
+exact routes share.  The two Alexander routes (`mcmahon` and
 `foxburau`) likewise share only this module: its determinant and
 `normalize_alexander`.
 """
@@ -383,8 +384,13 @@ def embed_complex(c: CyclotomicInt) -> complex:
 # what multiplies it: `int64_fits` checks the sum over each group of rows.
 # The rows stay int64 while every group sum stays under INT64_SAFE, and past
 # it they move to object dtype of Python ints, the same code exact at any size.
+# `fit_rows` applies the rule, and is the only code that moves rows at run time.
 
 INT64_SAFE = float(2**62)
+
+# The exact kernels refuse an input whose arrays would hold more cells than
+# this (predicted before anything is allocated).
+CELL_LIMIT = 2**24
 
 
 def row_norms(V: np.ndarray) -> np.ndarray:
@@ -402,6 +408,25 @@ def int64_fits(bound: np.ndarray, starts: np.ndarray, log: logging.Logger) -> bo
         return True
     log.debug("%d rows leave int64: a group sum may reach %.3g ≥ 2^62", len(bound), peak)
     return False
+
+
+def fit_rows(V, rows, scale, starts, log: logging.Logger, carried=None):
+    """(V, bounds of the summands V[rows]·scale) before the sums over the runs
+    of summands that begin at `starts`: V as it is while `int64_fits` holds
+    for the measured bounds, else V on object rows, whose bounds are 0.
+    `carried`, a bound on each row's ‖row‖∞ that the caller keeps, stands in
+    for the measured one while no run's sum of carried bounds reaches
+    INT64_SAFE, so the rows are measured only when it fails."""
+    if V.dtype == object:
+        return V, np.zeros(len(rows))
+    if carried is not None:
+        bound = carried[rows] * scale
+        if np.add.reduceat(bound, starts).max(initial=0) < INT64_SAFE:
+            return V, bound
+    bound = row_norms(V)[rows] * scale
+    if int64_fits(bound, starts, log):
+        return V, bound
+    return V.astype(object), np.zeros_like(bound)
 
 
 def key_runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

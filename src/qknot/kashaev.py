@@ -160,10 +160,9 @@ def volume_rows(b: BraidWord, N_values: list[int]) -> Iterator[tuple[int, float,
         raise ValueError("all N must be ≥ 2")
     if not closure_is_knot(b):
         raise ValueError("closure is not a knot")
-    probed: dict[BraidWord, int] = {}
     for N in N_values:
         start = time.perf_counter()
-        mag = abs(numeric_state_sum(float_sum_word(b, N, probed), N))
+        mag = abs(numeric_state_sum(float_sum_word(b, N), N))
         _log.debug("volume N = %d: |<K>_N| = %.6g in %.3f s", N, mag, time.perf_counter() - start)
         yield N, mag, 2 * math.pi * math.log(mag) / N if mag > 0 else None
 
@@ -174,8 +173,9 @@ def volume_sequence(
     """(N, |⟨K⟩_N|, 2π·ln|⟨K⟩_N|/N) by the float path for each requested N, in
     request order; an exactly zero magnitude yields rate None.  Each order
     sums `numeric_state_sum` on the rotation of b that `float_sum_word`
-    plans, and each rotation is probed at most once per call.  Logs one
-    DEBUG record per N, with its seconds, as each order finishes."""
+    plans; `float_sum_word` caches its probes, so each rotation is probed
+    at most once.  Logs one DEBUG record per N, with its seconds, as each
+    order finishes."""
     return list(volume_rows(b, N_values))
 
 

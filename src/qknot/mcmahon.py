@@ -19,7 +19,7 @@ monomials, reading C of one rotation per class of rotations with the same C
 
 The fermionic series runs on numpy int64 rows: at generic q on windows of
 whole powers of q (`fermionic_terms`), and for the root-of-unity sum of the
-Kashaev invariant on residues mod q^N − 1 (`folded_series_sum`).  Only the
+Kashaev invariant on residues mod q^N − 1 (`_folded_steps`).  Only the
 bosonic series runs on raw {exponent: coefficient} dictionaries; it is the
 independent check of the fermionic route, so it shares none of that kernel.
 Accumulated powers of C are projected onto the (r_j, d_j) exponents only:
@@ -38,13 +38,13 @@ from typing import Iterator
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from . import exactpoly
 from .braid import BraidWord, closure_is_knot, cyclic_rotations
 from .deformed_burau import QuantumMatrix, classical_specialization, rho, rho_prime
 from .exactpoly import (
+    CELL_LIMIT,
     LaurentPoly,
     Q_UNIT,
-    int64_fits,
+    fit_rows,
     key_runs,
     normalize_alexander,
     poly_mat_det,
@@ -193,12 +193,14 @@ def _eval_state(key: tuple[int, ...], signs_t: tuple[int, ...], z_pow: int) -> Q
 # q the keys are whole and row i of the S×W array V holds the coefficients of
 # q^{O_i}..q^{O_i+W−1}, with O a length-S array of offsets.  At a root of unity
 # r_j is reduced mod N, d_j < N, and row i holds the N coefficients of state i
-# mod q^N − 1.  Every sum of rows is bounded beforehand, under the int64 row
-# rule of `exactpoly` (`row_norms`, `int64_fits`), by Σ‖row‖∞·‖factor‖₁.  The
-# generic kernel measures ‖row‖∞ each time.  The folded kernel carries a bound
-# B on each row's ‖row‖∞ (a step multiplies it by the monomial's ℓ₁ norm, a
-# merge sums it, a binomial doubles it; object rows carry 0) and measures the
-# rows only when a group of carried bounds reaches INT64_SAFE.
+# mod q^N − 1.  Every sum of rows is bounded beforehand by Σ‖row‖∞·‖factor‖₁,
+# and `exactpoly.fit_rows` moves the rows to Python ints where a bound could
+# reach 2^62: once per step and per evaluated crossing at generic q, and per
+# step, merge and binomial when folded.  The generic kernels measure ‖row‖∞
+# each time.  The folded kernel carries a bound B on each row's ‖row‖∞ (a step
+# multiplies it by the monomial's ℓ₁ norm, a merge sums it, a binomial
+# doubles it; object rows carry 0), so `fit_rows` measures the rows only when
+# a group of carried bounds reaches 2^62.
 
 
 def _mono_arrays(C: AlgebraElement, signs_t: tuple[int, ...]) -> tuple:
@@ -284,8 +286,7 @@ def _generic_step(R, D, O, V, mono: tuple):
     delta = off - low[label]
     lag = np.where(coeffs != 0, exps - exps[:, :1], 0)
     width = int((delta + lag.max(axis=1)).max(initial=0)) + W
-    if V.dtype != object and not int64_fits((row_norms(V)[:, None] * l1).ravel()[order], starts, _log):
-        V = V.astype(object)
+    V, _ = fit_rows(V, order // M, l1[order % M], starts, _log)
     out = np.zeros((len(starts), width), dtype=V.dtype)
     for m, t in zip(*np.nonzero(coeffs)):
         shift = delta[:, m] + lag[m, t]
@@ -303,36 +304,31 @@ def _generic_step(R, D, O, V, mono: tuple):
 
 
 def _eval_population(R, D, O, V, signs_t: tuple[int, ...], z_pow: int) -> QDict:
-    """Σ over states of row ⊛ ∏_j E-factor(r_j, d_j) at z = q^{z_pow}.
-
-    Runs on int64 rows (`_eval_population_np`) while the overflow bound
-    holds, and otherwise again on object rows of Python ints.
-    """
-    try:
-        return _eval_population_np(R, D, O, V, signs_t, z_pow)
-    except OverflowError:
-        return _eval_population_np(R, D, O, V, signs_t, z_pow, object)
-
-
-def _eval_population_np(R, D, O, V, signs_t: tuple[int, ...], z_pow: int, dtype=np.int64) -> QDict:
-    """`_eval_population` on rows of `dtype`, for distinct keys.  On int64
-    it raises OverflowError before a sum could leave int64.
+    """Σ over states of row ⊛ ∏_j E-factor(r_j, d_j) at z = q^{z_pow}, for
+    distinct keys.
 
     With a = z_pow − r_j, the binomials 1 − q^e of E(r_j, d_j) run over
     e = a − i (ε=+1) or i − a (ε=−1) for i < d_j, so E vanishes iff
-    0 ≤ a < d_j; states with a vanishing factor are dropped first.  Otherwise
-    all e share one sign, and pulling −q^e out of each negative one leaves
-    ±q^shift ∏_{lo ≤ c < lo+d_j} (1 − q^c) with lo ≥ 1 and ‖∏‖₁ ≤ 2^d_j.
-    Bottom-up over j = k−1..0, as `_eval_folded`: the q-powers go to O, each
-    block of rows that shares (r_j, d_j) is multiplied by its binomials with
-    slice shifts, and the products are summed into the groups that share the
-    remaining key prefix.
+    0 ≤ a < d_j; states with a vanishing factor are dropped here, and
+    `_eval_population_np` evaluates the rest.
     """
     # a state whose E-factor vanishes at any crossing contributes nothing
     live = ~np.any((R <= z_pow) & (z_pow < R + D), axis=1)
     if not live.all():
         R, D, O, V = R[live], D[live], O[live], V[live]
-    V = V.astype(dtype, copy=False)
+    return _eval_population_np(R, D, O, V, signs_t, z_pow)
+
+
+def _eval_population_np(R, D, O, V, signs_t: tuple[int, ...], z_pow: int) -> QDict:
+    """`_eval_population` of states whose E-factors do not vanish.
+
+    All e of a crossing share one sign, and pulling −q^e out of each
+    negative one leaves ±q^shift ∏_{lo ≤ c < lo+d_j} (1 − q^c) with lo ≥ 1
+    and ‖∏‖₁ ≤ 2^d_j.  Bottom-up over j = k−1..0, as `_eval_folded`: the
+    q-powers go to O, each block of rows that shares (r_j, d_j) is multiplied
+    by its binomials with slice shifts, and the products are summed into the
+    groups that share the remaining key prefix.
+    """
     for j in reversed(range(len(signs_t))):
         if not len(V):
             return {}
@@ -347,16 +343,15 @@ def _eval_population_np(R, D, O, V, signs_t: tuple[int, ...], z_pow: int, dtype=
         label = _labels(order, starts)
         low = np.minimum.reduceat(O[order], starts)
         delta = O - low[label]
-        if dtype is np.int64 and not int64_fits(np.ldexp(row_norms(V), d)[order], starts, _log):
-            raise OverflowError
+        V, _ = fit_rows(V, order, np.ldexp(1.0, d[order]), starts, _log)
         width = int((delta + grow).max()) + W
-        out = np.zeros((len(starts), width), dtype=dtype)
+        out = np.zeros((len(starts), width), dtype=V.dtype)
         flat = out.reshape(-1)
         # rows of one (r_j, d_j) block have distinct key prefixes
         block, firsts = _groups([r, d], [r.max() + 1, d.max() + 1], len(V))
         for rows in np.split(block, firsts[1:]):
             i = rows[0]
-            X = np.zeros((len(rows), W + grow[i]), dtype=dtype)
+            X = np.zeros((len(rows), W + grow[i]), dtype=V.dtype)
             X[:, :W] = -V[rows] if flip[i] else V[rows]
             w = W
             for c in range(lo[i], lo[i] + d[i]):
@@ -398,18 +393,6 @@ def fermionic_terms(
 # folded series kernel: ℤ[q]/(q^N − 1) as rows of N integers
 # ---------------------------------------------------------------------------
 
-def _summable(V, B, rows, scale, starts):
-    """(V, bounds of the summands V[rows]·scale) for sums over the runs that
-    begin at `starts`: the carried bounds while no run's sum reaches
-    INT64_SAFE, else measured ones, and `int64_fits` on those decides."""
-    bound = B[rows] * scale
-    if V.dtype != object and np.add.reduceat(bound, starts).max(initial=0) >= exactpoly.INT64_SAFE:
-        bound = row_norms(V)[rows] * scale
-        if not int64_fits(bound, starts, _log):
-            return V.astype(object), np.zeros_like(bound)
-    return V, bound
-
-
 @lru_cache(maxsize=256)
 def _cyclic_columns(N: int):
     """Row o holds (o + c) mod N for c < N: read-only windows over 0..N−1
@@ -436,7 +419,7 @@ def _state_groups(R, D, N: int):
 def _merge(R, D, B, V, N: int):
     """Sum the rows of equal keys, and their bounds."""
     order, starts = _state_groups(R, D, N)
-    V, B = _summable(V, B, order, 1.0, starts)
+    V, B = fit_rows(V, order, 1.0, starts, _log, B)
     sel = order[starts]
     return _compact(R[sel], D[sel], np.add.reduceat(B, starts), np.add.reduceat(V[order], starts, axis=0))
 
@@ -445,9 +428,15 @@ def _folded_step(R, D, B, V, mono: tuple, N: int):
     """Right-multiply every state by every C-monomial mod q^N − 1 and merge.
 
     A product with some d_j ≥ N is pruned: its E-factor contains N
-    consecutive factors 1 − q^e, one of which has e ≡ 0 mod N.
+    consecutive factors 1 − q^e, one of which has e ≡ 0 mod N.  A step whose
+    S×M×k array of products' d_j would pass CELL_LIMIT cells is refused with
+    ValueError before it is allocated.
     """
     r2, d2, w_r, w_d, exps, coeffs, l1 = mono
+    cells = D.size * len(d2)
+    if cells > CELL_LIMIT:
+        raise ValueError(f"the folded series at N = {N} would hold {cells} cells in one step, "
+                         f"over {CELL_LIMIT}")
     nD = D[:, None, :] + d2[None]
     src, m = np.nonzero((nD < N).all(axis=2))
     if not len(src):
@@ -457,7 +446,7 @@ def _folded_step(R, D, B, V, mono: tuple, N: int):
     shift = (D @ w_d.T + R @ w_r.T)[src, m]
     order, starts = _state_groups(nR, nD, N)
     src, m, shift = src[order], m[order], shift[order]
-    V, B = _summable(V, B, src, l1[m], starts)
+    V, B = fit_rows(V, src, l1[m], starts, _log, B)
     out = coeffs[m, :1] * _roll_rows(V, src, shift + exps[m, 0], N)
     for t in range(1, exps.shape[1]):
         out += coeffs[m, t : t + 1] * _roll_rows(V, src, shift + exps[m, t], N)
@@ -491,7 +480,7 @@ def _eval_folded(R, D, V, signs_t: tuple[int, ...], N: int):
         # n rows have d_j > i
         for i, n in enumerate(np.searchsorted(-d, -np.arange(d[0])).tolist()):
             head = np.arange(n)
-            V, B[:n] = _summable(V, B, head, 2.0, head)
+            V, B[:n] = fit_rows(V, head, 2.0, head, _log, B)
             V[:n] -= _roll_rows(V, head, -eps * (r[:n] + 1 + i), N)
         R, D, B, V = _merge(R[:, :j], D[:, :j], B, V, N)
     if not len(V):
@@ -499,22 +488,17 @@ def _eval_folded(R, D, V, signs_t: tuple[int, ...], N: int):
     return V[0]
 
 
-def folded_series_sum(C: AlgebraElement, signs_t: tuple[int, ...], N: int) -> list[int]:
-    """Σ_n E(Cⁿ)|_{z=q^{-1}} in ℤ[q]/(q^N − 1), as the coefficients of
-    q^0..q^{N−1}, for a braid with k = len(signs_t) crossings.
+def _folded_steps(C: AlgebraElement, signs_t: tuple[int, ...], N: int) -> Iterator[list[int] | None]:
+    """Σ_n E(Cⁿ)|_{z=q^{-1}} in ℤ[q]/(q^N − 1) one kernel step at a time, for
+    a braid with k = len(signs_t) crossings: None after each step, then the
+    sum as the coefficients of q^0..q^{N−1}.
 
     Each step raises Σ_j d_j by C's ideal degree, ≥ 1 for a knot, and
     states with some d_j ≥ N are pruned, so the population empties by
     n = k·N; the sum stops there in any case.  E is linear, so the
     populations of every n are summed first and the sum is evaluated once.
+    A step too large for CELL_LIMIT is refused (`_folded_step`).
     """
-    *_, total = _folded_steps(C, signs_t, N)
-    return total
-
-
-def _folded_steps(C: AlgebraElement, signs_t: tuple[int, ...], N: int) -> Iterator[list[int] | None]:
-    """`folded_series_sum` one kernel step at a time: None after each step,
-    then the sum."""
     k = len(signs_t)
     mono = _mono_arrays(C, signs_t)
     R = D = np.zeros((1, k), dtype=np.int64)
@@ -634,7 +618,7 @@ def _rotation_classes(b: BraidWord) -> list[BraidWord]:
 
 
 def rotated_series_sum(b: BraidWord, N: int) -> tuple[list[int], BraidWord, int, int]:
-    """(`folded_series_sum` of b at N, the word it was summed on, how many of
+    """(the folded series sum of b at N, the word it was summed on, how many of
     b's rotation classes had their C read, how many there are).
 
     A rotation is a conjugate of b, so its closure, writhe and strand count
@@ -653,8 +637,6 @@ def rotated_series_sum(b: BraidWord, N: int) -> tuple[list[int], BraidWord, int,
     on every route; only its cost and the word logged depend on timings.
     """
     words = _rotation_classes(b)
-    if len(words) == 1:
-        return folded_series_sum(braid_c_sum(b), b.signs, N), b, 1, 1
     chosen, fewest = b, len(braid_c_sum(b).terms)
     steps = _folded_steps(braid_c_sum(b), b.signs, N)
     lead = 0.0  # seconds spent reading C beyond those the series has run
@@ -691,7 +673,7 @@ def colored_jones(b: BraidWord, N: int, mode: str = "bosonic") -> LaurentPoly:
     rule is not proved; a test pins it on the corpus at N ≤ 4, where the
     next 2·max(k, m) terms vanish too.  The root-of-unity sum of the Kashaev
     invariant is not a mode here: it runs on the folded kernel,
-    `folded_series_sum`.
+    `_folded_steps`.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")

@@ -37,9 +37,6 @@ class StrandSigns:
             raise ValueError(f"crossing index {j} out of range")
         return self.signs[j - 1]
 
-    def __len__(self) -> int:
-        return len(self.signs)
-
 
 @dataclass(frozen=True)
 class NormalMonomial:
@@ -70,12 +67,6 @@ class NormalMonomial:
     def generator(cls, kind: str, j: int) -> "NormalMonomial":
         s, r, d = {"b": (1, 0, 0), "c": (0, 1, 0), "a": (0, 0, 1)}[kind]
         return cls(((j, s, r, d),))
-
-    def exponents(self, j: int) -> tuple[int, int, int]:
-        for jj, s, r, d in self.entries:
-            if jj == j:
-                return (s, r, d)
-        return (0, 0, 0)
 
     def a_degree(self) -> int:
         return sum(d for _, _, _, d in self.entries)

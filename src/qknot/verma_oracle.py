@@ -13,15 +13,16 @@ One batched traversal (`_state_sum`) runs the sum over any of three
 rings.  The exact ring (`_ExactRows`, for `state_sum_jones`) holds each value
 as an int64 row of whole-q coefficients on a window its batch shares, with
 one quarter-exponent offset per sum.  Each product is bounded beforehand by
-Σ‖row‖∞·‖coeff‖₁ under the int64 row rule of `exactpoly`; past 2^62 the
-rows move to object dtype of Python ints.  An input whose predicted tables
-or rows pass _CELL_LIMIT cells is refused with ValueError before anything
-is allocated.  The float ring (`_NumericTables`, for `numeric_state_sum`)
-works in complex floats at q = exp(2πi/N), the Kashaev value for large N.
-The probe ring (`_ProbeCounts`, for `state_sum_entries`) carries no values
-and counts the entries the float ring would build; `float_sum_word` uses
-it at N = 2 to pick the cyclic rotation of a word whose float sum builds
-the fewest.  `apply_braiding` (with `braiding_coeff`) is the single-vector
+Σ‖row‖∞·‖coeff‖₁, and `exactpoly.fit_rows` moves the rows to object dtype
+of Python ints where that could reach 2^62.  An input whose predicted
+tables or rows for one initial state pass `exactpoly.CELL_LIMIT` cells is
+refused with ValueError before anything is allocated.  The float ring
+(`_NumericTables`, for `numeric_state_sum`) works in complex floats at
+q = exp(2πi/N), the Kashaev value for large N.  The probe ring
+(`_ProbeCounts`, for `state_sum_entries`) carries no values and counts the
+entries the float ring would build; `float_sum_word` uses it at N = 2 to
+pick the cyclic rotation of a word whose float sum builds the fewest.
+`apply_braiding` (with `braiding_coeff`) is the single-vector
 form of the braiding: the walk reference that the tests hold the exact
 ring to, kept here because the benchmark tracer wraps both names.
 """
@@ -29,12 +30,12 @@ from __future__ import annotations
 
 import cmath
 import logging
+from functools import lru_cache
 
 import numpy as np
 
-from . import exactpoly
 from .braid import BraidWord, closure_is_knot, cyclic_rotations
-from .exactpoly import LaurentPoly, Q_UNIT, int64_fits, key_runs, q_int_binom, row_norms
+from .exactpoly import CELL_LIMIT, LaurentPoly, Q_UNIT, fit_rows, key_runs, q_int_binom
 
 StateVector = dict[tuple[int, ...], LaurentPoly]
 
@@ -126,11 +127,6 @@ _ENTRY_BUDGET = 4096
 # step holds about six arrays of that size, so the default budget keeps its
 # int64 temporaries near 12 MB.
 _CELLS_PER_ENTRY = 64
-
-# The exact sum refuses an input whose tables, or whose rows for a single
-# initial state, would hold more cells than this (predicted before anything
-# is allocated).
-_CELL_LIMIT = 2**24
 
 # Complex numbers travel as (real, imag) pairs of arrays: numpy's complex128
 # product differs from CPython's in the last bit, the split one does not.
@@ -380,12 +376,12 @@ class _ExactRows:
             shift = n1 * (n2 - l - N + 1) - pdeg
         g = self.gauss[row, l, : int(gdeg.max(initial=0)) + 1]
         p = self.poch[col, l, : int(pdeg.max(initial=0)) + 1]
-        bound = self._g1[row, l] * self._p1[col, l]
-        if g.dtype != object and bound.max(initial=0) >= exactpoly.INT64_SAFE:
-            _log.debug("%d coefficient rows leave int64: a bound may reach %.3g ≥ 2^62",
-                       len(bound), float(bound.max()))
-            g = g.astype(object)
+        # each row of g ⊛ p is its own sum, bounded by ‖g‖₁·‖p‖₁, and by the
+        # measured ‖g‖∞·‖p‖₁ where that fails
+        each = np.arange(len(l))
+        g, _ = fit_rows(g, each, self._p1[col, l], each, _log, self._g1[row, l])
         C = _conv(g, p)
+        bound = self._g1[row, l] * self._p1[col, l]
         if sign == -1:
             C[l % 2 == 1] *= -1
         return C, shift, bound
@@ -399,10 +395,8 @@ class _ExactRows:
         order, starts = key_runs(key)
         src, n1, n2, l = src[order], n1[order], n2[order], l[order]
         C, shift, bound = self.coeff(sign, n1, n2, l)
-        V = V[src]
-        if V.dtype != object and not int64_fits(row_norms(V) * bound, starts, _log):
-            V = V.astype(object)
-        P = _conv(V, C)
+        V, _ = fit_rows(V, src, bound, starts, _log)
+        P = _conv(V[src], C)
         low = int(shift.min(initial=0))
         d = shift - low
         out = np.zeros((len(P), P.shape[1] + int(d.max(initial=0))), dtype=P.dtype)
@@ -495,7 +489,7 @@ def _state_sum(b: BraidWord, N: int, ring) -> tuple:
     and np.add.reduceat; every product is checked against the bound
     Σ‖row‖∞·‖coeff‖₁ < 2^62 first and runs on object rows past it, so its
     sums are exact in any order.  `state_sum_jones` refuses work past
-    _CELL_LIMIT cells before this runs."""
+    CELL_LIMIT cells before this runs."""
     m = b.strands
     budget = ring.budget()
     _check_code_space(m, N, budget)
@@ -541,13 +535,13 @@ def _state_sum(b: BraidWord, N: int, ring) -> tuple:
 def state_sum_jones(b: BraidWord, N: int) -> LaurentPoly:
     """J′ of the braid closure by the exact state sum, N ≥ 1.  Refuses, with
     ValueError, an input whose predicted tables or rows for one initial
-    state pass _CELL_LIMIT cells."""
+    state pass CELL_LIMIT cells."""
     if N < 1:
         raise ValueError("N must be a positive integer")
     if not closure_is_knot(b):
         raise ValueError("closure is not a knot")
-    if max(_ExactRows.table_cells(N), _ExactRows.state_cells(b, N)) > _CELL_LIMIT:
-        raise ValueError(f"the exact state sum at N = {N} would hold over {_CELL_LIMIT} integer cells")
+    if max(_ExactRows.table_cells(N), _ExactRows.state_cells(b, N)) > CELL_LIMIT:
+        raise ValueError(f"the exact state sum at N = {N} would hold over {CELL_LIMIT} integer cells")
     _, total = _state_sum(b, N, _ExactRows)
     out = total.shift(b.writhe * (N * N - 1))
     if not (out.is_univariate_q() and out.has_integer_q_powers()):
@@ -591,7 +585,13 @@ def state_sum_entries(b: BraidWord, N: int) -> int:
 _PROBE_N = 2
 
 
-def float_sum_word(b: BraidWord, N: int, probed: dict[BraidWord, int] | None = None) -> BraidWord:
+@lru_cache(maxsize=256)
+def _probe(w: BraidWord) -> int:
+    """`state_sum_entries` of w at _PROBE_N, for the last 256 words probed."""
+    return state_sum_entries(w, _PROBE_N)
+
+
+def float_sum_word(b: BraidWord, N: int) -> BraidWord:
     """The cyclic rotation of b on which to run `numeric_state_sum` at N.
 
     A rotation is a conjugate of b, so its closure, writhe and strand count
@@ -606,9 +606,9 @@ def float_sum_word(b: BraidWord, N: int, probed: dict[BraidWord, int] | None = N
     the per-step numpy calls, which a probe pays as well, so a probe costs
     0.3–0.4 of the sum (5_2 at N = 3 to 5) and no rotation repays it.
     No timing enters the choice, so the same input gives the same floats.
-    `probed` (word → entries) lets a caller share probes between orders.
-    An order the state sum refuses is refused before any probe.  Logs one
-    DEBUG record when it compares two words or more."""
+    Each word's count is cached (`_probe`), so later orders and calls do not
+    probe it again.  An order the state sum refuses is refused before any
+    probe.  Logs one DEBUG record when it compares two words or more."""
     m = b.strands
     _check_code_space(m, N, _ENTRY_BUDGET)
     if N ** (m - 1) * _NumericTables.state_cells(b, N) <= _NumericTables.budget():
@@ -616,12 +616,8 @@ def float_sum_word(b: BraidWord, N: int, probed: dict[BraidWord, int] | None = N
     words = cyclic_rotations(b, N ** (m - 1) // 2 ** (m - 1))
     if len(words) == 1:
         return b
-    probed = {} if probed is None else probed
-    for w in words:
-        if w not in probed:
-            probed[w] = state_sum_entries(w, _PROBE_N)
-    chosen = min(words, key=probed.__getitem__)
+    chosen = min(words, key=_probe)
     _log.debug("float N = %d: state sum on %r of %r after probing %d of its rotations; "
                "entries at N = %d: %d of the given word, %d of the word summed on",
-               N, chosen.to_text(), b.to_text(), len(words), _PROBE_N, probed[b], probed[chosen])
+               N, chosen.to_text(), b.to_text(), len(words), _PROBE_N, _probe(b), _probe(chosen))
     return chosen

@@ -31,10 +31,11 @@ from qknot.mcmahon import (
     alexander,
     braid_c_sum,
     colored_jones,
-    folded_series_sum,
     rotated_series_sum,
 )
 from qknot.verma_oracle import float_sum_word, numeric_state_sum, state_sum_jones
+
+from oracles import folded_series_sum
 
 
 def test_exact_value_is_reduced_colored_jones(corpus_braids):
@@ -329,6 +330,7 @@ def test_volume_sequence_probes_each_rotation_once(monkeypatch):
         return entries(w, N)
 
     monkeypatch.setattr(verma_oracle, "state_sum_entries", counted)
+    verma_oracle._probe.cache_clear()
     b = parse_braid("1 1 1 2 -1 2")
     volume_sequence(b, [10, 15, 10, 3])
     assert sorted(probed) == sorted(w.to_text() for w in cyclic_rotations(b))

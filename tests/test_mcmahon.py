@@ -1,6 +1,7 @@
 import importlib.util
 import logging
 import math
+import time
 from itertools import islice
 from pathlib import Path
 from unittest import mock
@@ -29,10 +30,11 @@ from qknot.mcmahon import (
     braid_setup,
     colored_jones,
     fermionic_terms,
-    folded_series_sum,
 )
 from qknot.qweyl import AlgebraElement, NormalMonomial
 from qknot.verma_oracle import state_sum_jones
+
+from oracles import folded_series_sum
 
 
 def trefoil_closed_form(N):
@@ -467,6 +469,68 @@ def test_fermionic_stop_rule_leaves_only_zero_terms(corpus_braids):
                 if streak == window:
                     break
             assert not any(islice(terms, 2 * window)), (name, N)
+
+
+def test_generic_rows_leaving_int64_partway_evaluate_each_population_once(monkeypatch, caplog):
+    # at 2^8 the rows of 5_2's series leave int64 in some steps and inside
+    # some evaluations; each population is still evaluated once, not first
+    # on int64 and then again on Python ints
+    b = parse_braid("1 1 1 2 -1 2")
+    signs, C = _series_inputs(b)
+    want = list(fermionic_terms(C, signs, 3, 8))
+    calls = {"_eval_population": 0, "_eval_population_np": 0}
+    entered = []
+
+    def counted(name):
+        fn = getattr(mcmahon, name)
+
+        def run(*args):
+            calls[name] += 1
+            entered.append(args[3].dtype)
+            return fn(*args)
+
+        return run
+
+    for name in calls:
+        monkeypatch.setattr(mcmahon, name, counted(name))
+    monkeypatch.setattr(exactpoly, "INT64_SAFE", 2.0**8)
+    with caplog.at_level(logging.DEBUG, logger="qknot.mcmahon"):
+        got = list(fermionic_terms(C, signs, 3, 8))
+    assert got == want
+    assert calls == {"_eval_population": 9, "_eval_population_np": 9}
+    # some populations enter the evaluation on int64 rows, and rows leave it
+    assert np.dtype(np.int64) in entered and object in entered
+    assert caplog.records
+
+
+def test_folded_step_refuses_past_the_cell_limit(monkeypatch):
+    # the S×M×k products' d_j are the step's first array; at the limit the
+    # step runs, one cell past it the step is refused with N and the cells
+    signs, C = _series_inputs(parse_braid("1 1 2 -1 2 1"))
+    mono = mcmahon._mono_arrays(C, signs.signs)
+    k, N = len(signs.signs), 5
+    R = D = np.zeros((3, k), dtype=np.int64)
+    population = (R, D, np.ones(3), np.eye(3, N, dtype=np.int64))
+    cells = 3 * len(C.terms) * k
+    monkeypatch.setattr(mcmahon, "CELL_LIMIT", cells)
+    _folded_step(*population, mono, N)
+    monkeypatch.setattr(mcmahon, "CELL_LIMIT", cells - 1)
+    with pytest.raises(ValueError, match=f"N = 5 would hold {cells} cells in one step"):
+        _folded_step(*population, mono, N)
+    # and the exact Kashaev value of a corpus knot is refused past a lowered limit
+    # (its steps reach 40 cells at N = 5)
+    monkeypatch.setattr(mcmahon, "CELL_LIMIT", 39)
+    with pytest.raises(ValueError, match="folded series at N = 5"):
+        kashaev_value(parse_braid("1 -2 1 -2"), 5)
+
+
+def test_exact_kashaev_value_of_a_large_4_strand_braid_is_refused_at_once():
+    # 47 C-monomials on 11 crossings: at N = 5 a step's products would take
+    # gigabytes, and the step is refused before they are allocated
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"folded series at N = 5 would hold \d+ cells"):
+        kashaev_value(parse_braid("-1 3 2 -1 3 3 -1 2 -1 2 -1"), 5)
+    assert time.perf_counter() - start < 10
 
 
 def test_int64_escalation_is_logged(caplog, monkeypatch):

@@ -1,6 +1,7 @@
 import logging
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -8,6 +9,7 @@ from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -130,7 +132,29 @@ def test_coefficient_rows_leaving_int64_are_logged(monkeypatch, caplog):
         C, _, _ = rows.coeff(1, n1, n2, l)
     assert C.dtype == object
     assert len(caplog.records) == 1
-    assert "leave int64" in caplog.records[0].getMessage()
+    # the wording of exactpoly.int64_fits, shared by every int64 site
+    assert re.fullmatch(r"3 rows leave int64: a group sum may reach \S+ ≥ 2\^62", caplog.records[0].getMessage())
+
+
+class _MpCmath:
+    """Stands in for the cmath module with mpmath numbers, as
+    perfbench/make_refs.py does for its references."""
+
+    pi = mpmath.pi
+    exp = staticmethod(mpmath.exp)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("word,N", [("1 1 1", 5), ("1 -2 1 -2", 7), ("1 1 1 2 -1 2", 6)])
+def test_float_state_sum_runs_at_high_precision_on_a_cmath_stand_in(monkeypatch, word, N):
+    # the split parts and group sums run on object arrays of mpf values
+    b = parse_braid(word)
+    want = numeric_state_sum(b, N)
+    monkeypatch.setattr(verma_oracle, "cmath", _MpCmath)
+    with mpmath.workdps(30):
+        got = numeric_state_sum(b, N)
+    assert isinstance(got, mpmath.mpc)
+    assert abs(complex(got) - want) <= 1e-12 * abs(want), (word, N)
 
 
 def test_exact_state_sum_refuses_oversized_work_at_once():
@@ -373,6 +397,7 @@ def test_planner_probes_at_most_its_cap_b_first(monkeypatch, caplog):
     chosen = {}
     for N, cap in ((2, 0), (5, 0), (6, 9), (10, 25)):
         probed.clear()
+        verma_oracle._probe.cache_clear()
         with caplog.at_level(logging.DEBUG, logger="qknot.verma_oracle"):
             chosen[N] = float_sum_word(b, N)
         assert probed == rotations[:cap]
