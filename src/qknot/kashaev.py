@@ -10,8 +10,9 @@ the same closure, writhe and strand count, so the exact value may sum the
 series on any of them, and the work differs by orders of magnitude between
 them: `mcmahon.rotated_series_sum` sums it on the rotation whose C has the
 fewest monomials, as long as reading the rotations' C costs less than the
-series.  C comes from the per-braid cache `mcmahon.braid_c_sum`, shared with
-the colored Jones route and every order N.  `kashaev_series` keeps the
+series.  C comes from the per-braid cache `mcmahon.braid_c_sum`, shared by
+every order N, and its minors from `mcmahon.c_parts`, shared with the
+colored Jones route.  `kashaev_series` keeps the
 given word, as its terms t_n are not invariants.  A complex floating-point
 state sum provides the production path for growth-rate sequences
 2π·ln|⟨K⟩_N|/N, whose conjectured limit is the hyperbolic volume.  It too

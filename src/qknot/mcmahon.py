@@ -6,19 +6,25 @@ sum C of principal quantum minors, and a bosonic mode summing diagonal
 coefficients of the co-action on a q-commuting polynomial algebra.  Applying
 the evaluation map with z = q^{N-1} and the writhe prefactor assembles the
 colored Jones polynomial; the classical specialization of I − ρ′ yields the
-Alexander polynomial.
+Alexander polynomial.  Both modes sum the box [0, N−1]^dim of grades x: with
+central x_i on the rows of qρ′, each part of C is graded by its minor's index
+set J, and the master theorem holds degree by degree in x (Garoufalidis–Lê–
+Zeilberger, PNAS 103, 2006).  Each power of C raises Σx_i by |J| ≥ 1, so the
+fermionic series, which drops a state once some x_i reaches N, ends by itself.
 
 ρ′(γ), q·ρ′ and C belong to the braid, not to a route or an order N:
-`braid_setup` and `braid_c_sum` build them once per braid word (the last 256
-are kept), and their `cache_clear()` empties them.  `rho` and `c_sum` stay
-uncached, as `perfbench`'s tracer wraps them and would hide a cache there.
+`braid_setup`, `braid_c_sum` and `c_parts` (C's parts by J, per matrix)
+build them once per braid word (the last 256 are kept), and their
+`cache_clear()` empties them.  `rho` and `c_sum` stay uncached, as
+`perfbench`'s tracer wraps them and would hide a cache there.
 Nothing may mutate what the caches return.  `rotated_series_sum` sums the
 folded series on the cyclic rotation of a braid word whose C has the fewest
 monomials, reading C of one rotation per class of rotations with the same C
 (`_rotation_classes`), and only while the series would have cost as much.
 
 The fermionic series runs on numpy int64 rows: at generic q on windows of
-whole powers of q (`fermionic_terms`), and for the root-of-unity sum of the
+whole powers of q (`fermionic_terms` term by term on C, `_fermionic_series`
+summed on C's graded parts), and for the root-of-unity sum of the
 Kashaev invariant on residues mod q^N − 1 (`_folded_steps`).  Only the
 bosonic series runs on raw {exponent: coefficient} dictionaries; it is the
 independent check of the fermionic route, so it shares none of that kernel.
@@ -76,19 +82,24 @@ def qdet(M: QuantumMatrix) -> AlgebraElement:
     return total
 
 
-def c_sum(M: QuantumMatrix) -> AlgebraElement:
-    """C = Σ over nonempty principal J of (−1)^{|J|−1} det_q(M_J), so that the
-    deformed determinant of I − M equals 1 − C."""
-    total = AlgebraElement.zero()
+@lru_cache(maxsize=256)
+def c_parts(M: QuantumMatrix) -> tuple[tuple[tuple[int, ...], AlgebraElement], ...]:
+    """The signed parts (J, (−1)^{|J|−1} det_q(M_J)) of C, one per nonempty
+    principal J, as `c_sum` adds them up.  Cached by matrix: `braid_setup`
+    keeps one per braid, so no braid builds its minors twice."""
+    parts = []
     for size in range(1, M.dim + 1):
         for J in combinations(range(M.dim), size):
             rows = tuple(tuple(M.entries[i][j] for j in J) for i in J)
-            sub = QuantumMatrix(size, rows, M.signs)
-            det = qdet(sub)
-            if size % 2 == 0:
-                det = -det
-            total = total + det
-    return total
+            det = qdet(QuantumMatrix(size, rows, M.signs))
+            parts.append((J, -det if size % 2 == 0 else det))
+    return tuple(parts)
+
+
+def c_sum(M: QuantumMatrix) -> AlgebraElement:
+    """C = Σ over nonempty principal J of (−1)^{|J|−1} det_q(M_J), so that the
+    deformed determinant of I − M equals 1 − C."""
+    return sum((part for _, part in c_parts(M)), AlgebraElement.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -203,26 +214,29 @@ def _eval_state(key: tuple[int, ...], signs_t: tuple[int, ...], z_pow: int) -> Q
 # a group of carried bounds reaches 2^62.
 
 
-def _mono_arrays(C: AlgebraElement, signs_t: tuple[int, ...]) -> tuple:
-    """C's M monomials as M×k arrays of per-crossing (r, d) exponents and
-    reorder weights, their q-coefficients as M×width (exponent, coefficient)
-    arrays sorted by exponent and padded with zero coefficients, and the
-    coefficients' ℓ₁ norms: (r2, d2, w_r, w_d, exps, coeffs, l1)."""
-    k = len(signs_t)
-    monos = _mono_terms(C, k)
-    trip = np.array([key for key, _ in monos], dtype=np.int64).reshape(len(monos), k, 3)
+def _mono_arrays(parts, signs_t: tuple[int, ...]) -> tuple:
+    """The M monomials of C, given as `parts` (x, element) with grades x, as
+    M×k arrays of per-crossing (r, d) exponents and reorder weights (x joins
+    r as key columns of weight 0), their q-coefficients as M×width (exponent,
+    coefficient) arrays sorted by exponent and padded with zero coefficients,
+    and the coefficients' ℓ₁ norms: (r2, d2, w_r, w_d, exps, coeffs, l1).
+    An ungraded C is [((), C)]."""
+    k, g = len(signs_t), len(parts[0][0]) if parts else 0
+    monos = [(key, cd, x) for x, part in parts for key, cd in _mono_terms(part, k)]
+    trip = np.array([key for key, _, _ in monos], dtype=np.int64).reshape(len(monos), k, 3)
+    grade = np.array([x for *_, x in monos], dtype=np.int64).reshape(len(monos), g)
     s2, r2, d2 = trip[..., 0], trip[..., 1], trip[..., 2]
     plus = np.array(signs_t, dtype=np.int64) == 1
     # _apply_mono's reorder power is linear in the old keys: Σ_j d_j·w_d + r_j·w_r
     w_d = np.where(plus, r2, 2 * s2 - r2)
-    w_r = np.where(plus, -2 * s2, 2 * s2)
-    width = max((len(cd) for _, cd in monos), default=1)
+    w_r = np.hstack([np.where(plus, -2 * s2, 2 * s2), 0 * grade])
+    width = max((len(cd) for _, cd, _ in monos), default=1)
     exps = np.zeros((len(monos), width), dtype=np.int64)
     coeffs = np.zeros((len(monos), width), dtype=np.int64)
-    for m, (_, cd) in enumerate(monos):
+    for m, (_, cd, _) in enumerate(monos):
         for t, (e, c) in enumerate(sorted(cd.items())):
             exps[m, t], coeffs[m, t] = e, c
-    return r2, d2, w_r, w_d, exps, coeffs, np.abs(coeffs).sum(axis=1).astype(float)
+    return np.hstack([r2, grade]), d2, w_r, w_d, exps, coeffs, np.abs(coeffs).sum(axis=1).astype(float)
 
 
 def _groups(cols, sizes, n: int):
@@ -273,11 +287,12 @@ def _generic_step(R, D, O, V, mono: tuple):
     equal keys: `_apply_mono` on arrays.  Child (i, m) of parent i and
     monomial m sits at flat index i·M + m.  Parent keys are distinct, so one
     monomial sends them to distinct keys, and each of its terms scatters into
-    the merged rows without collisions."""
+    the merged rows without collisions.  A merged population that would pass
+    CELL_LIMIT cells is refused with ValueError before it is allocated."""
     r2, d2, w_r, w_d, exps, coeffs, l1 = mono
     (S, W), M = V.shape, len(r2)
     pairs = ((R, r2), (D, d2))
-    keys = ((P[:, j, None] + Q[:, j]).ravel() for P, Q in pairs for j in range(R.shape[1]))
+    keys = ((P[:, j, None] + Q[:, j]).ravel() for P, Q in pairs for j in range(P.shape[1]))
     sizes = np.concatenate([P.max(axis=0) + Q.max(axis=0, initial=0) + 1 for P, Q in pairs])
     order, starts = _groups(keys, sizes, S * M)
     label = _labels(order, starts).reshape(S, M)
@@ -286,6 +301,8 @@ def _generic_step(R, D, O, V, mono: tuple):
     delta = off - low[label]
     lag = np.where(coeffs != 0, exps - exps[:, :1], 0)
     width = int((delta + lag.max(axis=1)).max(initial=0)) + W
+    if (cells := len(starts) * width) > CELL_LIMIT:
+        raise ValueError(f"the generic-q series would hold {cells} cells in one step, over {CELL_LIMIT}")
     V, _ = fit_rows(V, order // M, l1[order % M], starts, _log)
     out = np.zeros((len(starts), width), dtype=V.dtype)
     for m, t in zip(*np.nonzero(coeffs)):
@@ -375,7 +392,7 @@ def fermionic_terms(
     """
     signs_t = signs.signs
     k = len(signs_t)
-    mono = _mono_arrays(C, signs_t)
+    mono = _mono_arrays([((), C)], signs_t)
     R = D = np.zeros((1, k), dtype=np.int64)
     O, V = np.zeros(1, dtype=np.int64), np.ones((1, 1), dtype=np.int64)
     n = 0
@@ -387,6 +404,36 @@ def fermionic_terms(
         R, D, O, V = _generic_step(R, D, O, V, mono)
         if not len(V):
             return
+
+
+def _fermionic_series(Mq: QuantumMatrix, N: int) -> QDict:
+    """Σ_n E(Cⁿ)|_{z=q^{N−1}} over the states whose grade x, the sum of their
+    parts' 0/1 index vectors (in R[:, k:]), lies in the box [0, N−1]^dim.
+    A state's descendants only add to its grades, so the population empties
+    by n = dim·(N−1) + 1.  E is linear: all populations are merged by (R, D)
+    and evaluated once."""
+    signs_t = Mq.signs.signs
+    k = len(signs_t)
+    parts = [([int(i in J) for i in range(Mq.dim)], part) for J, part in c_parts(Mq)]
+    mono = _mono_arrays(parts, signs_t)
+    pops = [(np.zeros((1, k + Mq.dim), dtype=np.int64), np.zeros((1, k), dtype=np.int64),
+             np.zeros(1, dtype=np.int64), np.ones((1, 1), dtype=np.int64))]
+    while parts and len(pops[-1][3]):
+        R, D, O, V = _generic_step(*pops[-1], mono)
+        keep = (R[:, k:] < N).all(axis=1)
+        pops.append((R[keep], D[keep], O[keep], V[keep]))
+    W = max(V.shape[1] for *_, V in pops)
+    R, D, O, V = map(np.concatenate, zip(*((R[:, :k], D, O, np.pad(V, ((0, 0), (0, W - V.shape[1]))))
+                                           for R, D, O, V in pops)))
+    order, starts = _groups([*R.T, *D.T], [*(R.max(axis=0) + 1), *(D.max(axis=0) + 1)], len(V))
+    label = _labels(order, starts)
+    low = np.minimum.reduceat(O[order], starts)
+    delta = O - low[label]
+    V, _ = fit_rows(V, order, 1.0, starts, _log)
+    out = np.zeros((len(starts), int(delta.max()) + W), dtype=V.dtype)
+    np.add.at(out, (label[:, None], delta[:, None] + np.arange(W)), V)
+    sel = order[starts]
+    return _eval_population(*_compact(R[sel], D[sel], low, out), signs_t, N - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +547,7 @@ def _folded_steps(C: AlgebraElement, signs_t: tuple[int, ...], N: int) -> Iterat
     A step too large for CELL_LIMIT is refused (`_folded_step`).
     """
     k = len(signs_t)
-    mono = _mono_arrays(C, signs_t)
+    mono = _mono_arrays([((), C)], signs_t)
     R = D = np.zeros((1, k), dtype=np.int64)
     B, V = np.ones(1), np.eye(1, N, dtype=np.int64)
     acc, pending = (R, D, B, V), []
@@ -658,22 +705,17 @@ def rotated_series_sum(b: BraidWord, N: int) -> tuple[list[int], BraidWord, int,
     return total, chosen, len(words), len(words)
 
 
-# Fermionic terms summed before the series is declared unterminated.
-_HARD_CAP = 1000
-
-
 def colored_jones(b: BraidWord, N: int, mode: str = "bosonic") -> LaurentPoly:
     """J′ of the braid closure, normalized to 1 on the unknot, for N ≥ 1: the
     writhe prefactor times E_N applied to the reciprocal of the deformed
     determinant of I − qρ′(γ).
 
-    Mode "bosonic" sums graded diagonal coefficients with the per-exponent
-    bound n_i ≤ N−1.  Mode "fermionic" sums E_N(Cⁿ) at generic q until
-    max(k, m) consecutive terms vanish (k crossings, m strands).  That stop
-    rule is not proved; a test pins it on the corpus at N ≤ 4, where the
-    next 2·max(k, m) terms vanish too.  The root-of-unity sum of the Kashaev
-    invariant is not a mode here: it runs on the folded kernel,
-    `_folded_steps`.
+    Both modes sum the box n ∈ [0, N−1]^dim of the master theorem's grades.
+    Mode "bosonic" sums graded diagonal coefficients, n_i ≤ N−1.  Mode
+    "fermionic" sums E_N(Cⁿ) at generic q with each part of C graded by its
+    minor's index set J, and ends by itself within dim·(N−1) steps, as each
+    step raises the grades' sum by |J| ≥ 1.  The root-of-unity sum of the
+    Kashaev invariant is not a mode: it runs on `_folded_steps`.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
@@ -683,21 +725,7 @@ def colored_jones(b: BraidWord, N: int, mode: str = "bosonic") -> LaurentPoly:
     if mode == "bosonic":
         total = _bosonic_series(Mq, Mq.signs, N)
     elif mode == "fermionic":
-        C = braid_c_sum(b)
-        if C.ideal_degree() < 1:
-            raise ValueError("C has a monomial of a-degree 0; series is not summable (non-knot input?)")
-        total = {}
-        window = max(b.length, b.strands)
-        zero_streak = 0
-        for n, value in enumerate(fermionic_terms(C, Mq.signs, N - 1)):
-            if n > _HARD_CAP:
-                raise RuntimeError(
-                    f"inverse series unterminated after {_HARD_CAP} terms (window {window})"
-                )
-            _dadd(total, value)
-            zero_streak = 0 if value else zero_streak + 1
-            if zero_streak >= window:
-                break
+        total = _fermionic_series(Mq, N)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     pref = (N - 1) * ((b.writhe - b.strands + 1) // 2)

@@ -15,7 +15,6 @@ generators, an independent oracle.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -67,9 +66,6 @@ class NormalMonomial:
     def generator(cls, kind: str, j: int) -> "NormalMonomial":
         s, r, d = {"b": (1, 0, 0), "c": (0, 1, 0), "a": (0, 0, 1)}[kind]
         return cls(((j, s, r, d),))
-
-    def a_degree(self) -> int:
-        return sum(d for _, _, _, d in self.entries)
 
     def max_index(self) -> int:
         return self.entries[-1][0] if self.entries else 0
@@ -160,12 +156,6 @@ class AlgebraElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def ideal_degree(self) -> float:
-        """ι = min over monomials of Σ_j d_j (math.inf for the zero element)."""
-        if not self.terms:
-            return math.inf
-        return min(m.a_degree() for m in self.terms)
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -11,6 +11,9 @@
   factors, the reference for `verma_oracle._step_entries`.
 * `folded_series_sum`: the folded kernel of `mcmahon` run to its sum on a
   given C, as the tests hold it to their references.
+* `ungraded_fermionic_jones`: the fermionic colored Jones summed on the
+  ungraded C until max(k, m) consecutive terms vanish, a stop rule with no
+  proof, as the reference for the graded sum.
 """
 from itertools import product
 
@@ -194,3 +197,26 @@ def folded_series_sum(C, signs_t: tuple[int, ...], N: int) -> list[int]:
     q^0..q^{N−1}: `mcmahon._folded_steps` run to its end."""
     *_, total = mcmahon._folded_steps(C, signs_t, N)
     return total
+
+
+# ---------------------------------------------------------------------------
+# the fermionic colored Jones on the ungraded C
+# ---------------------------------------------------------------------------
+
+
+def ungraded_fermionic_jones(b, N: int) -> LaurentPoly:
+    """J′_N of the closure of b as Σ_n E_N(Cⁿ) over the ungraded C, summed
+    until max(k, m) consecutive terms vanish (k crossings, m strands) and
+    refused after 1,000 terms, with the writhe prefactor of
+    `mcmahon.colored_jones`."""
+    _, Mq = mcmahon.braid_setup(b)
+    window = max(b.length, b.strands)
+    total, streak = {}, 0
+    for n, value in enumerate(mcmahon.fermionic_terms(mcmahon.braid_c_sum(b), Mq.signs, N - 1)):
+        assert n <= 1000, "series unterminated"
+        mcmahon._dadd(total, value)
+        streak = 0 if value else streak + 1
+        if streak >= window:
+            break
+    pref = (N - 1) * ((b.writhe - b.strands + 1) // 2)
+    return LaurentPoly({(Q_UNIT * (e + pref), 0): c for e, c in total.items()})

@@ -2,7 +2,6 @@ import importlib.util
 import logging
 import math
 import time
-from itertools import islice
 from pathlib import Path
 from unittest import mock
 
@@ -28,13 +27,14 @@ from qknot.mcmahon import (
     alexander,
     braid_c_sum,
     braid_setup,
+    c_parts,
     colored_jones,
     fermionic_terms,
 )
 from qknot.qweyl import AlgebraElement, NormalMonomial
 from qknot.verma_oracle import state_sum_jones
 
-from oracles import folded_series_sum
+from oracles import folded_series_sum, ungraded_fermionic_jones
 
 
 def trefoil_closed_form(N):
@@ -95,6 +95,7 @@ SETUP_READERS = {
 def _clear_setup():
     braid_setup.cache_clear()
     braid_c_sum.cache_clear()
+    c_parts.cache_clear()
 
 
 def test_one_setup_serves_every_route_and_order(monkeypatch):
@@ -126,8 +127,27 @@ def test_benchmark_cache_reset_empties_the_setup_caches():
     spec.loader.exec_module(tracer)
     kashaev_value(parse_braid("1 1 1"), 3)
     assert braid_setup.cache_info().currsize and braid_c_sum.cache_info().currsize
+    assert c_parts.cache_info().currsize
     tracer.clear_caches()
     assert braid_setup.cache_info().currsize == braid_c_sum.cache_info().currsize == 0
+    assert c_parts.cache_info().currsize == 0
+
+
+def test_minors_are_built_once_per_braid(monkeypatch):
+    # the graded fermionic route and C's sum read the same parts: one
+    # quantum determinant per nonempty principal minor, whichever asks first
+    calls = []
+    real_qdet = mcmahon.qdet
+    monkeypatch.setattr(mcmahon, "qdet", lambda M: calls.append(M.dim) or real_qdet(M))
+    b = parse_braid("1 1 2 -1 -3 2 -3")
+    _clear_setup()
+    colored_jones(b, 2, mode="fermionic")
+    kashaev_series(b, 3)
+    colored_jones(b, 3, mode="fermionic")
+    assert sorted(calls) == [1, 1, 1, 2, 2, 2, 3]
+    _, Mq = braid_setup(b)
+    assert braid_c_sum(b) == sum((part for _, part in c_parts(Mq)), AlgebraElement.zero())
+    assert [J for J, _ in c_parts(Mq)] == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
 
 
 def _relabelled(C, k):
@@ -447,28 +467,64 @@ def test_generic_series_matches_dict_reference(corpus_braids, monkeypatch, caplo
     assert bool(caplog.records) == (rows == "object")
 
 
-def test_bosonic_mode_is_state_sum_on_every_benchmark_rotation(benchmark_rotations):
-    # the benchmark's bosonic jobs, 6_1 on 4 strands among them, term for term
+def test_both_modes_are_state_sum_on_every_benchmark_rotation(benchmark_rotations):
+    # the benchmark's bosonic jobs, 6_1 on 4 strands among them, term for
+    # term, and the fermionic mode on the orders the benchmark skips
     for word in benchmark_rotations:
         b = parse_braid(word)
         for N in (2, 3, 4):
-            assert colored_jones(b, N, mode="bosonic") == state_sum_jones(b, N), (word, N)
+            want = state_sum_jones(b, N)
+            assert colored_jones(b, N, mode="bosonic") == want, (word, N)
+            assert colored_jones(b, N, mode="fermionic") == want, (word, N)
 
 
-def test_fermionic_stop_rule_leaves_only_zero_terms(corpus_braids):
-    # colored_jones stops after max(k, m) consecutive zero terms; that
-    # rule is not proved, so pin it: the next 2·max(k, m) terms vanish too
+def test_graded_fermionic_series_ends_within_the_box(corpus_braids, benchmark_rotations, monkeypatch):
+    # every step raises the grades' sum by at least 1 and no grade may reach
+    # N, so at most dim·(N−1) + 1 populations are nonempty and the step after
+    # the last leaves none; a step past that fails at once, so a series that
+    # does not end fails here instead of running on.  The merged populations
+    # are evaluated once.
+    calls = {"_generic_step": 0, "_eval_population": 0}
+    steps = mcmahon._generic_step
+    evaluate = mcmahon._eval_population
+
+    def step(*args):
+        calls["_generic_step"] += 1
+        assert calls["_generic_step"] <= bound, "the graded series did not end"
+        return steps(*args)
+
+    def evaluated(*args):
+        calls["_eval_population"] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(mcmahon, "_generic_step", step)
+    monkeypatch.setattr(mcmahon, "_eval_population", evaluated)
+    braids = list(corpus_braids.values()) + [parse_braid(w) for w in benchmark_rotations]
+    for b in braids:
+        for N in range(1, 7 if b.strands <= 3 else 5):
+            bound = (b.strands - 1) * (N - 1) + 1
+            calls.update(_generic_step=0, _eval_population=0)
+            colored_jones(b, N, mode="fermionic")
+            assert calls["_eval_population"] == 1, (b.to_text(), N)
+
+
+def test_graded_fermionic_sum_is_the_ungraded_sum_on_the_corpus(corpus_braids):
+    # the series on the ungraded C, stopped after max(k, m) zero terms,
+    # gives the same polynomial where it has been run
     for name, b in corpus_braids.items():
-        signs, C = _series_inputs(b)
-        window = max(len(signs.signs), b.strands)
         for N in range(1, 5):
-            terms = fermionic_terms(C, signs, N - 1)
-            streak = 0
-            for term in terms:
-                streak = 0 if term else streak + 1
-                if streak == window:
-                    break
-            assert not any(islice(terms, 2 * window)), (name, N)
+            assert colored_jones(b, N, mode="fermionic") == ungraded_fermionic_jones(b, N), (name, N)
+
+
+def test_graded_fermionic_merge_on_object_rows_is_exact(monkeypatch, caplog):
+    # past the int64 bound every row of the graded series and of its merge
+    # leaves int64, and the polynomial stays the same
+    cases = [(parse_braid(w), N) for w in ("1 1 1 2 -1 2", "1 1 2 -1 -3 2 -3") for N in (3, 4)]
+    want = [colored_jones(b, N, mode="fermionic") for b, N in cases]
+    monkeypatch.setattr(exactpoly, "INT64_SAFE", 1.0)
+    with caplog.at_level(logging.DEBUG, logger="qknot.mcmahon"):
+        assert [colored_jones(b, N, mode="fermionic") for b, N in cases] == want
+    assert caplog.records
 
 
 def test_generic_rows_leaving_int64_partway_evaluate_each_population_once(monkeypatch, caplog):
@@ -507,7 +563,7 @@ def test_folded_step_refuses_past_the_cell_limit(monkeypatch):
     # the S×M×k products' d_j are the step's first array; at the limit the
     # step runs, one cell past it the step is refused with N and the cells
     signs, C = _series_inputs(parse_braid("1 1 2 -1 2 1"))
-    mono = mcmahon._mono_arrays(C, signs.signs)
+    mono = mcmahon._mono_arrays([((), C)], signs.signs)
     k, N = len(signs.signs), 5
     R = D = np.zeros((3, k), dtype=np.int64)
     population = (R, D, np.ones(3), np.eye(3, N, dtype=np.int64))
@@ -522,6 +578,19 @@ def test_folded_step_refuses_past_the_cell_limit(monkeypatch):
     monkeypatch.setattr(mcmahon, "CELL_LIMIT", 39)
     with pytest.raises(ValueError, match="folded series at N = 5"):
         kashaev_value(parse_braid("1 -2 1 -2"), 5)
+
+
+def test_generic_step_refuses_past_the_cell_limit(monkeypatch):
+    # the merged population of 5_2's series reaches more cells at each
+    # depth; past a lowered limit kashaev_series and colored_jones refuse it
+    b = parse_braid("1 1 1 2 -1 2")
+    monkeypatch.setattr(mcmahon, "CELL_LIMIT", 200)
+    with pytest.raises(ValueError, match=r"generic-q series would hold \d+ cells in one step, over 200"):
+        kashaev_series(b, 12)
+    with pytest.raises(ValueError, match="generic-q series would hold"):
+        colored_jones(b, 4, mode="fermionic")
+    monkeypatch.setattr(mcmahon, "CELL_LIMIT", exactpoly.CELL_LIMIT)
+    assert len(kashaev_series(b, 12).terms) == 13
 
 
 def test_exact_kashaev_value_of_a_large_4_strand_braid_is_refused_at_once():

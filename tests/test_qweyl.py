@@ -32,11 +32,9 @@ def test_strand_signs_validation():
 def test_monomial_accessors():
     m = NormalMonomial.from_map({2: (1, 2, 3)})
     assert m.entries == ((2, 1, 2, 3),)
-    assert m.a_degree() == 3
     assert m.max_index() == 2
     assert NormalMonomial.unit().entries == ()
     assert NormalMonomial.generator("a", 1).entries == ((1, 0, 0, 1),)
-    assert AlgebraElement.monomial(m).ideal_degree() == 3
 
 
 def test_reorder_exponents_match_hand_computation():
