@@ -406,22 +406,44 @@ def fermionic_terms(
             return
 
 
+# Largest summed cells (rows × width) of the populations that
+# `_fermionic_series` merges for one evaluation.
+_GROUP_CELLS = 2**17
+
+
 def _fermionic_series(Mq: QuantumMatrix, N: int) -> QDict:
     """Σ_n E(Cⁿ)|_{z=q^{N−1}} over the states whose grade x, the sum of their
     parts' 0/1 index vectors (in R[:, k:]), lies in the box [0, N−1]^dim.
     A state's descendants only add to its grades, so the population empties
-    by n = dim·(N−1) + 1.  E is linear: all populations are merged by (R, D)
-    and evaluated once."""
+    by n = dim·(N−1) + 1.  E is linear: consecutive populations are merged
+    by (R, D) in groups whose summed cells stay within _GROUP_CELLS (or one
+    population past it), and each group is evaluated once."""
     signs_t = Mq.signs.signs
     k = len(signs_t)
     parts = [([int(i in J) for i in range(Mq.dim)], part) for J, part in c_parts(Mq)]
     mono = _mono_arrays(parts, signs_t)
-    pops = [(np.zeros((1, k + Mq.dim), dtype=np.int64), np.zeros((1, k), dtype=np.int64),
-             np.zeros(1, dtype=np.int64), np.ones((1, 1), dtype=np.int64))]
-    while parts and len(pops[-1][3]):
-        R, D, O, V = _generic_step(*pops[-1], mono)
+    pop = (np.zeros((1, k + Mq.dim), dtype=np.int64), np.zeros((1, k), dtype=np.int64),
+           np.zeros(1, dtype=np.int64), np.ones((1, 1), dtype=np.int64))
+    total: QDict = {}
+    group, cells = [], 0
+    while len(pop[3]):
+        if group and cells + pop[3].size > _GROUP_CELLS:
+            _dadd(total, _eval_merged(group, k, signs_t, N - 1))
+            group, cells = [], 0
+        group.append(pop)
+        cells += pop[3].size
+        if not parts:
+            break
+        R, D, O, V = _generic_step(*pop, mono)
         keep = (R[:, k:] < N).all(axis=1)
-        pops.append((R[keep], D[keep], O[keep], V[keep]))
+        pop = (R[keep], D[keep], O[keep], V[keep])
+    _dadd(total, _eval_merged(group, k, signs_t, N - 1))
+    return total
+
+
+def _eval_merged(pops: list, k: int, signs_t: tuple[int, ...], z_pow: int) -> QDict:
+    """`_eval_population` of populations (R, D, O, V) merged by their keys
+    (R's first k columns, D): rows of one key are added on a shared window."""
     W = max(V.shape[1] for *_, V in pops)
     R, D, O, V = map(np.concatenate, zip(*((R[:, :k], D, O, np.pad(V, ((0, 0), (0, W - V.shape[1]))))
                                            for R, D, O, V in pops)))
@@ -433,7 +455,7 @@ def _fermionic_series(Mq: QuantumMatrix, N: int) -> QDict:
     out = np.zeros((len(starts), int(delta.max()) + W), dtype=V.dtype)
     np.add.at(out, (label[:, None], delta[:, None] + np.arange(W)), V)
     sel = order[starts]
-    return _eval_population(*_compact(R[sel], D[sel], low, out), signs_t, N - 1)
+    return _eval_population(*_compact(R[sel], D[sel], low, out), signs_t, z_pow)
 
 
 # ---------------------------------------------------------------------------

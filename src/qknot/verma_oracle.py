@@ -41,6 +41,11 @@ StateVector = dict[tuple[int, ...], LaurentPoly]
 
 _log = logging.getLogger(__name__)
 
+# the standard library's cmath, whose float tables `_state_sum` may share;
+# perfbench/make_refs.py and the tests replace the module's cmath by an
+# mpmath stand-in for high-precision sums
+_CMATH = cmath
+
 
 def braiding_coeff(sign: int, n1: int, n2: int, l: int, N: int) -> LaurentPoly:
     """Coefficient of e_{n2±l} ⊗ e_{n1∓l} in the twisted braiding of
@@ -117,15 +122,16 @@ def _last_touch(b: BraidWord) -> tuple[list[tuple[int, int]], list[int]]:
 
 
 # Largest count of entries (live state, l) that one braiding step of the
-# float state sum builds at once; batches of initial states grow only while
-# they stay under it.  A step that closes a factor builds at most one entry
-# per live state (see `_step_entries`).
+# float and probe rings builds at once, unless its batch holds one initial
+# state: `_state_sum` splits a batch before a step that would pass it.  A
+# step that closes a factor builds at most one entry per live state (see
+# `_step_entries`), so it is charged its live count.
 _ENTRY_BUDGET = 4096
 
 # The exact ring counts its budget in row cells (the pairs (live state, l) a
-# step considers × the width of their rows), this many per float entry.  A
-# step holds about six arrays of that size, so the default budget keeps its
-# int64 temporaries near 12 MB.
+# step considers × the width of their rows), this many per float entry, and
+# splits its batches by the same rule.  A step holds about six arrays of that
+# size, so the default budget keeps its int64 temporaries near 12 MB.
 _CELLS_PER_ENTRY = 64
 
 # Complex numbers travel as (real, imag) pairs of arrays: numpy's complex128
@@ -158,17 +164,17 @@ class _NumericTables:
 
     def __init__(self, N: int):
         self.N = N
-        self.quarter = [cmath.exp(2j * cmath.pi * t / (4 * N)) for t in range(4 * N)]
-        qpow = [self.quarter[(4 * t) % (4 * N)] for t in range(N)]
+        self.quarter = tuple(cmath.exp(2j * cmath.pi * t / (4 * N)) for t in range(4 * N))
+        qpow = tuple(self.quarter[(4 * t) % (4 * N)] for t in range(N))
         self.qpow = qpow
         gb = [[0j] * (N + 1) for _ in range(N)]
         for n in range(N):
             gb[n][0] = 1 + 0j
             for l in range(1, n + 1):
                 gb[n][l] = gb[n - 1][l - 1] + qpow[l % N] * gb[n - 1][l]
-        self.gauss = gb
-        self.poch_plus = [self._prefix(N - 1 - n2, -1) for n2 in range(N)]
-        self.poch_minus = [self._prefix(n1 - (N - 1), 1) for n1 in range(N)]
+        self.gauss = tuple(map(tuple, gb))
+        self.poch_plus = tuple(self._prefix(N - 1 - n2, -1) for n2 in range(N))
+        self.poch_minus = tuple(self._prefix(n1 - (N - 1), 1) for n1 in range(N))
 
         def grid(rows) -> Split:
             re, im = _split([z for row in rows for z in row])
@@ -182,6 +188,10 @@ class _NumericTables:
             for sign in (1, -1)
         }
         self._poch = {1: grid(self.poch_plus), -1: grid(self.poch_minus)}
+        # the tables are shared by every sum at N (`_ring_tables`)
+        for pair in (self._quarter, self._qpow, *self._head.values(), *self._poch.values()):
+            for part in pair:
+                part.setflags(write=False)
 
     @staticmethod
     def budget() -> int:
@@ -189,22 +199,32 @@ class _NumericTables:
 
     @staticmethod
     def state_cells(b: BraidWord, N: int) -> int:
-        """Entries one initial state may expand to in a step: N^(m−1) live
-        states of its weight, times at most N values of l."""
-        return N**b.strands
+        """The entries the first batch counts per initial state: one, so a
+        sum starts with as many initial states as the budget has entries.
+        `_state_sum` splits a batch where a step would pass the budget."""
+        return 1
 
     @staticmethod
     def cells(val: Split, pairs: int, built: int) -> int:
-        """A step's size: the entries it builds."""
+        """A step's size: the entries it builds, or for a step that closes a
+        factor its live states, which bound them."""
         return built
 
-    def _prefix(self, start: int, step: int) -> list[complex]:
+    @staticmethod
+    def next_size(size: int, peak: int, piece: int, budget: int) -> int:
+        """The next batch's initial states: as many as the budget has
+        entries, since a split costs nothing but the steps it adds."""
+        return budget
+
+    take = staticmethod(_take)
+
+    def _prefix(self, start: int, step: int) -> tuple[complex, ...]:
         out = [1 + 0j]
         acc = 1 + 0j
         for i in range(self.N):
             acc *= 1 - self.qpow[(start + step * i) % self.N]
             out.append(acc)
-        return out
+        return tuple(out)
 
     def phase(self, quarter_units: int) -> complex:
         return self.quarter[quarter_units % (4 * self.N)]
@@ -253,11 +273,15 @@ class _ProbeCounts:
     budget = staticmethod(_NumericTables.budget)
     state_cells = staticmethod(_NumericTables.state_cells)
     cells = staticmethod(_NumericTables.cells)
+    next_size = staticmethod(_NumericTables.next_size)
 
     def __init__(self, N: int):
         self.entries = 0
 
     def phases(self, quarter_units: np.ndarray) -> None:
+        return None
+
+    def take(self, val: None, rows) -> None:
         return None
 
     def merge(self, val: None, src, sign: int, n1, n2, l, key) -> tuple[np.ndarray, None]:
@@ -324,6 +348,9 @@ class _ExactRows:
         # ‖gauss‖₁ · ‖poch‖₁ bounds ‖coefficient‖₁
         self._g1 = np.abs(gauss).sum(axis=2).astype(float)
         self._p1 = np.abs(poch).sum(axis=2).astype(float)
+        # the tables are shared by every sum at N (`_ring_tables`)
+        for table in (gauss, poch, self._g1, self._p1):
+            table.setflags(write=False)
 
     @staticmethod
     def budget() -> int:
@@ -335,11 +362,13 @@ class _ExactRows:
 
     @staticmethod
     def state_cells(b: BraidWord, N: int) -> int:
-        """Cells one initial state may hold in a step: N^m entries (as in the
-        float ring) times the window.  One crossing's coefficients span at
-        most 5(N−1)²/4 whole powers of q: the monomial shift and the degrees
-        of gauss and poch together lie in [−(N−1)²/4, (N−1)²] for sign +1
-        and in [−(N−1)², (N−1)²/4] for sign −1."""
+        """Cells one initial state may hold in a step, the first batch's
+        prediction and `state_sum_jones`' size guard: N^m entries (N^(m−1)
+        live states of its weight, times at most N values of l) times the
+        window.  One crossing's coefficients span at most 5(N−1)²/4 whole
+        powers of q: the monomial shift and the degrees of gauss and poch
+        together lie in [−(N−1)²/4, (N−1)²] for sign +1 and in
+        [−(N−1)², (N−1)²/4] for sign −1."""
         return N**b.strands * (len(b.word) * (5 * (N - 1) ** 2 // 4) + 1)
 
     @staticmethod
@@ -350,6 +379,23 @@ class _ExactRows:
         calls save: the figure-eight at N = 20 took 12 batches and 1.04 s,
         against 79 batches and 0.75 s (2-CPU Xeon, one run each)."""
         return pairs * val[0].shape[1]
+
+    @staticmethod
+    def next_size(size: int, peak: int, piece: int, budget: int) -> int:
+        """The next batch's initial states, after a batch of `size` whose
+        largest step asked for `peak` cells and whose smallest piece held
+        `piece`: twice as many while its steps stay within half the budget,
+        else the smallest piece.  Every row is convolved on the window its
+        piece shares, so rows of a wide batch cost more: 4_1 at N = 20
+        convolved 1.48 M row cells when batches stayed at the size that
+        first split, and 1.19 M this way."""
+        return 2 * size if 2 * peak <= budget else piece
+
+    @staticmethod
+    def take(val: Rows, rows) -> Rows:
+        """The values val[rows], on the window trimmed to their terms."""
+        V, base = val
+        return _window(V[rows], base)
 
     def phases(self, quarter_units: np.ndarray) -> Rows:
         """The monomials q^{u/4} as rows."""
@@ -403,18 +449,22 @@ class _ExactRows:
         out[np.arange(len(P))[:, None], d[:, None] + np.arange(P.shape[1])] = P
         S = np.add.reduceat(out, starts, axis=0)
         base += 4 * low - sign * (self.N - 1) ** 2
-        nonzero = S != 0
-        live = nonzero.any(axis=1)
-        cols = np.flatnonzero(nonzero.any(axis=0))
-        if not len(cols):
-            return starts[:0], (S[:0, :1], base)
-        return order[starts[live]], (S[live, cols[0] : cols[-1] + 1], base + 4 * int(cols[0]))
+        live = (S != 0).any(axis=1)
+        return order[starts[live]], _window(S[live], base)
 
     def collect(self, total: LaurentPoly, val: Rows, hit, seg, size: int) -> LaurentPoly:
         """Add the diagonal entries val[hit] to the running total."""
         V, base = val
         row = V[hit].astype(object).sum(axis=0)
         return total + LaurentPoly({(base + 4 * j, 0): int(c) for j, c in enumerate(row)})
+
+
+def _window(V: np.ndarray, base: int) -> Rows:
+    """The rows V with quarter offset base, on the columns their terms span."""
+    cols = np.flatnonzero((V != 0).any(axis=0))
+    if not len(cols):
+        return V[:, :1], base
+    return V[:, cols[0] : cols[-1] + 1], base + 4 * int(cols[0])
 
 
 def _first_appearance_groups(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -440,25 +490,29 @@ def _sum_by_group(group: np.ndarray, values: np.ndarray, count: int, zero) -> np
     return out
 
 
-def _step_entries(n1, n2, eps: int, N: int, close_lo, close_hi) -> tuple:
-    """(pairs (state, l) considered, source state of each entry, its l) for
-    one braiding step at factors (i−1, i) on live states holding n1 and n2
-    there, in state order and then in order of l = 0..lmax.  The new digits
-    are n2 + εl and n1 − εl, so a factor that no later step changes fixes l:
+def _step_pairs(n1, n2, eps: int, N: int) -> np.ndarray:
+    """Per live state holding n1 and n2 at factors (i−1, i), the values
+    l = 0..lmax a braiding step of sign eps expands it over."""
+    return 1 + (np.minimum(n1, N - 1 - n2) if eps == 1 else np.minimum(n2, N - 1 - n1))
+
+
+def _step_entries(reps, n1, n2, eps: int, close_lo, close_hi) -> tuple:
+    """(source state of each entry, its l) for one braiding step at factors
+    (i−1, i) on live states holding n1 and n2 there, reps = `_step_pairs`,
+    in state order and then in order of l = 0..lmax.  The new digits are
+    n2 + εl and n1 − εl, so a factor that no later step changes fixes l:
     close_lo (close_hi) holds per state the initial digit that factor i−1
     (i) must return to, or is None.  Then only the entry of that l is built,
     when it lies in 0..lmax and both closed factors agree on it."""
-    reps = 1 + (np.minimum(n1, N - 1 - n2) if eps == 1 else np.minimum(n2, N - 1 - n1))
-    pairs = int(reps.sum())
     if close_lo is None and close_hi is None:
         src = np.repeat(np.arange(len(reps)), reps)
-        return pairs, src, np.arange(pairs) - np.repeat(np.cumsum(reps) - reps, reps)
+        return src, np.arange(len(src)) - np.repeat(np.cumsum(reps) - reps, reps)
     l = eps * (close_lo - n2) if close_lo is not None else eps * (n1 - close_hi)
     ok = (l >= 0) & (l < reps)
     if close_lo is not None and close_hi is not None:
         ok &= eps * (n1 - close_hi) == l
     src = np.flatnonzero(ok)
-    return pairs, src, l[src]
+    return src, l[src]
 
 
 def _check_code_space(m: int, N: int, budget: int) -> None:
@@ -468,36 +522,55 @@ def _check_code_space(m: int, N: int, budget: int) -> None:
         raise ValueError(f"N^strands = {N}^{m} is too large for the state sum")
 
 
+# The tables of the last few (ring, N) that a value ring was built for.
+@lru_cache(maxsize=8)
+def _ring_tables(ring, N: int):
+    return ring(N)
+
+
 def _state_sum(b: BraidWord, N: int, ring) -> tuple:
     """The state sum before the writhe phase, in the coefficient ring whose
-    tables `ring(N)` builds: (tables, total).
+    tables `ring(N)` builds: (tables, total).  The value rings' tables are
+    built once per process and N (`_ring_tables`); the probe ring's count,
+    and tables built while cmath is replaced by a stand-in, are built anew.
 
     Initial states run in batches; the live entries of a batch are flat
     arrays of initial state and base-N state code, and the ring's values.
     Each step expands every live state over l (`_step_entries`): a step that
     changes a factor for the last time builds only the entry whose l returns
     that factor to its initial digit.  It then merges equal (initial state,
-    code) keys with the ring's `merge`.  A batch starts as large as the
-    ring's budget allows for its per-state prediction (`state_cells`), and
-    doubles or halves with the peak step size it measured (`cells`): the
-    entries built for the float and probe rings, or int row cells (pairs
-    considered × row width) for the exact ring.
+    code) keys with the ring's `merge`.
+
+    The ring's budget holds before a step allocates its entries: when the
+    step's size (`cells`: the entries it builds, its live states for a step
+    that closes a factor, or for the exact ring int row cells, pairs
+    considered × row width) would pass it and the batch holds more than one
+    initial state, the live entries are split by initial state.  The lower
+    half goes on from that step, and the upper half (`take`) waits on a
+    stack until the lower half is summed.  The first batch holds as many
+    initial states as the budget allows for the ring's per-state prediction
+    (`state_cells`), and the ring sizes each next one (`next_size`), never
+    past the budget: the float and probe rings take the budget's count of
+    initial states every time, and the exact ring doubles its batches while
+    their steps stay within half the budget.
 
     The float ring sums in a fixed order (see `_NumericTables.merge` and
-    `collect`), so its result is independent of the batch sizes.  The exact
-    ring (`_ExactRows`) convolves int64 rows and sums each group by a sort
-    and np.add.reduceat; every product is checked against the bound
-    Σ‖row‖∞·‖coeff‖₁ < 2^62 first and runs on object rows past it, so its
-    sums are exact in any order.  `state_sum_jones` refuses work past
-    CELL_LIMIT cells before this runs."""
+    `collect`), so its result is independent of the batches and splits: a
+    group never spans two initial states, a split keeps the entry order
+    within each group, and the diagonal entries go into `collect` in
+    initial-state order.  The exact ring (`_ExactRows`) convolves int64 rows
+    and sums each group by a sort and np.add.reduceat; every product is
+    checked against the bound Σ‖row‖∞·‖coeff‖₁ < 2^62 first and runs on
+    object rows past it, so its sums are exact in any order.
+    `state_sum_jones` refuses work past CELL_LIMIT cells before this runs."""
     m = b.strands
     budget = ring.budget()
     _check_code_space(m, N, budget)
-    tables = ring(N)
+    tables = ring(N) if ring is _ProbeCounts or cmath is not _CMATH else _ring_tables(ring, N)
     steps, last = _last_touch(b)
     place = [N**p for p in range(m + 1)]
     total = tables.zero
-    start, size = 0, max(1, budget // ring.state_cells(b, N))
+    start, size = 0, min(budget, max(1, budget // ring.state_cells(b, N)))
     while start < place[m - 1]:
         size = min(size, place[m - 1] - start)
         # initial state k is the k-th tuple of product(range(N), repeat=m−1)
@@ -506,29 +579,45 @@ def _state_sum(b: BraidWord, N: int, ring) -> tuple:
             (k // place[m - 1 - p]) % N for p in range(1, m)
         ]
         full0 = sum(d * place[p] for p, d in enumerate(digits))
-        seg = np.arange(size, dtype=np.int64)
-        code = full0
         val = tables.phases(2 * ((m - 1) * (1 - N) + 2 * sum(digits)))
-        peak = size
-        for t, (i, eps) in enumerate(steps):
-            lo, hi = place[i - 1], place[i]
-            n1, n2 = (code // lo) % N, (code // hi) % N
-            close = [digits[p][seg] if last[p] == t else None for p in (i - 1, i)]
-            pairs, src, l = _step_entries(n1, n2, eps, N, *close)
-            peak = max(peak, tables.cells(val, pairs, len(src)))
-            n1, n2 = n1[src], n2[src]
-            shift = l if eps == 1 else -l
-            code = code[src] + (n2 + shift - n1) * lo + (n1 - shift - n2) * hi
-            seg = seg[src]
-            first, val = tables.merge(val, src, eps, n1, n2, l, seg * place[m] + code)
-            code, seg = code[first], seg[first]
-        hit = np.flatnonzero(code == full0[seg])
-        total = tables.collect(total, val, hit, seg[hit], size)
+        # (next step, the initial states lo..hi−1 of the batch, their live
+        # entries: initial state, code, values), the lowest states on top
+        pending = [(0, 0, size, np.arange(size, dtype=np.int64), full0, val)]
+        peak, piece = 0, size
+        while pending:
+            t0, lo_s, hi_s, seg, code, val = pending.pop()
+            for t in range(t0, len(steps)):
+                i, eps = steps[t]
+                lo, hi = place[i - 1], place[i]
+                n1, n2 = (code // lo) % N, (code // hi) % N
+                reps = _step_pairs(n1, n2, eps, N)
+                closing = t in (last[i - 1], last[i])
+                while True:
+                    pairs = int(reps.sum())
+                    cells = tables.cells(val, pairs, len(reps) if closing else pairs)
+                    peak = max(peak, cells)
+                    if cells <= budget or hi_s - lo_s == 1:
+                        break
+                    # seg is sorted: every ring keeps its groups in key order
+                    # or in order of first appearance, initial state first
+                    mid = (lo_s + hi_s) // 2
+                    cut = int(np.searchsorted(seg, mid))
+                    pending.append((t, mid, hi_s, seg[cut:], code[cut:], tables.take(val, slice(cut, None))))
+                    hi_s, seg, code, val = mid, seg[:cut], code[:cut], tables.take(val, slice(cut))
+                    piece = min(piece, mid - lo_s)
+                    n1, n2, reps = n1[:cut], n2[:cut], reps[:cut]
+                close = [digits[p][seg] if last[p] == t else None for p in (i - 1, i)]
+                src, l = _step_entries(reps, n1, n2, eps, *close)
+                n1, n2 = n1[src], n2[src]
+                shift = l if eps == 1 else -l
+                code = code[src] + (n2 + shift - n1) * lo + (n1 - shift - n2) * hi
+                seg = seg[src]
+                first, val = tables.merge(val, src, eps, n1, n2, l, seg * place[m] + code)
+                code, seg = code[first], seg[first]
+            hit = np.flatnonzero(code == full0[seg])
+            total = tables.collect(total, val, hit, seg[hit] - lo_s, hi_s - lo_s)
         start += size
-        if 2 * peak <= budget:
-            size *= 2
-        elif peak > budget:
-            size = max(1, size // 2)
+        size = min(budget, ring.next_size(size, peak, piece, budget))
     return tables, total
 
 
@@ -602,16 +691,21 @@ def float_sum_word(b: BraidWord, N: int) -> BraidWord:
     ⌊(N/2)^(m−1)⌋ rotations: a probe covers 2^(m−1) initial states and the
     sum N^(m−1), so planning costs about one sum.  It keeps b unless another
     word has strictly fewer entries, and then takes the first of the fewest.
-    A sum that runs in one batch is not planned: its time is then mostly
-    the per-step numpy calls, which a probe pays as well, so a probe costs
-    0.3–0.4 of the sum (5_2 at N = 3 to 5) and no rotation repays it.
-    No timing enters the choice, so the same input gives the same floats.
+    A sum with N^(2m−1) ≤ _ENTRY_BUDGET is not planned.  The threshold
+    assumes that such a sum runs in one batch, whose time is mostly the
+    per-step numpy calls that a probe pays as well (a probe cost 0.3–0.4 of
+    the sum, 5_2 at N = 3 to 5), so that no rotation repays a probe.  Since
+    batches are split where a step would pass the budget, instead of sized
+    by a per-state prediction, that premise no longer holds; the threshold
+    stays as written, so that every choice and every float stays the same,
+    until ROADMAP item 13's work model re-derives it.  No timing enters the
+    choice, so the same input gives the same floats.
     Each word's count is cached (`_probe`), so later orders and calls do not
     probe it again.  An order the state sum refuses is refused before any
     probe.  Logs one DEBUG record when it compares two words or more."""
     m = b.strands
     _check_code_space(m, N, _ENTRY_BUDGET)
-    if N ** (m - 1) * _NumericTables.state_cells(b, N) <= _NumericTables.budget():
+    if N ** (2 * m - 1) <= _ENTRY_BUDGET:
         return b
     words = cyclic_rotations(b, N ** (m - 1) // 2 ** (m - 1))
     if len(words) == 1:

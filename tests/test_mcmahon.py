@@ -508,6 +508,39 @@ def test_graded_fermionic_series_ends_within_the_box(corpus_braids, benchmark_ro
             assert calls["_eval_population"] == 1, (b.to_text(), N)
 
 
+def test_graded_fermionic_groups_of_populations_give_the_same_polynomial(
+        corpus_braids, benchmark_rotations, monkeypatch):
+    # E is linear, so the populations may be evaluated in any grouping: at
+    # _GROUP_CELLS = 1 each nonempty population is its own group, at 200
+    # groups hold a few; each group is evaluated once
+    braids = list(corpus_braids.values()) + [parse_braid(w) for w in benchmark_rotations]
+    cases = [(b, N) for b in braids if b.strands <= 3 for N in (2, 3, 4)]
+    want = [colored_jones(b, N, mode="fermionic") for b, N in cases]
+    calls = {"_generic_step": 0, "_eval_population": 0}
+
+    def counted(name):
+        fn = getattr(mcmahon, name)
+
+        def run(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return run
+
+    for name in calls:
+        monkeypatch.setattr(mcmahon, name, counted(name))
+    for cells in (1, 200):
+        monkeypatch.setattr(mcmahon, "_GROUP_CELLS", cells)
+        for (b, N), poly in zip(cases, want):
+            calls.update(_generic_step=0, _eval_population=0)
+            assert colored_jones(b, N, mode="fermionic") == poly, (b.to_text(), N, cells)
+            # the step after the last nonempty population leaves none
+            if cells == 1:
+                assert calls["_eval_population"] == calls["_generic_step"], (b.to_text(), N)
+            else:
+                assert 1 <= calls["_eval_population"] <= calls["_generic_step"], (b.to_text(), N)
+
+
 def test_graded_fermionic_sum_is_the_ungraded_sum_on_the_corpus(corpus_braids):
     # the series on the ungraded C, stopped after max(k, m) zero terms,
     # gives the same polynomial where it has been run

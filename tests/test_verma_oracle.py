@@ -106,8 +106,28 @@ def _exact_walk_state_sum(word: str, N: int) -> LaurentPoly:
     return total.shift(b.writhe * (N * N - 1))
 
 
+def _mid_sum_splits(monkeypatch, ring) -> list[bool]:
+    """Wrap ring's merge and take; the list gets one flag per take, true
+    when it splits the values of the last merge, that is a batch in mid-sum."""
+    merge, take = ring.merge, ring.take
+    last = {}
+    splits = []
+
+    def merged(self, *args):
+        first, last["val"] = merge(self, *args)
+        return first, last["val"]
+
+    def taken(val, rows):
+        splits.append(val is last.get("val"))
+        return take(val, rows)
+
+    monkeypatch.setattr(ring, "merge", merged)
+    monkeypatch.setattr(ring, "take", staticmethod(taken))
+    return splits
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("rows", ["int64", "object", "one state per batch"])
+@pytest.mark.parametrize("rows", ["int64", "object", "one state per batch", "split in mid-sum"])
 def test_exact_state_sum_matches_apply_braiding_walk(monkeypatch, caplog, benchmark_rotations, rows):
     if rows == "object":
         # every product's bound passes the threshold, so every row leaves int64
@@ -115,12 +135,18 @@ def test_exact_state_sum_matches_apply_braiding_walk(monkeypatch, caplog, benchm
     if rows == "one state per batch":
         monkeypatch.setattr(verma_oracle, "_ENTRY_BUDGET", 1)
         monkeypatch.setattr(verma_oracle, "_CELLS_PER_ENTRY", 1)
+    if rows == "split in mid-sum":
+        # 37 × 64 row cells: batches of several initial states outgrow it
+        monkeypatch.setattr(verma_oracle, "_ENTRY_BUDGET", 37)
+    splits = _mid_sum_splits(monkeypatch, verma_oracle._ExactRows)
     cases = [(w, N) for w in benchmark_rotations for N in (1, 2, 3, 4)]
     cases.append(("1 1 2 -1 -3 2 -3", 5))
     with caplog.at_level(logging.DEBUG, logger="qknot.verma_oracle"):
         for word, N in cases:
             assert state_sum_jones(parse_braid(word), N) == _exact_walk_state_sum(word, N), (word, N)
     assert bool(caplog.records) == (rows == "object")
+    if rows == "split in mid-sum":
+        assert any(splits)
 
 
 def test_coefficient_rows_leaving_int64_are_logged(monkeypatch, caplog):
@@ -242,11 +268,11 @@ def _bits(z: complex) -> tuple[str, str]:
     return z.real.hex(), z.imag.hex()
 
 
-@pytest.mark.parametrize("budget", [1, verma_oracle._ENTRY_BUDGET, 8**5])
+@pytest.mark.parametrize("budget", [1, 37, verma_oracle._ENTRY_BUDGET, 8**5])
 def test_float_state_sum_matches_dict_walk_bit_for_bit(corpus_braids, monkeypatch, budget):
-    # budget 1 keeps one initial state per batch; the default packs many; 8^5
-    # starts each case with all N^(m−1) initial states, budget // N^m of them
-    # (m ≤ 3 at N ≤ 8, and m = 4 at N = 4), so each sum runs in one batch
+    # budget 1 keeps one initial state per batch; 37 splits batches in
+    # mid-sum; the default packs many; 8^5 starts each case with all
+    # N^(m−1) initial states (m ≤ 3 at N ≤ 8, and m = 4 at N = 4) in one batch
     monkeypatch.setattr(verma_oracle, "_ENTRY_BUDGET", budget)
     batches = []  # initial states per batch: `phases` runs once per batch
     phases = verma_oracle._NumericTables.phases
@@ -256,6 +282,7 @@ def test_float_state_sum_matches_dict_walk_bit_for_bit(corpus_braids, monkeypatc
         return phases(self, units)
 
     monkeypatch.setattr(verma_oracle._NumericTables, "phases", counted)
+    splits = _mid_sum_splits(monkeypatch, verma_oracle._NumericTables)
     cases = [(b, N) for b in corpus_braids.values() for N in (1, 2, 3, 5, 8)]
     cases.append((parse_braid("1 1 2 -1 -3 2 -3"), 4))
     cases = [(b, N) for b, N in cases if closure_is_knot(b)]
@@ -263,6 +290,8 @@ def test_float_state_sum_matches_dict_walk_bit_for_bit(corpus_braids, monkeypatc
         assert _bits(numeric_state_sum(b, N)) == _bits(_dict_walk_state_sum(b, N)), (b, N)
     if budget == 8**5:
         assert batches == [N ** (b.strands - 1) for b, N in cases]
+    if budget == 37:
+        assert any(splits)
 
 
 def test_closing_step_builds_the_entries_expand_then_filter_keeps(corpus_braids, monkeypatch):
@@ -271,18 +300,21 @@ def test_closing_step_builds_the_entries_expand_then_filter_keeps(corpus_braids,
     # is still open, so the two closing digits can ask for different l
     step_entries = verma_oracle._step_entries
     kinds = set()
+    order = {}
 
-    def checked(n1, n2, eps, N, close_lo, close_hi):
-        pairs, src, l = step_entries(n1, n2, eps, N, close_lo, close_hi)
+    def checked(reps, n1, n2, eps, close_lo, close_hi):
+        N = order["N"]
+        src, l = step_entries(reps, n1, n2, eps, close_lo, close_hi)
         want = expand_then_filter(n1, n2, eps, N, close_lo, close_hi)
-        assert (pairs, src.tolist(), l.tolist()) == want, (eps, N, close_lo, close_hi)
+        assert (int(reps.sum()), src.tolist(), l.tolist()) == want, (eps, N, close_lo, close_hi)
         kinds.add((close_lo is not None, close_hi is not None))
-        return pairs, src, l
+        return src, l
 
     monkeypatch.setattr(verma_oracle, "_step_entries", checked)
     cases = [(b, N) for b in corpus_braids.values() for N in range(1, 7)]
     cases += [(b, N) for b in cyclic_rotations(parse_braid("1 1 2 -1 -3 2 -3")) for N in range(1, 5)]
     for b, N in cases:
+        order["N"] = N
         numeric_state_sum(b, N)
         state_sum_jones(b, N)
     assert kinds == {(False, False), (True, False), (False, True), (True, True)}
@@ -340,6 +372,72 @@ def test_probe_ring_counts_the_entries_the_float_ring_builds(corpus_braids, benc
             assert state_sum_entries(b, N) == sum(built), (b.to_text(), N)
 
 
+@pytest.mark.parametrize("ring", ["float", "probe", "exact"])
+def test_no_merge_passes_the_budget_unless_its_batch_holds_one_initial_state(
+        corpus_braids, benchmark_rotations, monkeypatch, ring):
+    # entries for the float and probe rings, row cells for the exact ring
+    monkeypatch.setattr(verma_oracle, "_ENTRY_BUDGET", 37)
+    cls, state_sum, orders = {
+        "float": (verma_oracle._NumericTables, numeric_state_sum, range(1, 7)),
+        "probe": (verma_oracle._ProbeCounts, state_sum_entries, range(1, 7)),
+        "exact": (verma_oracle._ExactRows, state_sum_jones, range(1, 5)),
+    }[ring]
+    merge = cls.merge
+    order = {}
+    sizes = []
+
+    def checked(self, val, src, sign, n1, n2, l, key):
+        size = len(key) * (val[0].shape[1] if ring == "exact" else 1)
+        states = len(np.unique(key // order["N"] ** order["m"]))
+        assert size <= cls.budget() or states <= 1, (size, states)
+        sizes.append(size)
+        return merge(self, val, src, sign, n1, n2, l, key)
+
+    monkeypatch.setattr(cls, "merge", checked)
+    words = [b for b in corpus_braids.values() if closure_is_knot(b)]
+    words += [parse_braid(w) for w in benchmark_rotations]
+    for b in words:
+        for N in orders:
+            order.update(N=N, m=b.strands)
+            state_sum(b, N)
+    # the budget binds: batches grow until their steps come near it
+    assert max(sizes) > cls.budget() // 2
+
+
+def test_entry_count_does_not_depend_on_the_budget(corpus_braids, benchmark_rotations, monkeypatch):
+    # the planner's input: a split never merges two initial states' entries
+    words = [b for b in corpus_braids.values() if closure_is_knot(b)]
+    words += [parse_braid(w) for w in benchmark_rotations]
+    counts = {}
+    for budget in (1, 37, verma_oracle._ENTRY_BUDGET):
+        monkeypatch.setattr(verma_oracle, "_ENTRY_BUDGET", budget)
+        counts[budget] = [state_sum_entries(b, N) for b in words for N in range(1, 7)]
+    assert counts[1] == counts[37] == counts[verma_oracle._ENTRY_BUDGET]
+
+
+def test_float_tables_are_shared_but_never_with_a_cmath_stand_in(monkeypatch):
+    # a float sum caches its tables at N; a stand-in sum at the same N must
+    # build its own at its precision, and leave none behind for floats
+    b, N = parse_braid("1 -2 1 -2"), 7
+    verma_oracle._ring_tables.cache_clear()
+    want = numeric_state_sum(b, N)
+    assert verma_oracle._ring_tables.cache_info().currsize == 1
+    monkeypatch.setattr(verma_oracle, "cmath", _MpCmath)
+    with mpmath.workdps(40):
+        ref = numeric_state_sum(b, N)
+    with mpmath.workdps(30):
+        got = numeric_state_sum(b, N)
+    assert isinstance(got, mpmath.mpc)
+    assert abs(got - ref) <= mpmath.mpf(10) ** -27 * abs(ref)
+    assert verma_oracle._ring_tables.cache_info().currsize == 1
+    monkeypatch.setattr(verma_oracle, "cmath", verma_oracle._CMATH)
+    assert _bits(numeric_state_sum(b, N)) == _bits(want)
+    # the shared tables are read-only
+    tables = verma_oracle._ring_tables(verma_oracle._NumericTables, N)
+    with pytest.raises(ValueError):
+        tables._qpow[0][0] = 0.0
+
+
 # a random 4-strand knot word of 11 crossings, whose rotations' entries
 # differ 3.6-fold at N = 5
 RANDOM_4_STRAND = "-1 3 2 -1 3 3 -1 2 -1 2 -1"
@@ -381,8 +479,8 @@ def _long_knot_word(strands: int, letters: int, seed: int):
 
 
 def test_planner_probes_at_most_its_cap_b_first(monkeypatch, caplog):
-    # ⌊(N/2)^(m−1)⌋ rotations at most, and none while the sum runs in one
-    # batch (N^(2m−1) ≤ 4096 entries); all 200 would cost about 90 sums at N = 3
+    # ⌊(N/2)^(m−1)⌋ rotations at most, and none while N^(2m−1) ≤ 4096;
+    # all 200 would cost about 90 sums at N = 3
     b = _long_knot_word(3, 200, seed=7)
     probed = []
     entries = verma_oracle.state_sum_entries
