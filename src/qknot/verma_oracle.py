@@ -11,13 +11,13 @@ cross-validation oracle.
 
 One batched traversal (`_state_sum`) runs the sum over any of three
 rings.  The exact ring (`_ExactRows`, for `state_sum_jones`) holds each value
-as an int64 row of whole-q coefficients on a window its batch shares, with
+as an int64 row of whole-q coefficients with a whole-q offset per row, and
 one quarter-exponent offset per sum.  Each product is bounded beforehand by
 Σ‖row‖∞·‖coeff‖₁, and `exactpoly.fit_rows` moves the rows to object dtype
-of Python ints where that could reach 2^62.  An input whose predicted
-tables or rows for one initial state pass `exactpoly.CELL_LIMIT` cells is
-refused with ValueError before anything is allocated.  The float ring
-(`_NumericTables`, for `numeric_state_sum`) works in complex floats at
+of Python ints where that could reach 2^62.  An input whose tables would
+pass `exactpoly.CELL_LIMIT` cells is refused with ValueError at once, and
+so is a step whose rows would pass it, before they are allocated.  The
+float ring (`_NumericTables`, for `numeric_state_sum`) works in complex floats at
 q = exp(2πi/N), the Kashaev value for large N.  The probe ring
 (`_ProbeCounts`, for `state_sum_entries`) carries no values and counts the
 entries the float ring would build; `float_sum_word` uses it at N = 2 to
@@ -121,18 +121,20 @@ def _last_touch(b: BraidWord) -> tuple[list[tuple[int, int]], list[int]]:
     return steps, last
 
 
-# Largest count of entries (live state, l) that one braiding step of the
-# float and probe rings builds at once, unless its batch holds one initial
-# state: `_state_sum` splits a batch before a step that would pass it.  A
-# step that closes a factor builds at most one entry per live state (see
-# `_step_entries`), so it is charged its live count.
+# The initial states a batch starts with, and the largest count of entries
+# (live state, l) that one braiding step of the float and probe rings builds
+# at once, unless its batch holds one initial state: `_state_sum` splits a
+# batch before a step that would pass it.  A step that closes a factor
+# builds at most one entry per live state (see `_step_entries`), so it is
+# charged its live count.
 _ENTRY_BUDGET = 4096
 
-# The exact ring counts its budget in row cells (the pairs (live state, l) a
-# step considers × the width of their rows), this many per float entry, and
-# splits its batches by the same rule.  A step holds about six arrays of that
-# size, so the default budget keeps its int64 temporaries near 12 MB.
-_CELLS_PER_ENTRY = 64
+# The exact ring counts its budget in row cells (`_ExactRows.cells`), this
+# many per float entry, and splits its batches by the same rule.  A step
+# holds a few int64 arrays of about that size, 1 MB each by default; at 64
+# cells the peak RSS of 5_2 at N = 12 rose 4 MB over 32, with no clear
+# gain in time.
+_CELLS_PER_ENTRY = 32
 
 # Complex numbers travel as (real, imag) pairs of arrays: numpy's complex128
 # product differs from CPython's in the last bit, the split one does not.
@@ -198,23 +200,10 @@ class _NumericTables:
         return _ENTRY_BUDGET
 
     @staticmethod
-    def state_cells(b: BraidWord, N: int) -> int:
-        """The entries the first batch counts per initial state: one, so a
-        sum starts with as many initial states as the budget has entries.
-        `_state_sum` splits a batch where a step would pass the budget."""
-        return 1
-
-    @staticmethod
     def cells(val: Split, pairs: int, built: int) -> int:
         """A step's size: the entries it builds, or for a step that closes a
         factor its live states, which bound them."""
         return built
-
-    @staticmethod
-    def next_size(size: int, peak: int, piece: int, budget: int) -> int:
-        """The next batch's initial states: as many as the budget has
-        entries, since a split costs nothing but the steps it adds."""
-        return budget
 
     take = staticmethod(_take)
 
@@ -271,9 +260,7 @@ class _ProbeCounts:
 
     zero = None
     budget = staticmethod(_NumericTables.budget)
-    state_cells = staticmethod(_NumericTables.state_cells)
     cells = staticmethod(_NumericTables.cells)
-    next_size = staticmethod(_NumericTables.next_size)
 
     def __init__(self, N: int):
         self.entries = 0
@@ -293,7 +280,7 @@ class _ProbeCounts:
         return None
 
 
-Rows = tuple[np.ndarray, int]
+Rows = tuple[np.ndarray, np.ndarray, int]
 
 
 def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -313,16 +300,17 @@ def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _ExactRows:
     """The state sum's exact ring on integer rows.
 
-    A value (V, base) holds one polynomial per row: V[e, j] is the
-    coefficient of q^{base/4 + j}.  The batch shares the window, and the
-    quarter offset `base` is one integer, since every value of one sum lies
-    in one quarter-exponent class: the initial phases are ≡ 2(m−1)(1−N)
-    mod 4, and each crossing adds ∓(N−1)².  The coefficient of a braiding
-    entry is q^{∓(N−1)²/4 + shift} · gauss ⊛ poch, from integer tables built
-    once per N: the standard Gaussian binomials [n, l]_q by their recurrence,
-    and the pochhammer prefixes ∏_{i<l}(1 − q^{N−1−n−i}).  The sign −1
-    prefixes ∏_{i<l}(1 − q^{n+i−(N−1)}) are (−1)^l q^{−deg} times the same
-    rows, deg being the row's degree."""
+    A value (V, O, base) holds one polynomial per row: V[e, j] is the
+    coefficient of q^{base/4 + O[e] + j}.  Each row has its own whole-q
+    offset O[e], so where its terms lie does not depend on the other rows
+    of its batch.  The quarter offset `base` is one integer, since every
+    value of one sum lies in one quarter-exponent class: the initial phases
+    are ≡ 2(m−1)(1−N) mod 4, and each crossing adds ∓(N−1)².  The
+    coefficient of a braiding entry is q^{∓(N−1)²/4 + shift} · gauss ⊛ poch,
+    from integer tables built once per N: the standard Gaussian binomials
+    [n, l]_q by their recurrence, and the pochhammer prefixes
+    ∏_{i<l}(1 − q^{N−1−n−i}).  The sign −1 prefixes ∏_{i<l}(1 − q^{n+i−(N−1)})
+    are (−1)^l q^{−deg} times the same rows, deg being the row's degree."""
 
     zero = LaurentPoly.zero()
 
@@ -360,52 +348,25 @@ class _ExactRows:
     def table_cells(N: int) -> int:
         return N * N * ((N - 1) ** 2 // 4 + 1 + N * (N - 1) // 2 + 1)
 
-    @staticmethod
-    def state_cells(b: BraidWord, N: int) -> int:
-        """Cells one initial state may hold in a step, the first batch's
-        prediction and `state_sum_jones`' size guard: N^m entries (N^(m−1)
-        live states of its weight, times at most N values of l) times the
-        window.  One crossing's coefficients span at most 5(N−1)²/4 whole
-        powers of q: the monomial shift and the degrees of gauss and poch
-        together lie in [−(N−1)²/4, (N−1)²] for sign +1 and in
-        [−(N−1)², (N−1)²/4] for sign −1."""
-        return N**b.strands * (len(b.word) * (5 * (N - 1) ** 2 // 4) + 1)
-
-    @staticmethod
-    def cells(val: Rows, pairs: int, built: int) -> int:
-        """A step's size: the pairs (live state, l) it considers, built or
-        not, times the batch's window.  Charged by built entries, batches grow
-        until their shared window slows every `_conv` more than the fewer
-        calls save: the figure-eight at N = 20 took 12 batches and 1.04 s,
-        against 79 batches and 0.75 s (2-CPU Xeon, one run each)."""
-        return pairs * val[0].shape[1]
-
-    @staticmethod
-    def next_size(size: int, peak: int, piece: int, budget: int) -> int:
-        """The next batch's initial states, after a batch of `size` whose
-        largest step asked for `peak` cells and whose smallest piece held
-        `piece`: twice as many while its steps stay within half the budget,
-        else the smallest piece.  Every row is convolved on the window its
-        piece shares, so rows of a wide batch cost more: 4_1 at N = 20
-        convolved 1.48 M row cells when batches stayed at the size that
-        first split, and 1.19 M this way."""
-        return 2 * size if 2 * peak <= budget else piece
+    def cells(self, val: Rows, pairs: int, built: int) -> int:
+        """A step's size, taken before it allocates: the pairs (live state,
+        l) it considers, built or not, times the row width plus the widest
+        coefficient row less one, which bounds the cells of its products."""
+        return pairs * (val[0].shape[1] + self.gauss.shape[2] + self.poch.shape[2] - 2)
 
     @staticmethod
     def take(val: Rows, rows) -> Rows:
-        """The values val[rows], on the window trimmed to their terms."""
-        V, base = val
-        return _window(V[rows], base)
+        """The values val[rows], on the columns their terms span."""
+        V, O, base = val
+        return (*_trim(V[rows], O[rows]), base)
 
     def phases(self, quarter_units: np.ndarray) -> Rows:
-        """The monomials q^{u/4} as rows."""
+        """The monomials q^{u/4} as rows of width one."""
         base = int(quarter_units.min())
         exps, residue = np.divmod(quarter_units - base, 4)
         if residue.any():
             raise AssertionError("initial phases in two quarter-exponent classes")
-        V = np.zeros((len(exps), int(exps.max()) + 1), dtype=self.gauss.dtype)
-        V[np.arange(len(exps)), exps] = 1
-        return V, base
+        return np.ones((len(exps), 1), dtype=self.gauss.dtype), exps, base
 
     def coeff(self, sign: int, n1: np.ndarray, n2: np.ndarray, l: np.ndarray) -> tuple:
         """Braiding coefficients of e_{n1} ⊗ e_{n2} → (l) for index arrays:
@@ -435,36 +396,60 @@ class _ExactRows:
     def merge(self, val: Rows, src, sign: int, n1, n2, l, key) -> tuple[np.ndarray, Rows]:
         """Each entry is val[src] times its braiding coefficient; the entries
         are summed per key by a sort and np.add.reduceat (exact sums, so
-        their order does not matter).  Returns (an entry of each group with
-        a nonzero sum, those sums on the window trimmed to their terms)."""
-        V, base = val
+        their order does not matter), each group's entries aligned on the
+        group's lowest offset.  Returns (an entry of each group with a
+        nonzero sum, those sums on the columns their terms span).
+
+        Aligning widens the products that `cells` bounds by the spread of a
+        group's offsets (to 1.7 times the bound on 5_1, 5_2 and 6_1; not at
+        all on 3_1 and 4_1), so the aligned array is measured here: past
+        CELL_LIMIT cells the step is refused with ValueError before it is
+        allocated.  Batches are split at `budget()`, by default 128 times
+        lower, so only a step of one initial state comes near it."""
+        V, O, base = val
         order, starts = key_runs(key)
         src, n1, n2, l = src[order], n1[order], n2[order], l[order]
         C, shift, bound = self.coeff(sign, n1, n2, l)
+        off = O[src] + shift
+        low = np.minimum.reduceat(off, starts) if len(off) else off
+        d = off - np.repeat(low, np.diff(starts, append=len(off)))
+        spread = int(d.max(initial=0))
+        width = V.shape[1] + C.shape[1] - 1 + spread
+        if (cells := len(key) * width) > CELL_LIMIT:
+            raise ValueError(f"the exact state sum at N = {self.N} would hold {cells} cells in one step, "
+                             f"over {CELL_LIMIT}")
         V, _ = fit_rows(V, src, bound, starts, _log)
         P = _conv(V[src], C)
-        low = int(shift.min(initial=0))
-        d = shift - low
-        out = np.zeros((len(P), P.shape[1] + int(d.max(initial=0))), dtype=P.dtype)
-        out[np.arange(len(P))[:, None], d[:, None] + np.arange(P.shape[1])] = P
-        S = np.add.reduceat(out, starts, axis=0)
-        base += 4 * low - sign * (self.N - 1) ** 2
+        if spread:
+            out = np.zeros((len(P), width), dtype=P.dtype)
+            out[np.arange(len(P))[:, None], d[:, None] + np.arange(P.shape[1])] = P
+            P = out
+        S = np.add.reduceat(P, starts, axis=0)
         live = (S != 0).any(axis=1)
-        return order[starts[live]], _window(S[live], base)
+        return order[starts[live]], (*_trim(S[live], low[live]), base - sign * (self.N - 1) ** 2)
 
     def collect(self, total: LaurentPoly, val: Rows, hit, seg, size: int) -> LaurentPoly:
         """Add the diagonal entries val[hit] to the running total."""
-        V, base = val
-        row = V[hit].astype(object).sum(axis=0)
-        return total + LaurentPoly({(base + 4 * j, 0): int(c) for j, c in enumerate(row)})
+        V, O, base = val
+        if not len(hit):
+            return total
+        # rows of one offset are summed together, then placed on one row
+        order, starts = key_runs(O[hit])
+        rows = np.add.reduceat(V[hit[order]].astype(object), starts, axis=0)
+        offs = O[hit[order[starts]]]
+        low, W = int(offs[0]), V.shape[1]
+        acc = np.zeros(int(offs[-1]) - low + W, dtype=object)
+        for o, row in zip((offs - low).tolist(), rows):
+            acc[o : o + W] += row
+        return total + LaurentPoly({(base + 4 * (low + j), 0): int(c) for j, c in enumerate(acc)})
 
 
-def _window(V: np.ndarray, base: int) -> Rows:
-    """The rows V with quarter offset base, on the columns their terms span."""
+def _trim(V: np.ndarray, O: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows V with whole-q offsets O, on the columns their terms span."""
     cols = np.flatnonzero((V != 0).any(axis=0))
     if not len(cols):
-        return V[:, :1], base
-    return V[:, cols[0] : cols[-1] + 1], base + 4 * int(cols[0])
+        return V[:, :1], O
+    return V[:, cols[0] : cols[-1] + 1], O + int(cols[0])
 
 
 def _first_appearance_groups(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -515,10 +500,10 @@ def _step_entries(reps, n1, n2, eps: int, close_lo, close_hi) -> tuple:
     return src, l[src]
 
 
-def _check_code_space(m: int, N: int, budget: int) -> None:
+def _check_code_space(m: int, N: int) -> None:
     """Refuse a state sum whose keys would not fit int64: a batch holds at
-    most `budget` initial states, each with N^m codes."""
-    if N**m * min(budget, N ** (m - 1)) >= 2**63:
+    most `_ENTRY_BUDGET` initial states, each with N^m codes."""
+    if N**m * min(_ENTRY_BUDGET, N ** (m - 1)) >= 2**63:
         raise ValueError(f"N^strands = {N}^{m} is too large for the state sum")
 
 
@@ -541,18 +526,14 @@ def _state_sum(b: BraidWord, N: int, ring) -> tuple:
     that factor to its initial digit.  It then merges equal (initial state,
     code) keys with the ring's `merge`.
 
-    The ring's budget holds before a step allocates its entries: when the
-    step's size (`cells`: the entries it builds, its live states for a step
-    that closes a factor, or for the exact ring int row cells, pairs
-    considered × row width) would pass it and the batch holds more than one
-    initial state, the live entries are split by initial state.  The lower
-    half goes on from that step, and the upper half (`take`) waits on a
-    stack until the lower half is summed.  The first batch holds as many
-    initial states as the budget allows for the ring's per-state prediction
-    (`state_cells`), and the ring sizes each next one (`next_size`), never
-    past the budget: the float and probe rings take the budget's count of
-    initial states every time, and the exact ring doubles its batches while
-    their steps stay within half the budget.
+    One rule sizes the batches of every ring.  Each batch starts with
+    _ENTRY_BUDGET initial states, or the ones left.  The ring's budget holds
+    before a step allocates its entries: when the step's size (`cells`: the
+    entries it builds, its live states for a step that closes a factor, or
+    for the exact ring a bound on the cells of its products) would pass it
+    and the batch holds more than one initial state, the live entries are
+    split by initial state.  The lower half goes on from that step, and the
+    upper half (`take`) waits on a stack until the lower half is summed.
 
     The float ring sums in a fixed order (see `_NumericTables.merge` and
     `collect`), so its result is independent of the batches and splits: a
@@ -561,18 +542,16 @@ def _state_sum(b: BraidWord, N: int, ring) -> tuple:
     initial-state order.  The exact ring (`_ExactRows`) convolves int64 rows
     and sums each group by a sort and np.add.reduceat; every product is
     checked against the bound Σ‖row‖∞·‖coeff‖₁ < 2^62 first and runs on
-    object rows past it, so its sums are exact in any order.
-    `state_sum_jones` refuses work past CELL_LIMIT cells before this runs."""
+    object rows past it, so its sums are exact in any order."""
     m = b.strands
     budget = ring.budget()
-    _check_code_space(m, N, budget)
+    _check_code_space(m, N)
     tables = ring(N) if ring is _ProbeCounts or cmath is not _CMATH else _ring_tables(ring, N)
     steps, last = _last_touch(b)
     place = [N**p for p in range(m + 1)]
     total = tables.zero
-    start, size = 0, min(budget, max(1, budget // ring.state_cells(b, N)))
-    while start < place[m - 1]:
-        size = min(size, place[m - 1] - start)
+    for start in range(0, place[m - 1], _ENTRY_BUDGET):
+        size = min(_ENTRY_BUDGET, place[m - 1] - start)
         # initial state k is the k-th tuple of product(range(N), repeat=m−1)
         k = np.arange(start, start + size, dtype=np.int64)
         digits = [np.zeros(size, dtype=np.int64)] + [
@@ -583,7 +562,6 @@ def _state_sum(b: BraidWord, N: int, ring) -> tuple:
         # (next step, the initial states lo..hi−1 of the batch, their live
         # entries: initial state, code, values), the lowest states on top
         pending = [(0, 0, size, np.arange(size, dtype=np.int64), full0, val)]
-        peak, piece = 0, size
         while pending:
             t0, lo_s, hi_s, seg, code, val = pending.pop()
             for t in range(t0, len(steps)):
@@ -595,7 +573,6 @@ def _state_sum(b: BraidWord, N: int, ring) -> tuple:
                 while True:
                     pairs = int(reps.sum())
                     cells = tables.cells(val, pairs, len(reps) if closing else pairs)
-                    peak = max(peak, cells)
                     if cells <= budget or hi_s - lo_s == 1:
                         break
                     # seg is sorted: every ring keeps its groups in key order
@@ -604,7 +581,6 @@ def _state_sum(b: BraidWord, N: int, ring) -> tuple:
                     cut = int(np.searchsorted(seg, mid))
                     pending.append((t, mid, hi_s, seg[cut:], code[cut:], tables.take(val, slice(cut, None))))
                     hi_s, seg, code, val = mid, seg[:cut], code[:cut], tables.take(val, slice(cut))
-                    piece = min(piece, mid - lo_s)
                     n1, n2, reps = n1[:cut], n2[:cut], reps[:cut]
                 close = [digits[p][seg] if last[p] == t else None for p in (i - 1, i)]
                 src, l = _step_entries(reps, n1, n2, eps, *close)
@@ -616,20 +592,18 @@ def _state_sum(b: BraidWord, N: int, ring) -> tuple:
                 code, seg = code[first], seg[first]
             hit = np.flatnonzero(code == full0[seg])
             total = tables.collect(total, val, hit, seg[hit] - lo_s, hi_s - lo_s)
-        start += size
-        size = min(budget, ring.next_size(size, peak, piece, budget))
     return tables, total
 
 
 def state_sum_jones(b: BraidWord, N: int) -> LaurentPoly:
     """J′ of the braid closure by the exact state sum, N ≥ 1.  Refuses, with
-    ValueError, an input whose predicted tables or rows for one initial
-    state pass CELL_LIMIT cells."""
+    ValueError, an input whose tables would pass CELL_LIMIT cells, at once,
+    and a step whose rows would pass it (`_ExactRows.merge`)."""
     if N < 1:
         raise ValueError("N must be a positive integer")
     if not closure_is_knot(b):
         raise ValueError("closure is not a knot")
-    if max(_ExactRows.table_cells(N), _ExactRows.state_cells(b, N)) > CELL_LIMIT:
+    if _ExactRows.table_cells(N) > CELL_LIMIT:
         raise ValueError(f"the exact state sum at N = {N} would hold over {CELL_LIMIT} integer cells")
     _, total = _state_sum(b, N, _ExactRows)
     out = total.shift(b.writhe * (N * N - 1))
@@ -691,20 +665,17 @@ def float_sum_word(b: BraidWord, N: int) -> BraidWord:
     ⌊(N/2)^(m−1)⌋ rotations: a probe covers 2^(m−1) initial states and the
     sum N^(m−1), so planning costs about one sum.  It keeps b unless another
     word has strictly fewer entries, and then takes the first of the fewest.
-    A sum with N^(2m−1) ≤ _ENTRY_BUDGET is not planned.  The threshold
-    assumes that such a sum runs in one batch, whose time is mostly the
-    per-step numpy calls that a probe pays as well (a probe cost 0.3–0.4 of
-    the sum, 5_2 at N = 3 to 5), so that no rotation repays a probe.  Since
-    batches are split where a step would pass the budget, instead of sized
-    by a per-state prediction, that premise no longer holds; the threshold
-    stays as written, so that every choice and every float stays the same,
-    until ROADMAP item 13's work model re-derives it.  No timing enters the
-    choice, so the same input gives the same floats.
+    A sum with N^(2m−1) ≤ _ENTRY_BUDGET is not planned: its time is mostly
+    the per-step numpy calls that a probe pays as well (a probe cost 0.3–0.4
+    of the sum, 5_2 at N = 3 to 5), so no rotation is taken to repay a
+    probe.  ROADMAP item 13's work model is to re-derive this threshold from
+    the steps and entries of both.  No timing enters the choice, so the
+    same input gives the same floats.
     Each word's count is cached (`_probe`), so later orders and calls do not
     probe it again.  An order the state sum refuses is refused before any
     probe.  Logs one DEBUG record when it compares two words or more."""
     m = b.strands
-    _check_code_space(m, N, _ENTRY_BUDGET)
+    _check_code_space(m, N)
     if N ** (2 * m - 1) <= _ENTRY_BUDGET:
         return b
     words = cyclic_rotations(b, N ** (m - 1) // 2 ** (m - 1))

@@ -78,7 +78,7 @@ def test_gauss_binomial_identity_in_the_operator_algebra():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("budget", [1, verma_oracle._ENTRY_BUDGET])
 def test_state_sum_matches_series_engine_on_corpus(corpus_braids, monkeypatch, budget):
-    # budget 1 runs small batches (64 row cells for the exact ring); the default packs many
+    # budget 1 runs one initial state per batch; the default packs many
     monkeypatch.setattr(verma_oracle, "_ENTRY_BUDGET", budget)
     cases = [(name, b, N) for name, b in corpus_braids.items() for N in (1, 2, 3)]
     cases.append(("6_1", parse_braid("1 1 2 -1 -3 2 -3"), 4))
@@ -136,7 +136,7 @@ def test_exact_state_sum_matches_apply_braiding_walk(monkeypatch, caplog, benchm
         monkeypatch.setattr(verma_oracle, "_ENTRY_BUDGET", 1)
         monkeypatch.setattr(verma_oracle, "_CELLS_PER_ENTRY", 1)
     if rows == "split in mid-sum":
-        # 37 × 64 row cells: batches of several initial states outgrow it
+        # 37 × 32 row cells: batches of several initial states outgrow it
         monkeypatch.setattr(verma_oracle, "_ENTRY_BUDGET", 37)
     splits = _mid_sum_splits(monkeypatch, verma_oracle._ExactRows)
     cases = [(w, N) for w in benchmark_rotations for N in (1, 2, 3, 4)]
@@ -188,6 +188,35 @@ def test_exact_state_sum_refuses_oversized_work_at_once():
     with pytest.raises(ValueError, match="integer cells"):
         state_sum_jones(parse_braid("1 1 1"), 400)
     assert time.perf_counter() - start < 1.0
+
+
+def test_exact_state_sum_runs_past_the_old_size_prediction():
+    # N^m entries per initial state refused the figure-eight from N = 21
+    b = parse_braid("1 -2 1 -2")
+    assert state_sum_jones(b, 21) == colored_jones(b, 21, mode="fermionic")
+
+
+def test_exact_step_refuses_past_the_cell_limit(monkeypatch):
+    # raise a lowered limit to the cells each refused step names, until the
+    # sum runs: at the largest step's cells it runs, one cell below it that
+    # step is refused with N and its cells
+    b, N = parse_braid("1 1 1 2 -1 2"), 6
+    want = state_sum_jones(b, N)
+    limit = verma_oracle._ExactRows.table_cells(N)
+    refusals = 0
+    while True:
+        monkeypatch.setattr(verma_oracle, "CELL_LIMIT", limit)
+        try:
+            got = state_sum_jones(b, N)
+            break
+        except ValueError as err:
+            limit = int(re.fullmatch(rf"the exact state sum at N = {N} would hold (\d+) cells in one step, "
+                                     rf"over {limit}", str(err)).group(1))
+            refusals += 1
+    assert refusals and got == want
+    monkeypatch.setattr(verma_oracle, "CELL_LIMIT", limit - 1)
+    with pytest.raises(ValueError, match=f"N = {N} would hold {limit} cells in one step, over {limit - 1}"):
+        state_sum_jones(b, N)
 
 
 def test_exact_state_sum_emits_nothing():
@@ -375,7 +404,8 @@ def test_probe_ring_counts_the_entries_the_float_ring_builds(corpus_braids, benc
 @pytest.mark.parametrize("ring", ["float", "probe", "exact"])
 def test_no_merge_passes_the_budget_unless_its_batch_holds_one_initial_state(
         corpus_braids, benchmark_rotations, monkeypatch, ring):
-    # entries for the float and probe rings, row cells for the exact ring
+    # each ring's own `cells` of the entries merged: entries for the float
+    # and probe rings, a bound on the product cells for the exact ring
     monkeypatch.setattr(verma_oracle, "_ENTRY_BUDGET", 37)
     cls, state_sum, orders = {
         "float": (verma_oracle._NumericTables, numeric_state_sum, range(1, 7)),
@@ -387,7 +417,7 @@ def test_no_merge_passes_the_budget_unless_its_batch_holds_one_initial_state(
     sizes = []
 
     def checked(self, val, src, sign, n1, n2, l, key):
-        size = len(key) * (val[0].shape[1] if ring == "exact" else 1)
+        size = self.cells(val, len(key), len(key))
         states = len(np.unique(key // order["N"] ** order["m"]))
         assert size <= cls.budget() or states <= 1, (size, states)
         sizes.append(size)
