@@ -8,11 +8,11 @@ q^{(m−w−1)/2}, the value at q = exp(2πi/N) is the order-N Kashaev invariant
 of the closure.  Cyclic rotations of a braid word are conjugate braids with
 the same closure, writhe and strand count, so the exact value may sum the
 series on any of them, and the work differs by orders of magnitude between
-them: `mcmahon.rotated_series_sum` sums it on the rotation whose C has the
-fewest monomials, as long as reading the rotations' C costs less than the
-series.  C comes from the per-braid cache `mcmahon.braid_c_sum`, shared by
-every order N, and its minors from `mcmahon.c_parts`, shared with the
-colored Jones route.  `kashaev_series` keeps the
+them: `mcmahon.rotated_series_sum` sums it on the first rotation whose C
+has the fewest monomials, a plan made from counts alone, so a word is
+always summed on the same rotation.  C comes from the per-braid cache
+`mcmahon.braid_c_sum`, shared by every order N, and its minors from
+`mcmahon.c_parts`, shared with the colored Jones route.  `kashaev_series` keeps the
 given word, as its terms t_n are not invariants.  A complex floating-point
 state sum provides the production path for growth-rate sequences
 2π·ln|⟨K⟩_N|/N, whose conjectured limit is the hyperbolic volume.  It too
@@ -110,12 +110,12 @@ def kashaev_value(b: BraidWord, N: int, mode: str = "exact") -> KashaevValue:
 
     exact: sum the z = q^{-1} series in ℤ[q]/(q^N − 1), where states with
     some d_j ≥ N vanish and are pruned, so the sum is finite; apply
-    q^{(m−w−1)/2} and reduce mod Φ_N.  The series runs on b or on a
-    cyclic rotation of b with fewer C-monomials, as `rotated_series_sum`
-    decides; a rotation is a conjugate of b with b's writhe and strand
-    count, so the value is the same on every rotation.  Logs one DEBUG
-    record naming the word summed on, how many rotation classes had their C
-    read, and the C-monomials of b and of that word.
+    q^{(m−w−1)/2} and reduce mod Φ_N.  The series runs on the first
+    cyclic rotation of b whose C has the fewest monomials
+    (`rotated_series_sum`), b itself on a tie; a rotation is a conjugate of
+    b with b's writhe and strand count, so the value is the same on every
+    rotation.  Logs one DEBUG record naming the word summed on and the
+    C-monomials of b and of that word.
     float: evaluate the R-matrix state sum at q = exp(2πi/N) on the
     rotation of b that `float_sum_word` plans: b unless another rotation's
     sum builds strictly fewer entries at N = 2.
@@ -128,10 +128,9 @@ def kashaev_value(b: BraidWord, N: int, mode: str = "exact") -> KashaevValue:
         return KashaevValue(N, None, numeric_state_sum(float_sum_word(b, N), N))
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    total, word, read, classes = rotated_series_sum(b, N)
-    _log.debug("kashaev N = %d: series on %r of %r after reading C of %d of its %d rotation "
-               "classes; C-monomials %d of the given word, %d of the word summed on",
-               N, word.to_text(), b.to_text(), read, classes,
+    total, word, _ = rotated_series_sum(b, N)
+    _log.debug("kashaev N = %d: series on %r of %r; C-monomials %d of the given word, "
+               "%d of the word summed on", N, word.to_text(), b.to_text(),
                len(braid_c_sum(b).terms), len(braid_c_sum(word).terms))
     poly = _poly_from_whole_powers(dict(enumerate(total)))
     poly = poly.shift(Q_UNIT * _prefactor_exponent(b))

@@ -19,13 +19,14 @@ build them once per braid word (the last 256 are kept), and their
 `perfbench`'s tracer wraps them and would hide a cache there.
 Nothing may mutate what the caches return.  `rotated_series_sum` sums the
 folded series on the cyclic rotation of a braid word whose C has the fewest
-monomials, reading C of one rotation per class of rotations with the same C
-(`_rotation_classes`), and only while the series would have cost as much.
+monomials (the first such, so a tie keeps the word given), reading C of
+one rotation per class of rotations with the same C (`_rotation_classes`).
+The plan reads counts only, never a clock.
 
 The fermionic series runs on numpy int64 rows: at generic q on windows of
 whole powers of q (`fermionic_terms` term by term on C, `_fermionic_series`
 summed on C's graded parts), and for the root-of-unity sum of the
-Kashaev invariant on residues mod q^N − 1 (`_folded_steps`).  Only the
+Kashaev invariant on residues mod q^N − 1 (`folded_series_sum`).  Only the
 bosonic series runs on raw {exponent: coefficient} dictionaries; it is the
 independent check of the fermionic route, so it shares none of that kernel.
 Accumulated powers of C are projected onto the (r_j, d_j) exponents only:
@@ -38,7 +39,6 @@ from __future__ import annotations
 import logging
 from functools import lru_cache
 from itertools import combinations, permutations
-from time import perf_counter
 from typing import Iterator
 
 import numpy as np
@@ -557,10 +557,9 @@ def _eval_folded(R, D, V, signs_t: tuple[int, ...], N: int):
     return V[0]
 
 
-def _folded_steps(C: AlgebraElement, signs_t: tuple[int, ...], N: int) -> Iterator[list[int] | None]:
-    """Σ_n E(Cⁿ)|_{z=q^{-1}} in ℤ[q]/(q^N − 1) one kernel step at a time, for
-    a braid with k = len(signs_t) crossings: None after each step, then the
-    sum as the coefficients of q^0..q^{N−1}.
+def folded_series_sum(C: AlgebraElement, signs_t: tuple[int, ...], N: int) -> list[int]:
+    """Σ_n E(Cⁿ)|_{z=q^{-1}} in ℤ[q]/(q^N − 1) for a braid with
+    k = len(signs_t) crossings, as the coefficients of q^0..q^{N−1}.
 
     Each step raises Σ_j d_j by C's ideal degree, ≥ 1 for a knot, and
     states with some d_j ≥ N are pruned, so the population empties by
@@ -582,11 +581,10 @@ def _folded_steps(C: AlgebraElement, signs_t: tuple[int, ...], N: int) -> Iterat
         if sum(len(p[3]) for p in pending) > len(acc[3]):
             acc = _merge(*(np.concatenate(part) for part in zip(acc, *pending)), N)
             pending = []
-        yield None
     if pending:
         acc = _merge(*(np.concatenate(part) for part in zip(acc, *pending)), N)
     R, D, _, V = acc
-    yield [int(c) for c in _eval_folded(R, D, V, signs_t, N)]
+    return [int(c) for c in _eval_folded(R, D, V, signs_t, N)]
 
 
 def _bosonic_series(Mq: QuantumMatrix, signs: StrandSigns, N: int) -> QDict:
@@ -686,45 +684,24 @@ def _rotation_classes(b: BraidWord) -> list[BraidWord]:
     return [b] + [w for w in cyclic_rotations(b)[1:] if w.word[-1][0] == 1 and w != own]
 
 
-def rotated_series_sum(b: BraidWord, N: int) -> tuple[list[int], BraidWord, int, int]:
-    """(the folded series sum of b at N, the word it was summed on, how many of
-    b's rotation classes had their C read, how many there are).
+def rotated_series_sum(b: BraidWord, N: int) -> tuple[list[int], BraidWord, int]:
+    """(the folded series sum of b at N, the word it was summed on, how many
+    classes of b's rotations there are).
 
     A rotation is a conjugate of b, so its closure, writhe and strand count
     are b's, and its folded series gives b's value mod Φ_N.  The kernel's
     rows differ by orders of magnitude between rotations, and the number of
-    C's monomials ranks them at every N.  Reading C of one rotation per
-    class (`_rotation_classes`) can cost more than b's own series at small
-    N, so the choice is a ski rental: the classes' C are read one at a time,
-    and after each, the series on the word with the fewest monomials so far
-    (b unless another has strictly fewer) steps until the time it has run
-    catches up with the time spent reading.  The sum is that series once it
-    ends; if every class is read first, it is the series on the first word
-    with the fewest monomials.  Reading thus costs no more than the series
-    stepped plus one C build, and a C in `braid_c_sum`'s cache costs nothing
-    to read, so a word met before is planned at once.  The value is the same
-    on every route; only its cost and the word logged depend on timings.
+    C's monomials predicts their rank at every N, though not on every word
+    (7_7 `1 -2 1 -2 3 -2 3` steps more rows on its 8-monomial class than on
+    its 9-monomial one).  C is read for one rotation per class
+    (`_rotation_classes`), and the sum runs on the first word with the
+    fewest monomials, so a tie keeps b.  The plan reads only counts: a given
+    input is summed on the same word on every run and at every N, and a C in
+    `braid_c_sum`'s cache costs nothing to read.
     """
     words = _rotation_classes(b)
-    chosen, fewest = b, len(braid_c_sum(b).terms)
-    steps = _folded_steps(braid_c_sum(b), b.signs, N)
-    lead = 0.0  # seconds spent reading C beyond those the series has run
-    for read, w in enumerate(words[1:], 2):
-        start = perf_counter()
-        monomials = len(braid_c_sum(w).terms)
-        lead += perf_counter() - start
-        if monomials < fewest:
-            chosen, fewest = w, monomials
-            steps.close()
-            steps = _folded_steps(braid_c_sum(w), w.signs, N)
-        while lead > 0:
-            start = perf_counter()
-            total = next(steps)
-            lead -= perf_counter() - start
-            if total is not None:
-                return total, chosen, read, len(words)
-    *_, total = steps
-    return total, chosen, len(words), len(words)
+    word = min(words, key=lambda w: len(braid_c_sum(w).terms))
+    return folded_series_sum(braid_c_sum(word), word.signs, N), word, len(words)
 
 
 def colored_jones(b: BraidWord, N: int, mode: str = "bosonic") -> LaurentPoly:
@@ -737,7 +714,7 @@ def colored_jones(b: BraidWord, N: int, mode: str = "bosonic") -> LaurentPoly:
     "fermionic" sums E_N(Cⁿ) at generic q with each part of C graded by its
     minor's index set J, and ends by itself within dim·(N−1) steps, as each
     step raises the grades' sum by |J| ≥ 1.  The root-of-unity sum of the
-    Kashaev invariant is not a mode: it runs on `_folded_steps`.
+    Kashaev invariant is not a mode: it runs on `folded_series_sum`.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")

@@ -14,9 +14,10 @@ rings.  The exact ring (`_ExactRows`, for `state_sum_jones`) holds each value
 as an int64 row of whole-q coefficients with a whole-q offset per row, and
 one quarter-exponent offset per sum.  Each product is bounded beforehand by
 Σ‖row‖∞·‖coeff‖₁, and `exactpoly.fit_rows` moves the rows to object dtype
-of Python ints where that could reach 2^62.  An input whose tables would
-pass `exactpoly.CELL_LIMIT` cells is refused with ValueError at once, and
-so is a step whose rows would pass it, before they are allocated.  The
+of Python ints where that could reach 2^62.  A step whose rows would pass
+`exactpoly.CELL_LIMIT` cells is refused with ValueError before they are
+allocated, and an order whose tables, exact or float, would pass it is
+refused before they are built (`_check_size`).  The
 float ring (`_NumericTables`, for `numeric_state_sum`) works in complex floats at
 q = exp(2πi/N), the Kashaev value for large N.  The probe ring
 (`_ProbeCounts`, for `state_sum_entries`) carries no values and counts the
@@ -163,6 +164,7 @@ class _NumericTables:
     are split pairs, and each group sums its entries in entry order."""
 
     zero = (0.0, 0.0)
+    name, unit = "float", "complex"
 
     def __init__(self, N: int):
         self.N = N
@@ -198,6 +200,13 @@ class _NumericTables:
     @staticmethod
     def budget() -> int:
         return _ENTRY_BUDGET
+
+    @staticmethod
+    def table_cells(N: int) -> int:
+        """The complex cells of the tables `__init__` builds: gauss, the two
+        pochhammer prefix tables, and the split head and poch grids of each
+        sign, N×(N+1) each."""
+        return 7 * N * (N + 1)
 
     @staticmethod
     def cells(val: Split, pairs: int, built: int) -> int:
@@ -262,6 +271,10 @@ class _ProbeCounts:
     budget = staticmethod(_NumericTables.budget)
     cells = staticmethod(_NumericTables.cells)
 
+    @staticmethod
+    def table_cells(N: int) -> int:
+        return 0  # a probe builds no tables
+
     def __init__(self, N: int):
         self.entries = 0
 
@@ -313,6 +326,7 @@ class _ExactRows:
     are (−1)^l q^{−deg} times the same rows, deg being the row's degree."""
 
     zero = LaurentPoly.zero()
+    name, unit = "exact", "integer"
 
     def __init__(self, N: int):
         self.N = N
@@ -500,11 +514,15 @@ def _step_entries(reps, n1, n2, eps: int, close_lo, close_hi) -> tuple:
     return src, l[src]
 
 
-def _check_code_space(m: int, N: int) -> None:
-    """Refuse a state sum whose keys would not fit int64: a batch holds at
-    most `_ENTRY_BUDGET` initial states, each with N^m codes."""
+def _check_size(m: int, N: int, ring) -> None:
+    """Refuse, with ValueError and before anything is built, a state sum on
+    m strands whose keys would not fit int64 (a batch holds at most
+    `_ENTRY_BUDGET` initial states, each with N^m codes), or whose ring's
+    tables would pass CELL_LIMIT cells."""
     if N**m * min(_ENTRY_BUDGET, N ** (m - 1)) >= 2**63:
         raise ValueError(f"N^strands = {N}^{m} is too large for the state sum")
+    if ring.table_cells(N) > CELL_LIMIT:
+        raise ValueError(f"the {ring.name} state sum at N = {N} would hold over {CELL_LIMIT} {ring.unit} cells")
 
 
 # The tables of the last few (ring, N) that a value ring was built for.
@@ -545,7 +563,7 @@ def _state_sum(b: BraidWord, N: int, ring) -> tuple:
     object rows past it, so its sums are exact in any order."""
     m = b.strands
     budget = ring.budget()
-    _check_code_space(m, N)
+    _check_size(m, N, ring)
     tables = ring(N) if ring is _ProbeCounts or cmath is not _CMATH else _ring_tables(ring, N)
     steps, last = _last_touch(b)
     place = [N**p for p in range(m + 1)]
@@ -597,14 +615,12 @@ def _state_sum(b: BraidWord, N: int, ring) -> tuple:
 
 def state_sum_jones(b: BraidWord, N: int) -> LaurentPoly:
     """J′ of the braid closure by the exact state sum, N ≥ 1.  Refuses, with
-    ValueError, an input whose tables would pass CELL_LIMIT cells, at once,
-    and a step whose rows would pass it (`_ExactRows.merge`)."""
+    ValueError, an input whose tables would pass CELL_LIMIT cells, at once
+    (`_check_size`), and a step whose rows would pass it (`_ExactRows.merge`)."""
     if N < 1:
         raise ValueError("N must be a positive integer")
     if not closure_is_knot(b):
         raise ValueError("closure is not a knot")
-    if _ExactRows.table_cells(N) > CELL_LIMIT:
-        raise ValueError(f"the exact state sum at N = {N} would hold over {CELL_LIMIT} integer cells")
     _, total = _state_sum(b, N, _ExactRows)
     out = total.shift(b.writhe * (N * N - 1))
     if not (out.is_univariate_q() and out.has_integer_q_powers()):
@@ -618,8 +634,10 @@ def numeric_state_sum(b: BraidWord, N: int) -> complex:
     returns mpmath numbers (as perfbench/make_refs.py does for 60-digit
     references), the same kernel runs on object arrays at that precision.
 
-    Entries that overflow stay inside the sum (no RuntimeWarning); a value
-    that is not finite is refused with ValueError naming N."""
+    An order whose tables would pass CELL_LIMIT cells is refused with
+    ValueError before they are built (`_check_size`: N ≤ 1,547).  Entries
+    that overflow stay inside the sum (no RuntimeWarning); a value that is
+    not finite is refused with ValueError naming N."""
     if N < 1:
         raise ValueError("N must be a positive integer")
     if not closure_is_knot(b):
@@ -675,7 +693,7 @@ def float_sum_word(b: BraidWord, N: int) -> BraidWord:
     probe it again.  An order the state sum refuses is refused before any
     probe.  Logs one DEBUG record when it compares two words or more."""
     m = b.strands
-    _check_code_space(m, N)
+    _check_size(m, N, _NumericTables)
     if N ** (2 * m - 1) <= _ENTRY_BUDGET:
         return b
     words = cyclic_rotations(b, N ** (m - 1) // 2 ** (m - 1))

@@ -9,8 +9,6 @@
 * `expand_then_filter`: one braiding step of the state sum built by
   expanding every live state over l and then filtering on the closed
   factors, the reference for `verma_oracle._step_entries`.
-* `folded_series_sum`: the folded kernel of `mcmahon` run to its sum on a
-  given C, as the tests hold it to their references.
 * `ungraded_fermionic_jones`: the fermionic colored Jones summed on the
   ungraded C until max(k, m) consecutive terms vanish, a stop rule with no
   proof, as the reference for the graded sum.
@@ -185,18 +183,6 @@ def expand_then_filter(n1, n2, eps: int, N: int, close_lo, close_hi):
             src.append(s)
             ls.append(l)
     return pairs, src, ls
-
-
-# ---------------------------------------------------------------------------
-# the folded series, summed
-# ---------------------------------------------------------------------------
-
-
-def folded_series_sum(C, signs_t: tuple[int, ...], N: int) -> list[int]:
-    """Σ_n E(Cⁿ)|_{z=q^{-1}} in ℤ[q]/(q^N − 1), as the coefficients of
-    q^0..q^{N−1}: `mcmahon._folded_steps` run to its end."""
-    *_, total = mcmahon._folded_steps(C, signs_t, N)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import io
 import json
 import logging
 import math
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict
 
@@ -272,6 +273,19 @@ def test_oversized_oracle_work_exits_2():
     code, out, err = run(["jones", "--engine", "oracle", "--word", "1 1 1", "-N", "400"])
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_oversized_float_orders_exit_2_before_building_tables():
+    refusal = "error: the float state sum at N = 5000 would hold over 16777216 complex cells\n"
+    start = time.perf_counter()
+    assert run(["kashaev", "--word", "1 1 1", "-N", "5000", "--float"]) == (2, "", refusal)
+    code, out, err = run(["volume", "--word", "1 1 1", "--N", "100,5000"])
+    assert time.perf_counter() - start < 1.0
+    # the finished order is printed before the refused one
+    assert (code, err) == (2, refusal)
+    (row,) = out.splitlines()[1:]
+    (want,) = volume_sequence(parse_braid("1 1 1"), [100])
+    assert tuple(map(float, row.split(","))) == want
 
 
 def test_internal_errors_exit_3(monkeypatch):

@@ -30,12 +30,12 @@ from qknot.kashaev import (
 from qknot.mcmahon import (
     alexander,
     braid_c_sum,
+    _rotation_classes,
     colored_jones,
+    folded_series_sum,
     rotated_series_sum,
 )
 from qknot.verma_oracle import float_sum_word, numeric_state_sum, state_sum_jones
-
-from oracles import folded_series_sum
 
 
 def test_exact_value_is_reduced_colored_jones(corpus_braids):
@@ -71,65 +71,39 @@ def _value_on_word(b, N):
     return cyclotomic_reduce(poly, N)
 
 
-@pytest.fixture
-def slow(monkeypatch):
-    """Makes a named `mcmahon` callable take one second per call on a fake
-    clock, the one `rotated_series_sum` weighs reading C against stepping
-    the series by, so that its choice does not hang on real timings."""
-    now = [0.0]
-    monkeypatch.setattr(mcmahon, "perf_counter", lambda: now[0])
-
-    def make(name):
-        real = getattr(mcmahon, name)
-
-        def timed(*args):
-            now[0] += 1.0
-            return real(*args)
-
-        monkeypatch.setattr(mcmahon, name, timed)
-
-    return make
-
-
 @pytest.mark.parametrize("word,rotation,classes", [
     ("1 1 1 2 -1 2", "1 1 2 -1 2 1", 4),
     ("1 1 2 -1 -3 2 -3", "1 2 -1 -3 2 -3 1", 3),
 ])
-def test_exact_value_sums_on_the_cheapest_rotation(slow, word, rotation, classes):
-    # with series steps dearer than reading C, every class is read first
-    slow("_folded_step")
+def test_exact_value_sums_on_the_cheapest_rotation(word, rotation, classes):
     b, cheap = parse_braid(word), parse_braid(rotation)
-    total, summed, read, count = rotated_series_sum(b, 4)
-    assert (summed, read, count) == (cheap, classes, classes)
+    total, summed, count = rotated_series_sum(b, 4)
+    assert (summed, count) == (cheap, classes)
     assert total == folded_series_sum(braid_c_sum(cheap), cheap.signs, 4)
     assert kashaev_value(b, 4).exact == _value_on_word(b, 4)
 
 
-@pytest.mark.parametrize("word,summed", [
-    ("1 1 1 -2 1 -2", "1 1 1 -2 1 -2"),
-    ("1 1 1 2 -1 2", "1 1 2 -1 2 1"),
-])
-def test_series_that_ends_first_is_the_sum(slow, word, summed):
-    # with reading C dearer than a whole series, the series on the word with
-    # the fewest monomials after the first other class is read runs to its
-    # end, and the other two classes are never read
-    slow("braid_c_sum")
-    b, w = parse_braid(word), parse_braid(summed)
-    total, chosen, read, count = rotated_series_sum(b, 5)
-    assert (chosen, read, count) == (w, 2, 4)
-    assert total == folded_series_sum(braid_c_sum(w), w.signs, 5)
-
-
 @pytest.mark.parametrize("word,classes", [("1 -2 1 -2", 1), ("1 1 1 1 1", 1), ("1 1 1 -2 1 -2", 4)])
-def test_ties_keep_the_given_word(slow, word, classes):
+def test_ties_keep_the_given_word(word, classes):
     # 4_1's two rotations have one C, crossings aside, and 5_1 has one
     # rotation; two of 6_2's other classes have more monomials, one as many
-    slow("_folded_step")
     b = parse_braid(word)
-    assert rotated_series_sum(b, 5)[1:] == (b, classes, classes)
+    assert rotated_series_sum(b, 5)[1:] == (b, classes)
 
 
-def test_chosen_rotation_steps_the_fewest_kernel_rows(monkeypatch, slow):
+def test_summed_word_is_planned_by_monomial_counts_alone(benchmark_rotations):
+    # the plan reads no clock: it is the first class with the fewest
+    # C-monomials, the same at every N
+    for text in benchmark_rotations:
+        b = parse_braid(text)
+        classes = _rotation_classes(b)
+        counts = [len(braid_c_sum(w).terms) for w in classes]
+        want = classes[counts.index(min(counts))]
+        for N in (2, 5, 10):
+            assert rotated_series_sum(b, N)[1:] == (want, len(classes)), (text, N)
+
+
+def test_chosen_rotation_steps_the_fewest_kernel_rows(monkeypatch):
     # the prediction reads only C, so hold it to the kernel's own count of
     # rows stepped, not to a timing
     rows = []
@@ -140,7 +114,6 @@ def test_chosen_rotation_steps_the_fewest_kernel_rows(monkeypatch, slow):
         return step(R, D, B, V, mono, N)
 
     monkeypatch.setattr(mcmahon, "_folded_step", counted)
-    slow("_folded_step")
     N = 7
     for word in ("1 1 1 2 -1 2", "1 1 2 -1 -3 2 -3", "1 1 1 -2 1 -2", "1 1 -2 1 -2 -2"):
         stepped = {}
@@ -160,18 +133,29 @@ def test_chosen_rotation_steps_the_fewest_kernel_rows(monkeypatch, slow):
 
 
 @pytest.mark.parametrize("route", ["_folded_step", "braid_c_sum"])
-def test_kernel_runs_on_every_rotation(benchmark_rotations, slow, route):
-    # the value on the word summed on is the value on the given word, both
-    # when every class is read first and when b's own series ends first
-    slow(route)
+def test_kernel_runs_on_every_rotation(monkeypatch, benchmark_rotations, route):
+    # the value on the word summed on is the value on the given word; a
+    # wrapper round either callable the plan goes through is called, and
+    # changes neither the value nor the word summed on
     cases = [(parse_braid(w), N) for w in benchmark_rotations for N in (2, 3, 5)]
     cases.append((parse_braid("1 1 1 2 -1 2"), 13 if route == "_folded_step" else 7))
+    planned = {(b, N): rotated_series_sum(b, N)[1] for b, N in cases}
+    calls = [0]
+    real = getattr(mcmahon, route)
+
+    def wrapped(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(mcmahon, route, wrapped)
     for b, N in cases:
+        calls[0] = 0
+        assert rotated_series_sum(b, N)[1] == planned[b, N], (b.to_text(), N)
+        assert calls[0] > 0, (b.to_text(), N)
         assert kashaev_value(b, N).exact == _value_on_word(b, N), (b.to_text(), N)
 
 
-def test_exact_value_logs_the_word_it_sums_on(caplog, slow):
-    slow("_folded_step")
+def test_exact_value_logs_the_word_it_sums_on(caplog):
     b = parse_braid("1 1 1 2 -1 2")
     with caplog.at_level(logging.DEBUG, logger="qknot.kashaev"):
         kashaev_value(b, 5)
@@ -180,7 +164,7 @@ def test_exact_value_logs_the_word_it_sums_on(caplog, slow):
     assert [rec.levelno for rec in records] == [logging.DEBUG]
     # C of 1 1 1 2 -1 2 has 6 monomials; its rotations 1 and 2 have 3 each,
     # and the first of them is chosen
-    assert records[0].args == (5, "1 1 2 -1 2 1", "1 1 1 2 -1 2", 4, 4, 6, 3)
+    assert records[0].args == (5, "1 1 2 -1 2 1", "1 1 1 2 -1 2", 6, 3)
     assert records[0].getMessage().startswith("kashaev N = 5: series on '1 1 2 -1 2 1' of ")
 
 

@@ -2,6 +2,7 @@ import importlib.util
 import logging
 import math
 import time
+from functools import lru_cache
 from pathlib import Path
 from unittest import mock
 
@@ -30,11 +31,12 @@ from qknot.mcmahon import (
     c_parts,
     colored_jones,
     fermionic_terms,
+    folded_series_sum,
 )
 from qknot.qweyl import AlgebraElement, NormalMonomial
 from qknot.verma_oracle import state_sum_jones
 
-from oracles import folded_series_sum, ungraded_fermionic_jones
+from oracles import ungraded_fermionic_jones
 
 
 def trefoil_closed_form(N):
@@ -447,6 +449,15 @@ def dict_populations(C, signs_t, count):
     return out
 
 
+@lru_cache(maxsize=None)
+def generic_dict_reference(elem, signs_t):
+    """{z_pow: the evaluated `dict_populations` of elem at z = q^{z_pow}} for
+    z_pow = −1, 0, 1 and 3, built once for both row kinds of
+    `test_generic_series_matches_dict_reference`."""
+    pops = dict_populations(elem, signs_t, 2 * len(signs_t) + 2)
+    return {z_pow: [naive_population_eval(P, signs_t, z_pow, 0) for P in pops] for z_pow in (-1, 0, 1, 3)}
+
+
 @pytest.mark.parametrize("rows", ["int64", "object"])
 def test_generic_series_matches_dict_reference(corpus_braids, monkeypatch, caplog, rows):
     caplog.set_level(logging.DEBUG, logger="qknot.mcmahon")
@@ -459,11 +470,9 @@ def test_generic_series_matches_dict_reference(corpus_braids, monkeypatch, caplo
         # multiple covers the kernel's several-term monomials
         several = C.scale(LaurentPoly.const(2) - LaurentPoly.q_power(3))
         for elem in (C, several):
-            pops = dict_populations(elem, signs.signs, 2 * len(signs.signs) + 2)
-            for z_pow in (-1, 0, 1, 3):
-                want = [naive_population_eval(P, signs.signs, z_pow, 0) for P in pops]
-                got = list(fermionic_terms(elem, signs, z_pow, len(pops) - 1))
-                assert got + [{}] * (len(pops) - len(got)) == want, (name, z_pow)
+            for z_pow, want in generic_dict_reference(elem, signs.signs).items():
+                got = list(fermionic_terms(elem, signs, z_pow, len(want) - 1))
+                assert got + [{}] * (len(want) - len(got)) == want, (name, z_pow)
     assert bool(caplog.records) == (rows == "object")
 
 

@@ -190,6 +190,22 @@ def test_exact_state_sum_refuses_oversized_work_at_once():
     assert time.perf_counter() - start < 1.0
 
 
+def test_float_state_sum_refuses_oversized_tables_before_any_probe(monkeypatch):
+    # the largest admitted order is the one the README states
+    cells = verma_oracle._NumericTables.table_cells
+    assert cells(1547) <= verma_oracle.CELL_LIMIT < cells(1548)
+
+    def probe(w):
+        raise AssertionError("probed a rotation of an order the state sum refuses")
+
+    monkeypatch.setattr(verma_oracle, "_probe", probe)
+    start = time.perf_counter()
+    for state_sum in (numeric_state_sum, float_sum_word):
+        with pytest.raises(ValueError, match="the float state sum at N = 1548 would hold over 16777216 complex cells"):
+            state_sum(parse_braid("1 1 1 2 -1 2"), 1548)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_exact_state_sum_runs_past_the_old_size_prediction():
     # N^m entries per initial state refused the figure-eight from N = 21
     b = parse_braid("1 -2 1 -2")
