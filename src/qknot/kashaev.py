@@ -8,18 +8,19 @@ q^{(m−w−1)/2}, the value at q = exp(2πi/N) is the order-N Kashaev invariant
 of the closure.  Cyclic rotations of a braid word are conjugate braids with
 the same closure, writhe and strand count, so the exact value may sum the
 series on any of them, and the work differs by orders of magnitude between
-them: `mcmahon.rotated_series_sum` sums it on the first rotation whose C
-has the fewest monomials, a plan made from counts alone, so a word is
-always summed on the same rotation.  C comes from the per-braid cache
-`mcmahon.braid_c_sum`, shared by every order N, and its minors from
-`mcmahon.c_parts`, shared with the colored Jones route.  `kashaev_series` keeps the
-given word, as its terms t_n are not invariants.  A complex floating-point
-state sum provides the production path for growth-rate sequences
-2π·ln|⟨K⟩_N|/N, whose conjectured limit is the hyperbolic volume.  It too
-runs on a rotation: `verma_oracle.float_sum_word` picks the one whose sum
-builds the fewest entries at N = 2, which cuts both its time and its
-cancellation error, and chooses by counts alone, so a word always gives
-the same floats;
+them: `mcmahon.rotated_series_sum` sums it on the rotation that
+`mcmahon.series_word` plans, the first whose C has the fewest monomials, a
+plan made from counts alone, so a word is always summed on the same
+rotation.  The colored Jones routes sum on the same planned word.  C comes
+from the per-braid cache `mcmahon.braid_c_sum`, shared by every order N and
+by the colored Jones routes, and its minors from `mcmahon.c_parts`.
+`kashaev_series` keeps the given word, as its terms t_n are not invariants.
+A complex floating-point state sum provides the production path for
+growth-rate sequences 2π·ln|⟨K⟩_N|/N, whose conjectured limit is the
+hyperbolic volume.  It too runs on a rotation: `verma_oracle.state_sum_word`
+picks the one whose sum builds the fewest entries at N = 2, as it does for
+the exact state sum, which cuts both its time and its cancellation error,
+and chooses by counts alone, so a word always gives the same floats;
 independent volume references come from ideal triangulations evaluated with
 the Lobachevsky/dilogarithm functions.
 """
@@ -45,7 +46,7 @@ from .exactpoly import (
 )
 from .mcmahon import braid_c_sum, fermionic_terms, rotated_series_sum
 from .qweyl import AlgebraElement, StrandSigns
-from .verma_oracle import float_sum_word, numeric_state_sum
+from .verma_oracle import _NumericTables, numeric_state_sum, state_sum_word
 
 _log = logging.getLogger(__name__)
 
@@ -117,7 +118,7 @@ def kashaev_value(b: BraidWord, N: int, mode: str = "exact") -> KashaevValue:
     rotation.  Logs one DEBUG record naming the word summed on and the
     C-monomials of b and of that word.
     float: evaluate the R-matrix state sum at q = exp(2πi/N) on the
-    rotation of b that `float_sum_word` plans: b unless another rotation's
+    rotation of b that `state_sum_word` plans: b unless another rotation's
     sum builds strictly fewer entries at N = 2.
     """
     if N < 1:
@@ -125,7 +126,7 @@ def kashaev_value(b: BraidWord, N: int, mode: str = "exact") -> KashaevValue:
     if not closure_is_knot(b):
         raise ValueError("closure is not a knot")
     if mode == "float":
-        return KashaevValue(N, None, numeric_state_sum(float_sum_word(b, N), N))
+        return KashaevValue(N, None, numeric_state_sum(state_sum_word(b, N, _NumericTables), N))
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
     total, word, _ = rotated_series_sum(b, N)
@@ -162,7 +163,7 @@ def volume_rows(b: BraidWord, N_values: list[int]) -> Iterator[tuple[int, float,
         raise ValueError("closure is not a knot")
     for N in N_values:
         start = time.perf_counter()
-        mag = abs(numeric_state_sum(float_sum_word(b, N), N))
+        mag = abs(numeric_state_sum(state_sum_word(b, N, _NumericTables), N))
         _log.debug("volume N = %d: |<K>_N| = %.6g in %.3f s", N, mag, time.perf_counter() - start)
         yield N, mag, 2 * math.pi * math.log(mag) / N if mag > 0 else None
 
@@ -172,8 +173,8 @@ def volume_sequence(
 ) -> list[tuple[int, float, float | None]]:
     """(N, |⟨K⟩_N|, 2π·ln|⟨K⟩_N|/N) by the float path for each requested N, in
     request order; an exactly zero magnitude yields rate None.  Each order
-    sums `numeric_state_sum` on the rotation of b that `float_sum_word`
-    plans; `float_sum_word` caches its probes, so each rotation is probed
+    sums `numeric_state_sum` on the rotation of b that `state_sum_word`
+    plans; `state_sum_word` caches its probes, so each rotation is probed
     at most once.  Logs one DEBUG record per N, with its seconds, as each
     order finishes."""
     return list(volume_rows(b, N_values))

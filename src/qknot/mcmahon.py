@@ -17,11 +17,15 @@ fermionic series, which drops a state once some x_i reaches N, ends by itself.
 build them once per braid word (the last 256 are kept), and their
 `cache_clear()` empties them.  `rho` and `c_sum` stay uncached, as
 `perfbench`'s tracer wraps them and would hide a cache there.
-Nothing may mutate what the caches return.  `rotated_series_sum` sums the
-folded series on the cyclic rotation of a braid word whose C has the fewest
-monomials (the first such, so a tie keeps the word given), reading C of
-one rotation per class of rotations with the same C (`_rotation_classes`).
-The plan reads counts only, never a clock.
+Nothing may mutate what the caches return.
+
+Every series route sums on one planned cyclic rotation of the braid word,
+`series_word`: the first whose C has the fewest monomials, so a tie keeps
+the word given, reading C of one rotation per class of rotations with the
+same C (`_rotation_classes`).  Both `colored_jones` modes and the folded
+series of `rotated_series_sum` run there; a rotation is a conjugate braid
+with the same closure, writhe and strand count, so no value changes, only
+the work.  The plan reads counts only, never a clock.
 
 The fermionic series runs on numpy int64 rows: at generic q on windows of
 whole powers of q (`fermionic_terms` term by term on C, `_fermionic_series`
@@ -666,9 +670,10 @@ def braid_c_sum(b: BraidWord) -> AlgebraElement:
     return c_sum(braid_setup(b)[1])
 
 
-def _rotation_classes(b: BraidWord) -> list[BraidWord]:
+@lru_cache(maxsize=256)
+def _rotation_classes(b: BraidWord) -> tuple[BraidWord, ...]:
     """b, then one rotation from each other class of b's rotations whose C
-    are the same up to relabelling the crossings.
+    are the same up to relabelling the crossings (for the last 256 words).
 
     Moving a letter σ_i^{±1} with i ≥ 2 from the front of a word to its back
     keeps C so: the letter's block X fixes strand 1, so ρ′ is X·M before the
@@ -678,30 +683,35 @@ def _rotation_classes(b: BraidWord) -> list[BraidWord]:
     """
     ones = [s for s, (i, _) in enumerate(b.word) if i == 1]
     if not ones:
-        return [b]
+        return (b,)
     # the rotation after b's last σ_1^{±1} stands for b's own class
     own = BraidWord(b.strands, b.word[ones[-1] + 1:] + b.word[: ones[-1] + 1])
-    return [b] + [w for w in cyclic_rotations(b)[1:] if w.word[-1][0] == 1 and w != own]
+    return (b, *(w for w in cyclic_rotations(b)[1:] if w.word[-1][0] == 1 and w != own))
+
+
+def series_word(b: BraidWord) -> BraidWord:
+    """The cyclic rotation of b on which every series route sums: the first
+    of `_rotation_classes(b)` whose C has the fewest monomials, so a tie
+    keeps b.
+
+    A rotation is a conjugate of b, so its closure, writhe and strand count
+    are b's, and its series gives b's value.  The work does not: ρ′, C and
+    its minors change with the rotation, and the kernels' rows differ by
+    orders of magnitude between rotations.  The number of C's monomials
+    predicts their rank at every N, though not on every word (7_7
+    `1 -2 1 -2 3 -2 3` steps more folded rows on its 8-monomial class than
+    on its 9-monomial one).  The plan reads only counts: a given input is
+    summed on the same word on every run and at every N, and a C in
+    `braid_c_sum`'s cache costs nothing to read.
+    """
+    return min(_rotation_classes(b), key=lambda w: len(braid_c_sum(w).terms))
 
 
 def rotated_series_sum(b: BraidWord, N: int) -> tuple[list[int], BraidWord, int]:
-    """(the folded series sum of b at N, the word it was summed on, how many
-    classes of b's rotations there are).
-
-    A rotation is a conjugate of b, so its closure, writhe and strand count
-    are b's, and its folded series gives b's value mod Φ_N.  The kernel's
-    rows differ by orders of magnitude between rotations, and the number of
-    C's monomials predicts their rank at every N, though not on every word
-    (7_7 `1 -2 1 -2 3 -2 3` steps more rows on its 8-monomial class than on
-    its 9-monomial one).  C is read for one rotation per class
-    (`_rotation_classes`), and the sum runs on the first word with the
-    fewest monomials, so a tie keeps b.  The plan reads only counts: a given
-    input is summed on the same word on every run and at every N, and a C in
-    `braid_c_sum`'s cache costs nothing to read.
-    """
-    words = _rotation_classes(b)
-    word = min(words, key=lambda w: len(braid_c_sum(w).terms))
-    return folded_series_sum(braid_c_sum(word), word.signs, N), word, len(words)
+    """(the folded series sum of b at N, the word it was summed on
+    (`series_word`), how many classes of b's rotations there are)."""
+    word = series_word(b)
+    return folded_series_sum(braid_c_sum(word), word.signs, N), word, len(_rotation_classes(b))
 
 
 def colored_jones(b: BraidWord, N: int, mode: str = "bosonic") -> LaurentPoly:
@@ -715,18 +725,25 @@ def colored_jones(b: BraidWord, N: int, mode: str = "bosonic") -> LaurentPoly:
     minor's index set J, and ends by itself within dim·(N−1) steps, as each
     step raises the grades' sum by |J| ≥ 1.  The root-of-unity sum of the
     Kashaev invariant is not a mode: it runs on `folded_series_sum`.
+
+    Both modes sum on the rotation `series_word` plans, b itself on a tie;
+    J′ is a conjugation invariant and the prefactor reads only the writhe
+    and strand count, so the polynomial is b's.  N, the closure and the
+    mode are checked before the plan reads C.  Logs one DEBUG record naming
+    the mode, the word summed on and the C-monomials of b and of that word.
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
     if not closure_is_knot(b):
         raise ValueError("closure is not a knot")
-    _, Mq = braid_setup(b)
-    if mode == "bosonic":
-        total = _bosonic_series(Mq, Mq.signs, N)
-    elif mode == "fermionic":
-        total = _fermionic_series(Mq, N)
-    else:
+    if mode not in ("bosonic", "fermionic"):
         raise ValueError(f"unknown mode {mode!r}")
+    word = series_word(b)
+    _log.debug("%s N = %d: series on %r of %r; C-monomials %d of the given word, "
+               "%d of the word summed on", mode, N, word.to_text(), b.to_text(),
+               len(braid_c_sum(b).terms), len(braid_c_sum(word).terms))
+    _, Mq = braid_setup(word)
+    total = _bosonic_series(Mq, Mq.signs, N) if mode == "bosonic" else _fermionic_series(Mq, N)
     pref = (N - 1) * ((b.writhe - b.strands + 1) // 2)
     return LaurentPoly({(Q_UNIT * (e + pref), 0): c for e, c in total.items()})
 

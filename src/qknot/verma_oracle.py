@@ -21,8 +21,13 @@ refused before they are built (`_check_size`).  The
 float ring (`_NumericTables`, for `numeric_state_sum`) works in complex floats at
 q = exp(2πi/N), the Kashaev value for large N.  The probe ring
 (`_ProbeCounts`, for `state_sum_entries`) carries no values and counts the
-entries the float ring would build; `float_sum_word` uses it at N = 2 to
-pick the cyclic rotation of a word whose float sum builds the fewest.
+entries the float ring would build (the exact ring, which drops the groups
+that sum to zero, builds no more).  `state_sum_word` uses it at N = 2 to
+pick the cyclic rotation of a word whose sum builds the fewest, and both
+value rings sum there: `state_sum_jones` itself, and the Kashaev routes for
+`numeric_state_sum`, which sums the word it is given.  A rotation is a
+conjugate braid with the same closure, writhe and strand count, so no value
+changes, only the work.  The plan imports nothing from the series engine.
 `apply_braiding` (with `braiding_coeff`) is the single-vector
 form of the braiding: the walk reference that the tests hold the exact
 ring to, kept here because the benchmark tracer wraps both names.
@@ -614,14 +619,18 @@ def _state_sum(b: BraidWord, N: int, ring) -> tuple:
 
 
 def state_sum_jones(b: BraidWord, N: int) -> LaurentPoly:
-    """J′ of the braid closure by the exact state sum, N ≥ 1.  Refuses, with
+    """J′ of the braid closure by the exact state sum, N ≥ 1, summed on the
+    rotation `state_sum_word` plans: b unless another rotation's sum builds
+    strictly fewer entries at N = 2.  J′ is a conjugation invariant and the
+    writhe phase is b's, so the polynomial is b's.  Refuses, with
     ValueError, an input whose tables would pass CELL_LIMIT cells, at once
-    (`_check_size`), and a step whose rows would pass it (`_ExactRows.merge`)."""
+    and before any probe (`_check_size`), and a step whose rows would pass
+    it (`_ExactRows.merge`)."""
     if N < 1:
         raise ValueError("N must be a positive integer")
     if not closure_is_knot(b):
         raise ValueError("closure is not a knot")
-    _, total = _state_sum(b, N, _ExactRows)
+    _, total = _state_sum(state_sum_word(b, N, _ExactRows), N, _ExactRows)
     out = total.shift(b.writhe * (N * N - 1))
     if not (out.is_univariate_q() and out.has_integer_q_powers()):
         raise AssertionError("state sum landed off the integer q-lattice")
@@ -630,7 +639,8 @@ def state_sum_jones(b: BraidWord, N: int) -> LaurentPoly:
 
 def numeric_state_sum(b: BraidWord, N: int) -> complex:
     """The state sum with coefficients at q = exp(2πi/N): the order-N Kashaev
-    value of the closure.  With cmath replaced by a stand-in whose exp
+    value of the closure, summed on b as given (`kashaev` plans the word
+    with `state_sum_word`).  With cmath replaced by a stand-in whose exp
     returns mpmath numbers (as perfbench/make_refs.py does for 60-digit
     references), the same kernel runs on object arrays at that precision.
 
@@ -672,35 +682,39 @@ def _probe(w: BraidWord) -> int:
     return state_sum_entries(w, _PROBE_N)
 
 
-def float_sum_word(b: BraidWord, N: int) -> BraidWord:
-    """The cyclic rotation of b on which to run `numeric_state_sum` at N.
+def state_sum_word(b: BraidWord, N: int, ring) -> BraidWord:
+    """The cyclic rotation of b on which to run the state sum at N in the
+    value ring `ring` (`_ExactRows` for `state_sum_jones`, `_NumericTables`
+    for `numeric_state_sum`).
 
     A rotation is a conjugate of b, so its closure, writhe and strand count
-    are b's, and its state sum is b's Kashaev value; its entries, and with
-    them the sum's time and its cancellation error, differ by orders of
-    magnitude between rotations.  The planner counts each rotation's entries
-    at N = _PROBE_N (`state_sum_entries`), b first, for at most
-    ⌊(N/2)^(m−1)⌋ rotations: a probe covers 2^(m−1) initial states and the
-    sum N^(m−1), so planning costs about one sum.  It keeps b unless another
-    word has strictly fewer entries, and then takes the first of the fewest.
-    A sum with N^(2m−1) ≤ _ENTRY_BUDGET is not planned: its time is mostly
-    the per-step numpy calls that a probe pays as well (a probe cost 0.3–0.4
-    of the sum, 5_2 at N = 3 to 5), so no rotation is taken to repay a
-    probe.  ROADMAP item 13's work model is to re-derive this threshold from
-    the steps and entries of both.  No timing enters the choice, so the
-    same input gives the same floats.
-    Each word's count is cached (`_probe`), so later orders and calls do not
-    probe it again.  An order the state sum refuses is refused before any
-    probe.  Logs one DEBUG record when it compares two words or more."""
+    are b's, and its state sum is b's value in either ring; its entries, and
+    with them the sum's time and the float sum's cancellation error, differ
+    by orders of magnitude between rotations.  The planner counts each
+    rotation's entries at N = _PROBE_N (`state_sum_entries`), b first, for
+    at most ⌊(N/2)^(m−1)⌋ rotations: a probe covers 2^(m−1) initial states
+    and the sum N^(m−1), so planning costs about one sum.  It keeps b unless
+    another word has strictly fewer entries, and then takes the first of the
+    fewest.  The entries do not depend on the ring, so both rings pick the
+    same word.  A sum with N^(2m−1) ≤ _ENTRY_BUDGET is not planned: its time
+    is mostly the per-step numpy calls that a probe pays as well (a probe
+    cost 0.3–0.4 of the float sum, 5_2 at N = 3 to 5), so no rotation is
+    taken to repay a probe.  ROADMAP item 13's work model is to re-derive
+    this threshold from the steps and entries of both.  No timing enters the
+    choice, so the same input gives the same floats.
+    Each word's count is cached (`_probe`), so later orders, rings and calls
+    do not probe it again.  An order the ring's state sum refuses is refused
+    before any probe.  Logs one DEBUG record, naming the ring, when it
+    compares two words or more."""
     m = b.strands
-    _check_size(m, N, _NumericTables)
+    _check_size(m, N, ring)
     if N ** (2 * m - 1) <= _ENTRY_BUDGET:
         return b
     words = cyclic_rotations(b, N ** (m - 1) // 2 ** (m - 1))
     if len(words) == 1:
         return b
     chosen = min(words, key=_probe)
-    _log.debug("float N = %d: state sum on %r of %r after probing %d of its rotations; "
-               "entries at N = %d: %d of the given word, %d of the word summed on",
+    _log.debug("%s N = %d: state sum on %r of %r after probing %d of its rotations; "
+               "entries at N = %d: %d of the given word, %d of the word summed on", ring.name,
                N, chosen.to_text(), b.to_text(), len(words), _PROBE_N, _probe(b), _probe(chosen))
     return chosen

@@ -12,6 +12,9 @@
 * `ungraded_fermionic_jones`: the fermionic colored Jones summed on the
   ungraded C until max(k, m) consecutive terms vanish, a stop rule with no
   proof, as the reference for the graded sum.
+* `series_jones_on_word` and `state_sum_jones_on_word`: the colored Jones
+  routes' kernels run on the word given, with no rotation planned, for the
+  tests that mean a kernel on a named word.
 """
 from itertools import product
 
@@ -20,7 +23,7 @@ import numpy as np
 from qknot import mcmahon
 from qknot.exactpoly import LaurentPoly, Q_UNIT
 from qknot.qweyl import NormalMonomial, StrandSigns
-from qknot.verma_oracle import _ExactRows
+from qknot.verma_oracle import _ExactRows, _state_sum
 
 # ---------------------------------------------------------------------------
 # literal operator realization (the oracle for eval_E)
@@ -206,3 +209,27 @@ def ungraded_fermionic_jones(b, N: int) -> LaurentPoly:
             break
     pref = (N - 1) * ((b.writhe - b.strands + 1) // 2)
     return LaurentPoly({(Q_UNIT * (e + pref), 0): c for e, c in total.items()})
+
+
+# ---------------------------------------------------------------------------
+# the colored Jones kernels on the word given
+# ---------------------------------------------------------------------------
+
+
+def series_jones_on_word(b, N: int, mode: str) -> LaurentPoly:
+    """`mcmahon.colored_jones` of mode "bosonic" or "fermionic" summed on b
+    itself, with its writhe prefactor."""
+    _, Mq = mcmahon.braid_setup(b)
+    if mode == "bosonic":
+        total = mcmahon._bosonic_series(Mq, Mq.signs, N)
+    else:
+        total = mcmahon._fermionic_series(Mq, N)
+    pref = (N - 1) * ((b.writhe - b.strands + 1) // 2)
+    return LaurentPoly({(Q_UNIT * (e + pref), 0): c for e, c in total.items()})
+
+
+def state_sum_jones_on_word(b, N: int) -> LaurentPoly:
+    """`verma_oracle.state_sum_jones` summed on b itself, with its writhe
+    phase."""
+    _, total = _state_sum(b, N, _ExactRows)
+    return total.shift(b.writhe * (N * N - 1))

@@ -35,7 +35,7 @@ from qknot.mcmahon import (
     folded_series_sum,
     rotated_series_sum,
 )
-from qknot.verma_oracle import float_sum_word, numeric_state_sum, state_sum_jones
+from qknot.verma_oracle import _NumericTables, numeric_state_sum, state_sum_jones, state_sum_word
 
 
 def test_exact_value_is_reduced_colored_jones(corpus_braids):
@@ -300,7 +300,7 @@ def test_float_values_are_the_sum_on_the_planned_word(benchmark_rotations):
         b = parse_braid(word)
         rows = volume_sequence(b, [5, 10])
         for N, mag, _ in rows:
-            want = numeric_state_sum(float_sum_word(b, N), N)
+            want = numeric_state_sum(state_sum_word(b, N, _NumericTables), N)
             assert _bits(kashaev_value(b, N, mode="float").approx) == _bits(want), (word, N)
             assert mag == abs(want), (word, N)
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qknot import exactpoly, mcmahon
-from qknot.braid import BraidWord, parse_braid
+from qknot.braid import BraidWord, cyclic_rotations, parse_braid
 from qknot.exactpoly import LaurentPoly, Q_UNIT, parse_univariate, q_pochhammer, row_norms
 from qknot.kashaev import _series_inputs, kashaev_series, kashaev_value
 from qknot.mcmahon import (
@@ -21,6 +21,7 @@ from qknot.mcmahon import (
     _efactor_items,
     _eval_folded,
     _eval_population,
+    _fermionic_series,
     _folded_step,
     _groups,
     _mono_terms,
@@ -32,11 +33,12 @@ from qknot.mcmahon import (
     colored_jones,
     fermionic_terms,
     folded_series_sum,
+    series_word,
 )
 from qknot.qweyl import AlgebraElement, NormalMonomial
 from qknot.verma_oracle import state_sum_jones
 
-from oracles import ungraded_fermionic_jones
+from oracles import series_jones_on_word, state_sum_jones_on_word, ungraded_fermionic_jones
 
 
 def trefoil_closed_form(N):
@@ -137,7 +139,9 @@ def test_benchmark_cache_reset_empties_the_setup_caches():
 
 def test_minors_are_built_once_per_braid(monkeypatch):
     # the graded fermionic route and C's sum read the same parts: one
-    # quantum determinant per nonempty principal minor, whichever asks first
+    # quantum determinant per nonempty principal minor, whichever asks first.
+    # The plan reads C of each of 6_1's three rotation classes, 7 minors
+    # each, and a repeat call builds none
     calls = []
     real_qdet = mcmahon.qdet
     monkeypatch.setattr(mcmahon, "qdet", lambda M: calls.append(M.dim) or real_qdet(M))
@@ -146,7 +150,13 @@ def test_minors_are_built_once_per_braid(monkeypatch):
     colored_jones(b, 2, mode="fermionic")
     kashaev_series(b, 3)
     colored_jones(b, 3, mode="fermionic")
-    assert sorted(calls) == [1, 1, 1, 2, 2, 2, 3]
+    assert len(_rotation_classes(b)) == 3
+    assert sorted(calls) == sorted([1, 1, 1, 2, 2, 2, 3] * 3)
+    calls.clear()
+    colored_jones(b, 2, mode="fermionic")
+    colored_jones(b, 4, mode="bosonic")
+    kashaev_series(b, 3)
+    assert calls == []
     _, Mq = braid_setup(b)
     assert braid_c_sum(b) == sum((part for _, part in c_parts(Mq)), AlgebraElement.zero())
     assert [J for J, _ in c_parts(Mq)] == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
@@ -478,13 +488,85 @@ def test_generic_series_matches_dict_reference(corpus_braids, monkeypatch, caplo
 
 def test_both_modes_are_state_sum_on_every_benchmark_rotation(benchmark_rotations):
     # the benchmark's bosonic jobs, 6_1 on 4 strands among them, term for
-    # term, and the fermionic mode on the orders the benchmark skips
+    # term, and the fermionic mode on the orders the benchmark skips; each
+    # kernel runs on the word given, not on a planned rotation
     for word in benchmark_rotations:
         b = parse_braid(word)
         for N in (2, 3, 4):
-            want = state_sum_jones(b, N)
-            assert colored_jones(b, N, mode="bosonic") == want, (word, N)
-            assert colored_jones(b, N, mode="fermionic") == want, (word, N)
+            want = state_sum_jones_on_word(b, N)
+            assert series_jones_on_word(b, N, "bosonic") == want, (word, N)
+            assert series_jones_on_word(b, N, "fermionic") == want, (word, N)
+
+
+def test_colored_jones_routes_are_their_kernels_on_the_given_word(benchmark_rotations):
+    # a plan picks the word summed on, never the value
+    for word in benchmark_rotations:
+        b = parse_braid(word)
+        for N in (1, 2, 3, 4):
+            for mode in ("bosonic", "fermionic"):
+                assert colored_jones(b, N, mode=mode) == series_jones_on_word(b, N, mode), (word, N, mode)
+            assert state_sum_jones(b, N) == state_sum_jones_on_word(b, N), (word, N)
+
+
+def test_series_routes_are_planned_by_monomial_counts_alone(benchmark_rotations, caplog, monkeypatch):
+    # both modes sum on the first class with the fewest C-monomials, the
+    # same word at every N, and their kernels get that word's qρ′
+    summed = []
+    for name in ("_bosonic_series", "_fermionic_series"):
+        real = getattr(mcmahon, name)
+        monkeypatch.setattr(mcmahon, name, lambda Mq, *args, real=real: summed.append(Mq) or real(Mq, *args))
+    planned = {}
+    with caplog.at_level(logging.DEBUG, logger="qknot.mcmahon"):
+        for text in benchmark_rotations:
+            b = parse_braid(text)
+            classes = _rotation_classes(b)
+            counts = [len(braid_c_sum(w).terms) for w in classes]
+            want = classes[counts.index(min(counts))]
+            assert series_word(b) == want, text
+            for N in (1, 2, 3, 4):
+                for mode in ("bosonic", "fermionic"):
+                    caplog.clear()
+                    summed.clear()
+                    colored_jones(b, N, mode=mode)
+                    (record,) = [rec for rec in caplog.records if rec.name == "qknot.mcmahon"]
+                    assert record.args == (mode, N, want.to_text(), text, counts[0], min(counts)), (text, N)
+                    assert len(summed) == 1 and summed[0] is braid_setup(want)[1], (text, N, mode)
+            planned[text] = want.to_text()
+    # every rotation of 6_1 onto its 3-monomial class; every rotation of 5_2
+    # onto 1 1 2 -1 2 1, except its other 3-monomial class, which keeps itself
+    for w in cyclic_rotations(parse_braid("1 1 2 -1 -3 2 -3")):
+        assert len(braid_c_sum(parse_braid(planned[w.to_text()])).terms) == 3, w.to_text()
+    for w in cyclic_rotations(parse_braid("1 1 1 2 -1 2")):
+        want = "1 2 -1 2 1 1" if w.to_text() == "1 2 -1 2 1 1" else "1 1 2 -1 2 1"
+        assert planned[w.to_text()] == want, w.to_text()
+
+
+def test_colored_jones_logs_the_word_it_sums_on(caplog):
+    b = parse_braid("1 1 1 2 -1 2")
+    with caplog.at_level(logging.DEBUG, logger="qknot.mcmahon"):
+        colored_jones(b, 3, mode="bosonic")
+        colored_jones(b, 3, mode="fermionic")
+    records = [rec for rec in caplog.records if rec.name == "qknot.mcmahon"]
+    assert [rec.levelno for rec in records] == [logging.DEBUG] * 2
+    # C of 1 1 1 2 -1 2 has 6 monomials, and its rotation 1 1 2 -1 2 1 has 3
+    assert [rec.args for rec in records] == [
+        (mode, 3, "1 1 2 -1 2 1", "1 1 1 2 -1 2", 6, 3) for mode in ("bosonic", "fermionic")]
+    assert records[0].getMessage() == ("bosonic N = 3: series on '1 1 2 -1 2 1' of '1 1 1 2 -1 2'; "
+                                       "C-monomials 6 of the given word, 3 of the word summed on")
+
+
+def test_bad_mode_builds_nothing(monkeypatch):
+    # N, the closure and the mode are checked before the plan reads C
+    def unreachable(*args):
+        raise AssertionError("built ρ′ or C of a call that is refused")
+
+    for name in ("braid_setup", "braid_c_sum", "rho"):
+        monkeypatch.setattr(mcmahon, name, unreachable)
+    for args, match in (((parse_braid("1 1 1"), 2, "adiabatic"), "unknown mode"),
+                        ((parse_braid("1 1 1"), 0, "bosonic"), "positive"),
+                        ((parse_braid("1 1"), 2, "fermionic"), "not a knot")):
+        with pytest.raises(ValueError, match=match):
+            colored_jones(*args)
 
 
 def test_graded_fermionic_series_ends_within_the_box(corpus_braids, benchmark_rotations, monkeypatch):
@@ -513,7 +595,7 @@ def test_graded_fermionic_series_ends_within_the_box(corpus_braids, benchmark_ro
         for N in range(1, 7 if b.strands <= 3 else 5):
             bound = (b.strands - 1) * (N - 1) + 1
             calls.update(_generic_step=0, _eval_population=0)
-            colored_jones(b, N, mode="fermionic")
+            _fermionic_series(braid_setup(b)[1], N)
             assert calls["_eval_population"] == 1, (b.to_text(), N)
 
 
@@ -524,7 +606,7 @@ def test_graded_fermionic_groups_of_populations_give_the_same_polynomial(
     # groups hold a few; each group is evaluated once
     braids = list(corpus_braids.values()) + [parse_braid(w) for w in benchmark_rotations]
     cases = [(b, N) for b in braids if b.strands <= 3 for N in (2, 3, 4)]
-    want = [colored_jones(b, N, mode="fermionic") for b, N in cases]
+    want = [series_jones_on_word(b, N, "fermionic") for b, N in cases]
     calls = {"_generic_step": 0, "_eval_population": 0}
 
     def counted(name):
@@ -542,7 +624,7 @@ def test_graded_fermionic_groups_of_populations_give_the_same_polynomial(
         monkeypatch.setattr(mcmahon, "_GROUP_CELLS", cells)
         for (b, N), poly in zip(cases, want):
             calls.update(_generic_step=0, _eval_population=0)
-            assert colored_jones(b, N, mode="fermionic") == poly, (b.to_text(), N, cells)
+            assert series_jones_on_word(b, N, "fermionic") == poly, (b.to_text(), N, cells)
             # the step after the last nonempty population leaves none
             if cells == 1:
                 assert calls["_eval_population"] == calls["_generic_step"], (b.to_text(), N)
@@ -624,13 +706,13 @@ def test_folded_step_refuses_past_the_cell_limit(monkeypatch):
 
 def test_generic_step_refuses_past_the_cell_limit(monkeypatch):
     # the merged population of 5_2's series reaches more cells at each
-    # depth; past a lowered limit kashaev_series and colored_jones refuse it
+    # depth; past a lowered limit kashaev_series and the graded series refuse it
     b = parse_braid("1 1 1 2 -1 2")
     monkeypatch.setattr(mcmahon, "CELL_LIMIT", 200)
     with pytest.raises(ValueError, match=r"generic-q series would hold \d+ cells in one step, over 200"):
         kashaev_series(b, 12)
     with pytest.raises(ValueError, match="generic-q series would hold"):
-        colored_jones(b, 4, mode="fermionic")
+        _fermionic_series(braid_setup(b)[1], 4)
     monkeypatch.setattr(mcmahon, "CELL_LIMIT", exactpoly.CELL_LIMIT)
     assert len(kashaev_series(b, 12).terms) == 13
 

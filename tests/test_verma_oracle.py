@@ -19,15 +19,28 @@ from qknot.exactpoly import LaurentPoly, q_int_binom
 from qknot.mcmahon import colored_jones
 from qknot.qweyl import AlgebraElement, NormalMonomial, StrandSigns, normal_order_product
 from qknot.verma_oracle import (
+    _ExactRows,
+    _NumericTables,
     apply_braiding,
     braiding_coeff,
-    float_sum_word,
     numeric_state_sum,
     state_sum_entries,
     state_sum_jones,
+    state_sum_word,
 )
 
-from oracles import braid_relation_holds, braiding_inverse_holds, expand_then_filter, table_coefficients
+from oracles import (
+    braid_relation_holds,
+    braiding_inverse_holds,
+    expand_then_filter,
+    state_sum_jones_on_word,
+    table_coefficients,
+)
+
+
+def float_sum_word(b, N):
+    """The rotation the float state sum is planned onto."""
+    return state_sum_word(b, N, _NumericTables)
 
 
 def test_braiding_identity_coefficient_is_pure_half_power():
@@ -139,12 +152,14 @@ def test_exact_state_sum_matches_apply_braiding_walk(monkeypatch, caplog, benchm
         # 37 × 32 row cells: batches of several initial states outgrow it
         monkeypatch.setattr(verma_oracle, "_ENTRY_BUDGET", 37)
     splits = _mid_sum_splits(monkeypatch, verma_oracle._ExactRows)
+    # the exact ring summed on each word given, not on a planned rotation
     cases = [(w, N) for w in benchmark_rotations for N in (1, 2, 3, 4)]
     cases.append(("1 1 2 -1 -3 2 -3", 5))
     with caplog.at_level(logging.DEBUG, logger="qknot.verma_oracle"):
         for word, N in cases:
-            assert state_sum_jones(parse_braid(word), N) == _exact_walk_state_sum(word, N), (word, N)
-    assert bool(caplog.records) == (rows == "object")
+            assert state_sum_jones_on_word(parse_braid(word), N) == _exact_walk_state_sum(word, N), (word, N)
+    records = [rec for rec in caplog.records if "leave int64" in rec.getMessage()]
+    assert bool(records) == (rows == "object")
     if rows == "split in mid-sum":
         assert any(splits)
 
@@ -203,6 +218,22 @@ def test_float_state_sum_refuses_oversized_tables_before_any_probe(monkeypatch):
     for state_sum in (numeric_state_sum, float_sum_word):
         with pytest.raises(ValueError, match="the float state sum at N = 1548 would hold over 16777216 complex cells"):
             state_sum(parse_braid("1 1 1 2 -1 2"), 1548)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_exact_state_sum_refuses_oversized_tables_before_any_probe(monkeypatch):
+    # the exact plan checks the exact ring's tables, and names the ring
+    cells = _ExactRows.table_cells
+    assert cells(69) <= verma_oracle.CELL_LIMIT < cells(70)
+
+    def probe(w):
+        raise AssertionError("probed a rotation of an order the state sum refuses")
+
+    monkeypatch.setattr(verma_oracle, "_probe", probe)
+    start = time.perf_counter()
+    for state_sum in (state_sum_jones, lambda b, N: state_sum_word(b, N, _ExactRows)):
+        with pytest.raises(ValueError, match="the exact state sum at N = 70 would hold over 16777216 integer cells"):
+            state_sum(parse_braid("1 1 1 2 -1 2"), 70)
     assert time.perf_counter() - start < 1.0
 
 
@@ -361,14 +392,15 @@ def test_closing_step_builds_the_entries_expand_then_filter_keeps(corpus_braids,
     for b, N in cases:
         order["N"] = N
         numeric_state_sum(b, N)
-        state_sum_jones(b, N)
+        verma_oracle._state_sum(b, N, _ExactRows)
     assert kinds == {(False, False), (True, False), (False, True), (True, True)}
 
 
 def test_float_state_sum_rejects_oversized_code_space():
     # the guard sits in the traversal the rings share, and the planner checks
-    # it before probing
-    for state_sum in (numeric_state_sum, state_sum_jones, float_sum_word):
+    # it before probing, for either ring
+    for state_sum in (numeric_state_sum, state_sum_jones, float_sum_word,
+                      lambda b, N: state_sum_word(b, N, _ExactRows)):
         with pytest.raises(ValueError):
             state_sum(parse_braid("1 2 3 4 5 6 7 8 9"), 50)
 
@@ -504,6 +536,8 @@ def test_planned_word_builds_near_the_fewest_entries(word):
     entries = {w: state_sum_entries(w, N) for w in rotations}
     for b in rotations:
         assert entries[float_sum_word(b, N)] <= 1.3 * min(entries.values()), (b.to_text(), N)
+        # the entries do not depend on the ring, so neither does the plan
+        assert state_sum_word(b, N, _ExactRows) == float_sum_word(b, N), (b.to_text(), N)
 
 
 def test_planner_keeps_the_given_word_on_a_tie():
@@ -546,8 +580,27 @@ def test_planner_probes_at_most_its_cap_b_first(monkeypatch, caplog):
             chosen[N] = float_sum_word(b, N)
         assert probed == rotations[:cap]
         assert chosen[N] in rotations[: max(1, cap)]
-    # one record per plan that compares words, naming both words and counts
+    # one record per plan that compares words, naming its ring, both words and counts
     records = [rec.args for rec in caplog.records if rec.name == "qknot.verma_oracle"]
-    assert [args[:4] for args in records] == [(N, chosen[N].to_text(), b.to_text(), cap)
+    assert [args[:5] for args in records] == [("float", N, chosen[N].to_text(), b.to_text(), cap)
                                               for N, cap in ((6, 9), (10, 25))]
-    assert records[-1][4:] == (2, entries(b, 2), entries(chosen[10], 2))
+    assert records[-1][5:] == (2, entries(b, 2), entries(chosen[10], 2))
+
+
+def test_exact_state_sum_logs_the_word_it_sums_on(caplog, monkeypatch):
+    # the planner's record names the ring that sums on the word it picks,
+    # and the exact ring sums there
+    b = parse_braid("-3 1 1 2 -1 -3 2")
+    summed = []
+    real = verma_oracle._state_sum
+    monkeypatch.setattr(verma_oracle, "_state_sum", lambda w, N, ring: summed.append((w, ring)) or real(w, N, ring))
+    with caplog.at_level(logging.DEBUG, logger="qknot.verma_oracle"):
+        want = state_sum_jones(b, 4)
+        numeric_state_sum(float_sum_word(b, 4), 4)
+    assert [w.to_text() for w, ring in summed if ring is _ExactRows] == ["1 2 -1 -3 2 -3 1"]
+    records = [rec for rec in caplog.records if rec.name == "qknot.verma_oracle"]
+    assert [rec.levelno for rec in records] == [logging.DEBUG] * 2
+    assert [rec.args[:4] for rec in records] == [(ring, 4, "1 2 -1 -3 2 -3 1", b.to_text())
+                                                 for ring in ("exact", "float")]
+    assert records[0].getMessage().startswith("exact N = 4: state sum on '1 2 -1 -3 2 -3 1' of ")
+    assert want == state_sum_jones_on_word(parse_braid("1 2 -1 -3 2 -3 1"), 4) == state_sum_jones_on_word(b, 4)
