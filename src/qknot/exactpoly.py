@@ -364,13 +364,23 @@ def cyclotomic_reduce(p: LaurentPoly, N: int) -> CyclotomicInt:
     return CyclotomicInt.from_coeff_list(N, vec)
 
 
+@lru_cache(maxsize=None)
+def _unit_roots(N: int) -> tuple:
+    """exp(2πij/N) for j < φ(N), the length of a `CyclotomicInt`'s
+    coefficients, to 40 digits."""
+    with mpmath.workdps(40):
+        return tuple(mpmath.expjpi(mpmath.mpf(2 * j) / N) for j in range(len(cyclotomic_coeffs(N)) - 1))
+
+
 def embed_complex(c: CyclotomicInt) -> complex:
-    """Value of c at q = exp(2πi/N)."""
+    """Value of c at q = exp(2πi/N): Σ_j c_j·exp(2πij/N) in 40-digit
+    arithmetic, on roots `_unit_roots` keeps per N."""
+    roots = _unit_roots(c.N)
     with mpmath.workdps(40):
         total = mpmath.mpc(0)
-        for j, a in enumerate(c.coeffs):
+        for a, root in zip(c.coeffs, roots):
             if a:
-                total += a * mpmath.expjpi(mpmath.mpf(2 * j) / c.N)
+                total += a * root
         return complex(total)
 
 

@@ -1,6 +1,8 @@
 import cmath
 import math
+import random
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -197,6 +199,27 @@ def test_embedding_of_power_is_root_of_unity():
     for N in (3, 8, 12):
         value = embed_complex(CyclotomicInt.q_power(N, 1))
         assert abs(value - cmath.exp(2j * math.pi / N)) < 1e-12
+
+
+def test_embedding_on_cached_roots_is_the_uncached_sum_bit_for_bit():
+    # the roots are read from a per-N cache; the sum must be the same 40-digit
+    # arithmetic on the same values as computing each root afresh
+    rng = random.Random(0)
+    for N in range(1, 65):
+        phi = len(cyclotomic_coeffs(N)) - 1
+        vectors = [(0,) * phi] + [
+            tuple(rng.choice([0, rng.randint(-9, 9), rng.randint(-2**70, 2**70)]) for _ in range(phi))
+            for _ in range(3)
+        ]
+        for vec in vectors:
+            with mpmath.workdps(40):
+                total = mpmath.mpc(0)
+                for j, a in enumerate(vec):
+                    if a:
+                        total += a * mpmath.expjpi(mpmath.mpf(2 * j) / N)
+                want = complex(total)
+            got = embed_complex(CyclotomicInt(N, vec))
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (N, vec)
 
 
 @given(q_polys)

@@ -131,10 +131,10 @@ def test_benchmark_cache_reset_empties_the_setup_caches():
     spec.loader.exec_module(tracer)
     kashaev_value(parse_braid("1 1 1"), 3)
     assert braid_setup.cache_info().currsize and braid_c_sum.cache_info().currsize
-    assert c_parts.cache_info().currsize
+    assert c_parts.cache_info().currsize and exactpoly._unit_roots.cache_info().currsize
     tracer.clear_caches()
     assert braid_setup.cache_info().currsize == braid_c_sum.cache_info().currsize == 0
-    assert c_parts.cache_info().currsize == 0
+    assert c_parts.cache_info().currsize == exactpoly._unit_roots.cache_info().currsize == 0
 
 
 def test_minors_are_built_once_per_braid(monkeypatch):
@@ -820,6 +820,9 @@ def folded_populations(draw):
 @given(folded_populations(), st.sampled_from(["int64", "huge", "object"]))
 @example((8, (-1,), [(((0, 2),), [9, 0, 0, 0, 0, 9, -9, -9])]), "huge")
 @example((2, (1,), [(((0, 0),), [5, 0]), (((1, 0),), [0, 5])]), "int64")
+@example((8, (-1,), [(((0, 1),), [5, 0, 0, 0, 0, 0, 0, 0]), (((0, 3),), [1, 0, 0, 0, 0, 0, 0, 0])]), "huge")
+@example((8, (-1,), [(((1, 6),), [1, 1, 1, -1, -1, -1, -1, 1])]), "huge")
+@example((8, (-1,), [(((1, 6),), [4, 4, 4, -4, -4, -4, -4, 4])]), "huge")
 @settings(max_examples=80)
 def test_folded_evaluation_matches_folded_dict_reference(population, rows):
     # "huge" rows come near the int64 bound, so most sums must trip it;
@@ -827,7 +830,15 @@ def test_folded_evaluation_matches_folded_dict_reference(population, rows):
     # the first explicit example, (1 − q)(1 − q²) lines up with the row and
     # takes its peak to 4·9·2^58 > 2^63 unless a binomial is checked before
     # it runs; in the second, q^{-1} lines the two rows up, so their merged
-    # row reaches the sum of their bounds
+    # row reaches the sum of their bounds.  In the third, the crossing's
+    # largest bound, 5·2^58, sits on the row with d_j = 1: it trips the
+    # crossing's scalar check at the second binomial, where only the d_j = 3
+    # row, far from 2^62, is checked.  In the fourth, (1 − q²)(1 − q³)(1 − q⁴)
+    # lines up with the row, so its bound first reaches 2^62 after its third
+    # binomial, and the measured row, 8·2^58, leaves int64 there; its carried
+    # bound, brought up to date only then, must still bound the merged row.
+    # The fifth, that row times 4, would reach 2^63 at its third binomial
+    # unless the scalar doubles at each binomial and trips at the second
     N, signs_t, states = population
     scale = 2**58 if rows == "huge" else 1
     R = np.array([[r for r, _ in key] for key, _ in states], dtype=np.int64)
@@ -868,6 +879,40 @@ def test_folded_series_matches_folded_dict_reference(corpus_braids, monkeypatch,
             want = folded_dict_series(several, signs.signs, N, k * N)
             assert folded_series_sum(several, signs.signs, N) == want, (name, N)
     assert bool(caplog.records) == (rows == "object")
+
+
+def test_folded_series_merges_by_doubling_past_small_group_sizes(corpus_braids, monkeypatch):
+    # at the benchmark's orders a series' populations fit in _GROUP_CELLS,
+    # so they are merged once, at the end; at 1 and 64 cells the pending
+    # populations are merged whenever they outgrow the accumulated one, on
+    # int64 rows and with every row on Python ints
+    merges, _merge = [0], mcmahon._merge
+
+    def merge(*args):
+        merges[0] += 1
+        return _merge(*args)
+
+    monkeypatch.setattr(mcmahon, "_merge", merge)
+    doubled = False
+    for name, b in corpus_braids.items():
+        signs, C = _series_inputs(b)
+        k = len(signs.signs)
+        for N in (3, 5, 8):
+            want = folded_dict_series(C, signs.signs, N, k * N)
+            merges[0] = 0
+            assert folded_series_sum(C, signs.signs, N) == want, (name, N)
+            once = merges[0]
+            for cells in (1, 64):
+                for safe in (exactpoly.INT64_SAFE, 1.0):
+                    with monkeypatch.context() as m:
+                        m.setattr(mcmahon, "_GROUP_CELLS", cells)
+                        m.setattr(exactpoly, "INT64_SAFE", safe)
+                        merges[0] = 0
+                        assert folded_series_sum(C, signs.signs, N) == want, (name, N, cells, safe)
+                    # the merged population, so the evaluation's merges, is the same
+                    assert merges[0] >= once, (name, N, cells)
+                    doubled |= merges[0] > once
+    assert doubled
 
 
 def test_folded_series_steps_leave_int64_where_sums_pass_2_63(corpus_braids, monkeypatch):
