@@ -15,8 +15,8 @@ sum (`verma_oracle`) hold coefficients as int64 rows instead; `fit_rows`
 moves those rows to Python ints before a sum could wrap, at every site of
 both, and with the cell limit of their arrays it is the only code the two
 exact routes share.  The two Alexander routes (`mcmahon` and
-`foxburau`) likewise share only this module: its determinant and
-`normalize_alexander`.
+`foxburau`) likewise share only this module: `alexander_of_matrix`, the
+normalized det(I − M) of their matrices.
 """
 from __future__ import annotations
 
@@ -451,19 +451,11 @@ def key_runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# small commutative matrix helpers over LaurentPoly, and the normalization
-# of the Alexander polynomial that both of its routes apply to a determinant
+# the determinant of a small matrix over LaurentPoly, and the Alexander
+# polynomial that both of its routes take from their matrix
 # ---------------------------------------------------------------------------
 
 PolyMatrix = list[list[LaurentPoly]]
-
-
-def poly_mat_identity(n: int) -> PolyMatrix:
-    return [[LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(n)] for i in range(n)]
-
-
-def poly_mat_sub(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def poly_mat_det(a: PolyMatrix) -> LaurentPoly:
@@ -501,6 +493,16 @@ def normalize_alexander(det: LaurentPoly) -> LaurentPoly:
     if at_one == -1:
         centered = {e: -c for e, c in centered.items()}
     return LaurentPoly({(0, e): c for e, c in centered.items()})
+
+
+def alexander_of_matrix(m: PolyMatrix) -> LaurentPoly:
+    """det(I − m), which must involve z alone, normalized: the Alexander
+    polynomial from the reduced Burau matrix of either route."""
+    det = poly_mat_det([[LaurentPoly.const(int(i == j)) - x for j, x in enumerate(row)]
+                        for i, row in enumerate(m)])
+    if not det.is_univariate_z():
+        raise AssertionError("det(I − M) unexpectedly involves q")
+    return normalize_alexander(det)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,12 @@ q^{(m−w−1)/2}, the value at q = exp(2πi/N) is the order-N Kashaev invariant
 of the closure.  Cyclic rotations of a braid word are conjugate braids with
 the same closure, writhe and strand count, so the exact value may sum the
 series on any of them, and the work differs by orders of magnitude between
-them: `mcmahon.rotated_series_sum` sums it on the rotation that
-`mcmahon.series_word` plans, the first whose C has the fewest monomials, a
-plan made from counts alone, so a word is always summed on the same
-rotation.  The colored Jones routes sum on the same planned word.  C comes
-from the per-braid cache `mcmahon.braid_c_sum`, shared by every order N and
-by the colored Jones routes, and its minors from `mcmahon.c_parts`.
+them: `kashaev_value` sums it by `mcmahon.folded_series_sum` on the
+rotation that `mcmahon.series_word` plans, the first whose C has the fewest
+monomials, a plan made from counts alone, so a word is always summed on the
+same rotation.  The colored Jones routes sum on the same planned word.  C
+comes from the per-braid cache `mcmahon.braid_c_sum`, shared by every order
+N and by the colored Jones routes, and its minors from `mcmahon.c_parts`.
 `kashaev_series` keeps the given word, as its terms t_n are not invariants.
 A complex floating-point state sum provides the production path for
 growth-rate sequences 2π·ln|⟨K⟩_N|/N, whose conjectured limit is the
@@ -44,8 +44,8 @@ from .exactpoly import (
     cyclotomic_reduce,
     embed_complex,
 )
-from .mcmahon import braid_c_sum, fermionic_terms, rotated_series_sum
-from .qweyl import AlgebraElement, StrandSigns
+from .mcmahon import braid_c_sum, fermionic_terms, folded_series_sum, series_word
+from .qweyl import StrandSigns
 from .verma_oracle import _NumericTables, numeric_state_sum, state_sum_word
 
 _log = logging.getLogger(__name__)
@@ -78,11 +78,6 @@ def _poly_from_whole_powers(d: dict[int, int]) -> LaurentPoly:
     return LaurentPoly({(Q_UNIT * e, 0): c for e, c in d.items()})
 
 
-def _series_inputs(b: BraidWord) -> tuple[StrandSigns, AlgebraElement]:
-    """The braid's signs and C, shared with the colored Jones route."""
-    return StrandSigns(b.signs), braid_c_sum(b)
-
-
 def _prefactor_exponent(b: BraidWord) -> int:
     # an integer: both callers run closure_is_knot first, which checks that
     # w ≡ m − 1 (mod 2) on every knot closure
@@ -96,10 +91,9 @@ def kashaev_series(b: BraidWord, depth: int) -> HabiroTruncation:
         raise ValueError("depth must be nonnegative")
     if not closure_is_knot(b):
         raise ValueError("closure is not a knot")
-    signs, C = _series_inputs(b)
     terms = [
         _poly_from_whole_powers(value)
-        for value in fermionic_terms(C, signs, z_pow=-1, max_n=depth)
+        for value in fermionic_terms(braid_c_sum(b), StrandSigns(b.signs), z_pow=-1, max_n=depth)
     ]
     while len(terms) < depth + 1:
         terms.append(LaurentPoly.zero())
@@ -113,7 +107,7 @@ def kashaev_value(b: BraidWord, N: int, mode: str = "exact") -> KashaevValue:
     some d_j ≥ N vanish and are pruned, so the sum is finite; apply
     q^{(m−w−1)/2} and reduce mod Φ_N.  The series runs on the first
     cyclic rotation of b whose C has the fewest monomials
-    (`rotated_series_sum`), b itself on a tie; a rotation is a conjugate of
+    (`series_word`), b itself on a tie; a rotation is a conjugate of
     b with b's writhe and strand count, so the value is the same on every
     rotation.  Logs one DEBUG record naming the word summed on and the
     C-monomials of b and of that word.
@@ -129,10 +123,11 @@ def kashaev_value(b: BraidWord, N: int, mode: str = "exact") -> KashaevValue:
         return KashaevValue(N, None, numeric_state_sum(state_sum_word(b, N, _NumericTables), N))
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    total, word, _ = rotated_series_sum(b, N)
+    word = series_word(b)
     _log.debug("kashaev N = %d: series on %r of %r; C-monomials %d of the given word, "
                "%d of the word summed on", N, word.to_text(), b.to_text(),
                len(braid_c_sum(b).terms), len(braid_c_sum(word).terms))
+    total = folded_series_sum(braid_c_sum(word), word.signs, N)
     poly = _poly_from_whole_powers(dict(enumerate(total)))
     poly = poly.shift(Q_UNIT * _prefactor_exponent(b))
     exact = cyclotomic_reduce(poly, N)

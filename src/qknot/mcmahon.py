@@ -6,10 +6,11 @@ sum C of principal quantum minors, and a bosonic mode summing diagonal
 coefficients of the co-action on a q-commuting polynomial algebra.  Applying
 the evaluation map with z = q^{N-1} and the writhe prefactor assembles the
 colored Jones polynomial; the classical specialization of I − ρ′ yields the
-Alexander polynomial.  Both modes sum the box [0, N−1]^dim of grades x: with
-central x_i on the rows of qρ′, each part of C is graded by its minor's index
-set J, and the master theorem holds degree by degree in x (Garoufalidis–Lê–
-Zeilberger, PNAS 103, 2006).  Each power of C raises Σx_i by |J| ≥ 1, so the
+Alexander polynomial, by `exactpoly.alexander_of_matrix`, the one step it
+shares with the Fox-calculus route.  Both modes sum the box [0, N−1]^dim of
+grades x: with central x_i on the rows of qρ′, each part of C is graded by
+its minor's index set J, and the master theorem holds degree by degree in x
+(Garoufalidis–Lê–Zeilberger, PNAS 103, 2006).  Each power of C raises Σx_i by |J| ≥ 1, so the
 fermionic series, which drops a state once some x_i reaches N, ends by itself.
 
 ρ′(γ), q·ρ′ and C belong to the braid, not to a route or an order N:
@@ -23,16 +24,17 @@ Every series route sums on one planned cyclic rotation of the braid word,
 `series_word`: the first whose C has the fewest monomials, so a tie keeps
 the word given, reading C of one rotation per class of rotations with the
 same C (`_rotation_classes`).  Both `colored_jones` modes and the folded
-series of `rotated_series_sum` run there; a rotation is a conjugate braid
-with the same closure, writhe and strand count, so no value changes, only
-the work.  The plan reads counts only, never a clock.
+series of `kashaev.kashaev_value` run there; a rotation is a conjugate
+braid with the same closure, writhe and strand count, so no value changes,
+only the work.  The plan reads counts only, never a clock.
 
 The fermionic series runs on numpy int64 rows: at generic q on windows of
-whole powers of q (`fermionic_terms` term by term on C, `_fermionic_series`
-summed on C's graded parts), and for the root-of-unity sum of the
-Kashaev invariant on residues mod q^N − 1 (`folded_series_sum`).  Only the
-bosonic series runs on raw {exponent: coefficient} dictionaries; it is the
-independent check of the fermionic route, so it shares none of that kernel.
+whole powers of q (`fermionic_terms` term by term on C to a given depth,
+`_fermionic_series` summed on C's graded parts), and for the root-of-unity
+sum of the Kashaev invariant on residues mod q^N − 1 (`folded_series_sum`).
+Only the bosonic series runs on raw {exponent: coefficient} dictionaries;
+it is the independent check of the fermionic route, so it shares none of
+that kernel.
 Accumulated powers of C are projected onto the (r_j, d_j) exponents only:
 in left·right products the left factor's b-exponents never enter the
 reordering power for either crossing sign, and the evaluation map is
@@ -55,12 +57,9 @@ from .exactpoly import (
     CELL_LIMIT,
     LaurentPoly,
     Q_UNIT,
+    alexander_of_matrix,
     fit_rows,
     key_runs,
-    normalize_alexander,
-    poly_mat_det,
-    poly_mat_identity,
-    poly_mat_sub,
     row_norms,
 )
 from .qweyl import AlgebraElement, StrandSigns, _eval_factor, normal_order_product
@@ -389,12 +388,7 @@ def _eval_population_np(R, D, O, V, signs_t: tuple[int, ...], z_pow: int) -> QDi
     return {int(O[0]) + i: int(c) for i, c in enumerate(V[0].tolist()) if c}
 
 
-def fermionic_terms(
-    C: AlgebraElement,
-    signs: StrandSigns,
-    z_pow: int,
-    max_n: int | None = None,
-) -> Iterator[QDict]:
+def fermionic_terms(C: AlgebraElement, signs: StrandSigns, z_pow: int, max_n: int) -> Iterator[QDict]:
     """Yield the evaluated series terms E(Cⁿ)|_{z=q^{z_pow}} for n = 0, 1, …
     at generic q, stopping when the population empties or after n = max_n.
     """
@@ -403,15 +397,12 @@ def fermionic_terms(
     mono = _mono_arrays([((), C)], signs_t)
     R = D = np.zeros((1, k), dtype=np.int64)
     O, V = np.zeros(1, dtype=np.int64), np.ones((1, 1), dtype=np.int64)
-    n = 0
-    while True:
+    for n in range(max_n + 1):
+        if n:
+            R, D, O, V = _generic_step(R, D, O, V, mono)
+            if not len(V):
+                return
         yield _eval_population(R, D, O, V, signs_t, z_pow)
-        n += 1
-        if max_n is not None and n > max_n:
-            return
-        R, D, O, V = _generic_step(R, D, O, V, mono)
-        if not len(V):
-            return
 
 
 # The one accumulation rule of both series: populations are held apart
@@ -734,13 +725,6 @@ def series_word(b: BraidWord) -> BraidWord:
     return min(_rotation_classes(b), key=lambda w: len(braid_c_sum(w).terms))
 
 
-def rotated_series_sum(b: BraidWord, N: int) -> tuple[list[int], BraidWord, int]:
-    """(the folded series sum of b at N, the word it was summed on
-    (`series_word`), how many classes of b's rotations there are)."""
-    word = series_word(b)
-    return folded_series_sum(braid_c_sum(word), word.signs, N), word, len(_rotation_classes(b))
-
-
 def colored_jones(b: BraidWord, N: int, mode: str = "bosonic") -> LaurentPoly:
     """J′ of the braid closure, normalized to 1 on the unknot, for N ≥ 1: the
     writhe prefactor times E_N applied to the reciprocal of the deformed
@@ -780,10 +764,4 @@ def alexander(b: BraidWord) -> LaurentPoly:
     symmetric in z ↔ z^{-1} and equal to 1 at z = 1."""
     if not closure_is_knot(b):
         raise ValueError("closure is not a knot")
-    reduced, _ = braid_setup(b)
-    spec = classical_specialization(reduced)
-    mat = poly_mat_sub(poly_mat_identity(reduced.dim), spec)
-    det = poly_mat_det(mat)
-    if not det.is_univariate_z():
-        raise AssertionError("specialized determinant unexpectedly involves q")
-    return normalize_alexander(det)
+    return alexander_of_matrix(classical_specialization(braid_setup(b)[0]))

@@ -201,7 +201,7 @@ def ungraded_fermionic_jones(b, N: int) -> LaurentPoly:
     _, Mq = mcmahon.braid_setup(b)
     window = max(b.length, b.strands)
     total, streak = {}, 0
-    for n, value in enumerate(mcmahon.fermionic_terms(mcmahon.braid_c_sum(b), Mq.signs, N - 1)):
+    for n, value in enumerate(mcmahon.fermionic_terms(mcmahon.braid_c_sum(b), Mq.signs, N - 1, 1001)):
         assert n <= 1000, "series unterminated"
         mcmahon._dadd(total, value)
         streak = 0 if value else streak + 1

@@ -12,8 +12,12 @@ from qknot.deformed_burau import (
     rho_prime,
     s_matrix,
 )
-from qknot.exactpoly import LaurentPoly, poly_mat_identity
+from qknot.exactpoly import LaurentPoly
 from qknot.qweyl import AlgebraElement, StrandSigns, normal_order_product
+
+
+def poly_mat_identity(n):
+    return [[LaurentPoly.const(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def poly_mat_mul(a, b):

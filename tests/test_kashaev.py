@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from qknot import mcmahon, verma_oracle
+from qknot import kashaev, mcmahon, verma_oracle
 from qknot.braid import cyclic_rotations, markov_moves, parse_braid
 from qknot.exactpoly import (
     CyclotomicInt,
@@ -17,7 +17,6 @@ from qknot.exactpoly import (
 from qknot.kashaev import (
     _poly_from_whole_powers,
     _prefactor_exponent,
-    _series_inputs,
     bloch_wigner,
     kashaev_series,
     kashaev_value,
@@ -33,7 +32,7 @@ from qknot.mcmahon import (
     _rotation_classes,
     colored_jones,
     folded_series_sum,
-    rotated_series_sum,
+    series_word,
 )
 from qknot.verma_oracle import _NumericTables, numeric_state_sum, state_sum_jones, state_sum_word
 
@@ -55,8 +54,7 @@ def test_folded_series_is_state_sum_mod_q_N_minus_1(corpus_braids):
     for name, word in (("6_2", "1 1 1 -2 1 -2"), ("6_3", "1 1 -2 1 -2 -2")):
         cases += [(name, parse_braid(word), N) for N in range(1, 9)]
     for name, b, N in cases:
-        signs, C = _series_inputs(b)
-        folded = folded_series_sum(C, signs.signs, N)
+        folded = folded_series_sum(braid_c_sum(b), b.signs, N)
         shift = _prefactor_exponent(b)
         want = [0] * N
         for e, c in state_sum_jones(b, N).q_terms().items():
@@ -77,10 +75,8 @@ def _value_on_word(b, N):
 ])
 def test_exact_value_sums_on_the_cheapest_rotation(word, rotation, classes):
     b, cheap = parse_braid(word), parse_braid(rotation)
-    total, summed, count = rotated_series_sum(b, 4)
-    assert (summed, count) == (cheap, classes)
-    assert total == folded_series_sum(braid_c_sum(cheap), cheap.signs, 4)
-    assert kashaev_value(b, 4).exact == _value_on_word(b, 4)
+    assert (series_word(b), len(_rotation_classes(b))) == (cheap, classes)
+    assert kashaev_value(b, 4).exact == _value_on_word(cheap, 4) == _value_on_word(b, 4)
 
 
 @pytest.mark.parametrize("word,classes", [("1 -2 1 -2", 1), ("1 1 1 1 1", 1), ("1 1 1 -2 1 -2", 4)])
@@ -88,19 +84,25 @@ def test_ties_keep_the_given_word(word, classes):
     # 4_1's two rotations have one C, crossings aside, and 5_1 has one
     # rotation; two of 6_2's other classes have more monomials, one as many
     b = parse_braid(word)
-    assert rotated_series_sum(b, 5)[1:] == (b, classes)
+    assert (series_word(b), len(_rotation_classes(b))) == (b, classes)
 
 
-def test_summed_word_is_planned_by_monomial_counts_alone(benchmark_rotations):
+def test_summed_word_is_planned_by_monomial_counts_alone(benchmark_rotations, monkeypatch):
     # the plan reads no clock: it is the first class with the fewest
-    # C-monomials, the same at every N
+    # C-monomials, and the exact value sums that word's C at every N
+    summed = []
+    monkeypatch.setattr(kashaev, "folded_series_sum",
+                        lambda C, signs, N: summed.append((C, signs)) or folded_series_sum(C, signs, N))
     for text in benchmark_rotations:
         b = parse_braid(text)
         classes = _rotation_classes(b)
         counts = [len(braid_c_sum(w).terms) for w in classes]
         want = classes[counts.index(min(counts))]
+        assert series_word(b) == want, text
         for N in (2, 5, 10):
-            assert rotated_series_sum(b, N)[1:] == (want, len(classes)), (text, N)
+            summed.clear()
+            kashaev_value(b, N)
+            assert summed == [(braid_c_sum(want), want.signs)], (text, N)
 
 
 def test_chosen_rotation_steps_the_fewest_kernel_rows(monkeypatch):
@@ -124,7 +126,8 @@ def test_chosen_rotation_steps_the_fewest_kernel_rows(monkeypatch):
         assert len(set(stepped.values())) > 1, word
         for w in stepped:
             rows.clear()
-            chosen = rotated_series_sum(w, N)[1]
+            kashaev_value(w, N)
+            chosen = series_word(w)
             assert sum(rows) == stepped[chosen] <= stepped[w], w.to_text()
             # C's monomials tie five of 6_3's rotations, which step 1,246
             # or 2,478 rows; the count alone keeps the given word there
@@ -139,7 +142,7 @@ def test_kernel_runs_on_every_rotation(monkeypatch, benchmark_rotations, route):
     # changes neither the value nor the word summed on
     cases = [(parse_braid(w), N) for w in benchmark_rotations for N in (2, 3, 5)]
     cases.append((parse_braid("1 1 1 2 -1 2"), 13 if route == "_folded_step" else 7))
-    planned = {(b, N): rotated_series_sum(b, N)[1] for b, N in cases}
+    planned = {b: series_word(b) for b, _ in cases}
     calls = [0]
     real = getattr(mcmahon, route)
 
@@ -150,9 +153,10 @@ def test_kernel_runs_on_every_rotation(monkeypatch, benchmark_rotations, route):
     monkeypatch.setattr(mcmahon, route, wrapped)
     for b, N in cases:
         calls[0] = 0
-        assert rotated_series_sum(b, N)[1] == planned[b, N], (b.to_text(), N)
+        value = kashaev_value(b, N).exact
         assert calls[0] > 0, (b.to_text(), N)
-        assert kashaev_value(b, N).exact == _value_on_word(b, N), (b.to_text(), N)
+        assert series_word(b) == planned[b], (b.to_text(), N)
+        assert value == _value_on_word(b, N), (b.to_text(), N)
 
 
 def test_exact_value_logs_the_word_it_sums_on(caplog):

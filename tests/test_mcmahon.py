@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from qknot import exactpoly, mcmahon
 from qknot.braid import BraidWord, cyclic_rotations, parse_braid
 from qknot.exactpoly import LaurentPoly, Q_UNIT, parse_univariate, q_pochhammer, row_norms
-from qknot.kashaev import _series_inputs, kashaev_series, kashaev_value
+from qknot.kashaev import kashaev_series, kashaev_value
 from qknot.mcmahon import (
     _apply_mono,
     _dadd,
@@ -35,7 +35,7 @@ from qknot.mcmahon import (
     folded_series_sum,
     series_word,
 )
-from qknot.qweyl import AlgebraElement, NormalMonomial
+from qknot.qweyl import AlgebraElement, NormalMonomial, StrandSigns
 from qknot.verma_oracle import state_sum_jones
 
 from oracles import series_jones_on_word, state_sum_jones_on_word, ungraded_fermionic_jones
@@ -475,7 +475,7 @@ def test_generic_series_matches_dict_reference(corpus_braids, monkeypatch, caplo
         # every sum's bound passes the threshold, so every row leaves int64
         monkeypatch.setattr(exactpoly, "INT64_SAFE", 1.0)
     for name, b in corpus_braids.items():
-        signs, C = _series_inputs(b)
+        signs, C = StrandSigns(b.signs), braid_c_sum(b)
         # corpus C-monomials carry single-term coefficients ±q^a; the
         # multiple covers the kernel's several-term monomials
         several = C.scale(LaurentPoly.const(2) - LaurentPoly.q_power(3))
@@ -656,7 +656,7 @@ def test_generic_rows_leaving_int64_partway_evaluate_each_population_once(monkey
     # some evaluations; each population is still evaluated once, not first
     # on int64 and then again on Python ints
     b = parse_braid("1 1 1 2 -1 2")
-    signs, C = _series_inputs(b)
+    signs, C = StrandSigns(b.signs), braid_c_sum(b)
     want = list(fermionic_terms(C, signs, 3, 8))
     calls = {"_eval_population": 0, "_eval_population_np": 0}
     entered = []
@@ -686,7 +686,8 @@ def test_generic_rows_leaving_int64_partway_evaluate_each_population_once(monkey
 def test_folded_step_refuses_past_the_cell_limit(monkeypatch):
     # the S×M×k products' d_j are the step's first array; at the limit the
     # step runs, one cell past it the step is refused with N and the cells
-    signs, C = _series_inputs(parse_braid("1 1 2 -1 2 1"))
+    b = parse_braid("1 1 2 -1 2 1")
+    signs, C = StrandSigns(b.signs), braid_c_sum(b)
     mono = mcmahon._mono_arrays([((), C)], signs.signs)
     k, N = len(signs.signs), 5
     R = D = np.zeros((3, k), dtype=np.int64)
@@ -730,7 +731,7 @@ def test_int64_escalation_is_logged(caplog, monkeypatch):
     # the one bound of exactpoly's int64 row rule, for all three kernels
     monkeypatch.setattr(exactpoly, "INT64_SAFE", 1.0)
     b = parse_braid("1 -2 1 -2")
-    signs, C = _series_inputs(b)
+    signs, C = StrandSigns(b.signs), braid_c_sum(b)
     counts = []
     with caplog.at_level(logging.DEBUG):
         list(fermionic_terms(C, signs, -1, 3))
@@ -867,7 +868,7 @@ def test_folded_series_matches_folded_dict_reference(corpus_braids, monkeypatch,
         # every sum's bound passes the threshold, so every row leaves int64
         monkeypatch.setattr(exactpoly, "INT64_SAFE", 1.0)
     for name, b in corpus_braids.items():
-        signs, C = _series_inputs(b)
+        signs, C = StrandSigns(b.signs), braid_c_sum(b)
         k = len(signs.signs)
         for N in (1, 2, 3, 5, 8):
             want = folded_dict_series(C, signs.signs, N, k * N)
@@ -895,7 +896,7 @@ def test_folded_series_merges_by_doubling_past_small_group_sizes(corpus_braids, 
     monkeypatch.setattr(mcmahon, "_merge", merge)
     doubled = False
     for name, b in corpus_braids.items():
-        signs, C = _series_inputs(b)
+        signs, C = StrandSigns(b.signs), braid_c_sum(b)
         k = len(signs.signs)
         for N in (3, 5, 8):
             want = folded_dict_series(C, signs.signs, N, k * N)
@@ -927,7 +928,7 @@ def test_folded_series_steps_leave_int64_where_sums_pass_2_63(corpus_braids, mon
 
     monkeypatch.setattr(mcmahon, "_folded_step", step)
     for name, b in corpus_braids.items():
-        signs, C = _series_inputs(b)
+        signs, C = StrandSigns(b.signs), braid_c_sum(b)
         big = C.scale(LaurentPoly.const(2**40))
         for N in (2, 3):
             want = folded_dict_series(big, signs.signs, N, len(signs.signs) * N)
@@ -941,7 +942,7 @@ def test_folded_carried_bounds_bound_the_rows(corpus_braids, monkeypatch):
     monkeypatch.setattr(mcmahon, "_folded_step", bound_checked(_folded_step))
     monkeypatch.setattr(mcmahon, "_merge", bound_checked(mcmahon._merge))
     for b in corpus_braids.values():
-        signs, C = _series_inputs(b)
+        signs, C = StrandSigns(b.signs), braid_c_sum(b)
         several = C.scale(LaurentPoly.const(2) - LaurentPoly.q_power(3))
         for elem in (C, several):
             for N in (3, 5, 8):
