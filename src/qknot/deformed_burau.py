@@ -13,10 +13,11 @@ specialize to the transpose Burau matrix and its inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .braid import BraidWord
 from .exactpoly import LaurentPoly, PolyMatrix
-from .qweyl import AlgebraElement, StrandSigns, eval_E, normal_order_product
+from .qweyl import AlgebraElement, NormalMonomial, StrandSigns, eval_E, normal_order_product
 
 
 @dataclass(frozen=True)
@@ -64,25 +65,38 @@ def s_matrix(sign: int, j: int, signs: StrandSigns) -> QuantumMatrix:
     return QuantumMatrix(2, rows, signs)
 
 
-def rho(b: BraidWord) -> QuantumMatrix:
-    """ρ(γ) = A_1 A_2 … A_k, products taken left to right in word order.
+@lru_cache(maxsize=2)
+def _block_steps(sign: int) -> tuple[tuple[int, int, tuple[int, int, int]], ...]:
+    """(t, c, generator exponents (s, r, d)) of each nonzero S_ε[t][c], from `s_matrix`."""
+    S = s_matrix(sign, 1, StrandSigns((sign,))).entries
+    return tuple((t, c, g.entries[0][1:]) for t in (0, 1) for c in (0, 1) for g in S[t][c].terms)
 
-    Right-multiplying by A_j = I ⊕ S ⊕ I changes only the two columns that
-    crossing j touches, so each row costs at most three normal-ordered
-    products per crossing (S has one zero entry).
+
+def rho(b: BraidWord) -> QuantumMatrix:
+    """ρ(γ) = A_1 A_2 … A_k, products taken left to right in word order, as
+    path sums.  Right-multiplying by A_j = I ⊕ S ⊕ I changes the two columns
+    that crossing j touches, and each nonzero S[t][c] is one generator of
+    crossing j.  It commutes with every generator already in a monomial, as
+    their crossings are lower, so no reordering happens: the product appends
+    the generator's entry, in normal order and with no power of q.  The
+    generator of a step (t, c) gives back the step, so no two paths share a
+    monomial and every coefficient is 1: the entries are built as sets of
+    entry tuples and wrapped into AlgebraElements once.
     """
     signs = StrandSigns(b.signs)
     m = b.strands
-    one, zero = AlgebraElement.one(), AlgebraElement.zero()
-    rows = [[one if i == j else zero for j in range(m)] for i in range(m)]
+    rows = [[{()} if i == j else set() for j in range(m)] for i in range(m)]
     for j, (i, eps) in enumerate(b.word, start=1):
-        S = s_matrix(eps, j, signs).entries
+        steps = [(t, c, ((j, *g),)) for t, c, g in _block_steps(eps)]
         for row in rows:
             pair = row[i - 1 : i + 1]
-            for c in (0, 1):
-                row[i - 1 + c] = sum((normal_order_product(x, S[t][c], signs)
-                                      for t, x in enumerate(pair) if x and S[t][c]), zero)
-    return QuantumMatrix.from_rows(rows, signs)
+            if pair[0] or pair[1]:
+                new = row[i - 1 : i + 1] = set(), set()
+                for t, c, g in steps:
+                    new[c].update([mono + g for mono in pair[t]])
+    one = LaurentPoly.one()
+    return QuantumMatrix.from_rows(
+        [[AlgebraElement(dict.fromkeys(map(NormalMonomial, e), one)) for e in row] for row in rows], signs)
 
 
 def rho_prime(M: QuantumMatrix) -> QuantumMatrix:

@@ -13,7 +13,8 @@ rotation that `mcmahon.series_word` plans, the first whose C has the fewest
 monomials, a plan made from counts alone, so a word is always summed on the
 same rotation.  The colored Jones routes sum on the same planned word.  C
 comes from the per-braid cache `mcmahon.braid_c_sum`, shared by every order
-N and by the colored Jones routes, and its minors from `mcmahon.c_parts`.
+N and by the colored Jones routes, its minors from `mcmahon.c_parts`, and
+the arrays the folded series steps by from `mcmahon.braid_c_arrays`.
 `kashaev_series` keeps the given word, as its terms t_n are not invariants.
 A complex floating-point state sum provides the production path for
 growth-rate sequences 2π·ln|⟨K⟩_N|/N, whose conjectured limit is the
@@ -44,7 +45,7 @@ from .exactpoly import (
     cyclotomic_reduce,
     embed_complex,
 )
-from .mcmahon import braid_c_sum, fermionic_terms, folded_series_sum, series_word
+from .mcmahon import braid_c_arrays, braid_c_sum, fermionic_terms, folded_series_sum, series_word
 from .qweyl import StrandSigns
 from .verma_oracle import _NumericTables, numeric_state_sum, state_sum_word
 
@@ -127,7 +128,7 @@ def kashaev_value(b: BraidWord, N: int, mode: str = "exact") -> KashaevValue:
     _log.debug("kashaev N = %d: series on %r of %r; C-monomials %d of the given word, "
                "%d of the word summed on", N, word.to_text(), b.to_text(),
                len(braid_c_sum(b).terms), len(braid_c_sum(word).terms))
-    total = folded_series_sum(braid_c_sum(word), word.signs, N)
+    total = folded_series_sum(braid_c_arrays(word), word.signs, N)
     poly = _poly_from_whole_powers(dict(enumerate(total)))
     poly = poly.shift(Q_UNIT * _prefactor_exponent(b))
     exact = cyclotomic_reduce(poly, N)

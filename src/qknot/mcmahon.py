@@ -15,8 +15,10 @@ fermionic series, which drops a state once some x_i reaches N, ends by itself.
 
 ρ′(γ), q·ρ′ and C belong to the braid, not to a route or an order N:
 `braid_setup`, `braid_c_sum` and `c_parts` (C's parts by J, per matrix)
-build them once per braid word (the last 256 are kept), and their
-`cache_clear()` empties them.  `rho` and `c_sum` stay uncached, as
+build them once per braid word (the last 256 are kept), as do
+`braid_c_arrays`, `braid_graded_arrays` and `braid_entry_terms`, the
+read-only forms that the folded, fermionic and bosonic kernels read; each
+`cache_clear()` empties its cache.  `rho` and `c_sum` stay uncached, as
 `perfbench`'s tracer wraps them and would hide a cache there.
 Nothing may mutate what the caches return.
 
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import logging
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterator
 
 import numpy as np
@@ -67,37 +69,34 @@ from .qweyl import AlgebraElement, StrandSigns, _eval_factor, normal_order_produ
 _log = logging.getLogger(__name__)
 
 
-def qdet(M: QuantumMatrix) -> AlgebraElement:
-    """Σ_π (−q)^{inv(π)} · (column-ordered entry product), normal-ordered."""
-    n = M.dim
-    total = AlgebraElement.zero()
-    for perm in permutations(range(n)):
-        prod = AlgebraElement.one()
-        for col in range(n):
-            e = M.entries[perm[col]][col]
-            if e.is_zero():
-                prod = AlgebraElement.zero()
-                break
-            prod = normal_order_product(prod, e, M.signs)
-        if prod.is_zero():
-            continue
-        inv = sum(1 for x in range(n) for y in range(x + 1, n) if perm[x] > perm[y])
-        total = total + prod.scale(LaurentPoly.term((-1) ** inv, Q_UNIT * inv))
-    return total
-
-
 @lru_cache(maxsize=256)
 def c_parts(M: QuantumMatrix) -> tuple[tuple[tuple[int, ...], AlgebraElement], ...]:
     """The signed parts (J, (−1)^{|J|−1} det_q(M_J)) of C, one per nonempty
     principal J, as `c_sum` adds them up.  Cached by matrix: `braid_setup`
-    keeps one per braid, so no braid builds its minors twice."""
-    parts = []
-    for size in range(1, M.dim + 1):
-        for J in combinations(range(M.dim), size):
-            rows = tuple(tuple(M.entries[i][j] for j in J) for i in J)
-            det = qdet(QuantumMatrix(size, rows, M.signs))
-            parts.append((J, -det if size % 2 == 0 else det))
-    return tuple(parts)
+    keeps one per braid, so no braid builds its minors twice.
+
+    det_q = Σ_π (−q)^{inv(π)} ∏_i M[π(i)][c_i], in column order, grouped by
+    the row r = π(1) is the first-column expansion
+
+        qdet(R; c₁…c_k) = Σ_{r∈R} (−q)^{#{r′∈R : r′<r}} · M[r][c₁] · qdet(R∖{r}; c₂…c_k),
+
+    as each row of R below r stands in a later column.  The sub-minors take
+    the columns each J ends with, so the J share them; each is built once."""
+    minors = {((), ()): AlgebraElement.one()}
+
+    def qdet(rows: tuple[int, ...], cols: tuple[int, ...]) -> AlgebraElement:
+        if (rows, cols) not in minors:
+            terms = []
+            for pos, r in enumerate(rows):
+                entry = M.entries[r][cols[0]]
+                if entry and (sub := qdet(rows[:pos] + rows[pos + 1:], cols[1:])):
+                    sign = LaurentPoly.term((-1) ** pos, Q_UNIT * pos)
+                    terms.append(normal_order_product(entry.scale(sign) if pos else entry, sub, M.signs))
+            minors[rows, cols] = sum(terms[1:], terms[0]) if terms else AlgebraElement.zero()
+        return minors[rows, cols]
+
+    return tuple((J, -qdet(J, J) if len(J) % 2 == 0 else qdet(J, J))
+                 for size in range(1, M.dim + 1) for J in combinations(range(M.dim), size))
 
 
 def c_sum(M: QuantumMatrix) -> AlgebraElement:
@@ -227,7 +226,7 @@ def _mono_arrays(parts, signs_t: tuple[int, ...]) -> tuple:
     r as key columns of weight 0), their q-coefficients as M×width (exponent,
     coefficient) arrays sorted by exponent and padded with zero coefficients,
     and the coefficients' ℓ₁ norms: (r2, d2, w_r, w_d, exps, coeffs, l1).
-    An ungraded C is [((), C)]."""
+    An ungraded C is [((), C)].  The arrays are read-only."""
     k, g = len(signs_t), len(parts[0][0]) if parts else 0
     monos = [(key, cd, x) for x, part in parts for key, cd in _mono_terms(part, k)]
     trip = np.array([key for key, _, _ in monos], dtype=np.int64).reshape(len(monos), k, 3)
@@ -243,7 +242,10 @@ def _mono_arrays(parts, signs_t: tuple[int, ...]) -> tuple:
     for m, (_, cd, _) in enumerate(monos):
         for t, (e, c) in enumerate(sorted(cd.items())):
             exps[m, t], coeffs[m, t] = e, c
-    return np.hstack([r2, grade]), d2, w_r, w_d, exps, coeffs, np.abs(coeffs).sum(axis=1).astype(float)
+    out = np.hstack([r2, grade]), d2, w_r, w_d, exps, coeffs, np.abs(coeffs).sum(axis=1).astype(float)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _groups(cols, sizes, n: int):
@@ -413,7 +415,7 @@ def fermionic_terms(C: AlgebraElement, signs: StrandSigns, z_pow: int, max_n: in
 _GROUP_CELLS = 2**17
 
 
-def _fermionic_series(Mq: QuantumMatrix, N: int) -> QDict:
+def _fermionic_series(b: BraidWord, N: int) -> QDict:
     """Σ_n E(Cⁿ)|_{z=q^{N−1}} over the states whose grade x, the sum of their
     parts' 0/1 index vectors (in R[:, k:]), lies in the box [0, N−1]^dim.
     A state's descendants only add to its grades, so the population empties
@@ -421,12 +423,10 @@ def _fermionic_series(Mq: QuantumMatrix, N: int) -> QDict:
     by (R, D) in groups whose summed cells stay within _GROUP_CELLS (or one
     population past it), and each group is evaluated once.  The folded
     series of `folded_series_sum` holds its populations by the same
-    _GROUP_CELLS."""
-    signs_t = Mq.signs.signs
-    k = len(signs_t)
-    parts = [([int(i in J) for i in range(Mq.dim)], part) for J, part in c_parts(Mq)]
-    mono = _mono_arrays(parts, signs_t)
-    pop = (np.zeros((1, k + Mq.dim), dtype=np.int64), np.zeros((1, k), dtype=np.int64),
+    _GROUP_CELLS.  C's graded parts come from `braid_graded_arrays`."""
+    signs_t, k = b.signs, len(b.signs)
+    mono = braid_graded_arrays(b)
+    pop = (np.zeros((1, k + b.strands - 1), dtype=np.int64), np.zeros((1, k), dtype=np.int64),
            np.zeros(1, dtype=np.int64), np.ones((1, 1), dtype=np.int64))
     total: QDict = {}
     group, cells = [], 0
@@ -436,7 +436,7 @@ def _fermionic_series(Mq: QuantumMatrix, N: int) -> QDict:
             group, cells = [], 0
         group.append(pop)
         cells += pop[3].size
-        if not parts:
+        if b.strands == 1:  # C has no parts
             break
         R, D, O, V = _generic_step(*pop, mono)
         keep = (R[:, k:] < N).all(axis=1)
@@ -576,9 +576,10 @@ def _eval_folded(R, D, V, signs_t: tuple[int, ...], N: int):
     return V[0]
 
 
-def folded_series_sum(C: AlgebraElement, signs_t: tuple[int, ...], N: int) -> list[int]:
+def folded_series_sum(mono: tuple, signs_t: tuple[int, ...], N: int) -> list[int]:
     """Σ_n E(Cⁿ)|_{z=q^{-1}} in ℤ[q]/(q^N − 1) for a braid with
-    k = len(signs_t) crossings, as the coefficients of q^0..q^{N−1}.
+    k = len(signs_t) crossings, as the coefficients of q^0..q^{N−1}, for C
+    given as its `_mono_arrays` (`braid_c_arrays` of a braid word).
 
     Each step raises Σ_j d_j by C's ideal degree, ≥ 1 for a knot, and
     states with some d_j ≥ N are pruned, so the population empties by
@@ -591,25 +592,25 @@ def folded_series_sum(C: AlgebraElement, signs_t: tuple[int, ...], N: int) -> li
     too large for CELL_LIMIT is refused (`_folded_step`).
     """
     k = len(signs_t)
-    mono = _mono_arrays([((), C)], signs_t)
     R = D = np.zeros((1, k), dtype=np.int64)
     B, V = np.ones(1), np.eye(1, N, dtype=np.int64)
-    acc, pending = (R, D, B, V), []
+    acc, pending, cells = (R, D, B, V), [], 0
     for _ in range(max(k, 1) * N):
         R, D, B, V = _folded_step(R, D, B, V, mono, N)
         if not len(V):
             break
         pending.append((R, D, B, V))
-        if sum(p[3].size for p in pending) > max(acc[3].size, _GROUP_CELLS):
+        cells += V.size
+        if cells > max(acc[3].size, _GROUP_CELLS):
             acc = _merge(*(np.concatenate(part) for part in zip(acc, *pending)), N)
-            pending = []
+            pending, cells = [], 0
     if pending:
         acc = _merge(*(np.concatenate(part) for part in zip(acc, *pending)), N)
     R, D, _, V = acc
     return [int(c) for c in _eval_folded(R, D, V, signs_t, N)]
 
 
-def _bosonic_series(Mq: QuantumMatrix, signs: StrandSigns, N: int) -> QDict:
+def _bosonic_series(b: BraidWord, N: int) -> QDict:
     """Σ over (n_1..n_dim) ∈ [0, N−1]^dim of the diagonal coefficient of the
     co-action word, evaluated at z = q^{N-1}.
 
@@ -619,12 +620,12 @@ def _bosonic_series(Mq: QuantumMatrix, signs: StrandSigns, N: int) -> QDict:
     order n_c chosen there from then on.  A letter is appended only while
     its count is below its cap, and a position passes on only the states
     whose own letter is within its order, so no state is built only to be
-    dropped and the leaf needs no filter.
+    dropped and the leaf needs no filter.  The entries of q·ρ′ come from
+    `braid_entry_terms`.
     """
-    dim = Mq.dim
-    signs_t = signs.signs
+    dim, signs_t = b.strands - 1, b.signs
     k = len(signs_t)
-    entry_terms = [[_mono_terms(Mq.entries[p][c], k) for c in range(dim)] for p in range(dim)]
+    entry_terms = braid_entry_terms(b)
     total: QDict = {}
 
     def apply_Z(states, p, caps):
@@ -686,6 +687,25 @@ def braid_setup(b: BraidWord) -> tuple[QuantumMatrix, QuantumMatrix]:
 def braid_c_sum(b: BraidWord) -> AlgebraElement:
     """C = `c_sum`(q·ρ′(γ)) of braid b."""
     return c_sum(braid_setup(b)[1])
+
+
+@lru_cache(maxsize=256)
+def braid_c_arrays(b: BraidWord) -> tuple:
+    """`_mono_arrays` of b's C, for `folded_series_sum`."""
+    return _mono_arrays([((), braid_c_sum(b))], b.signs)
+
+
+@lru_cache(maxsize=256)
+def braid_graded_arrays(b: BraidWord) -> tuple:
+    """`_mono_arrays` of b's C-parts, graded by J's 0/1 vectors, for `_fermionic_series`."""
+    Mq = braid_setup(b)[1]
+    return _mono_arrays([([int(i in J) for i in range(Mq.dim)], part) for J, part in c_parts(Mq)], b.signs)
+
+
+@lru_cache(maxsize=256)
+def braid_entry_terms(b: BraidWord) -> tuple:
+    """`_mono_terms` of each entry of b's q·ρ′(γ), for `_bosonic_series`."""
+    return tuple(tuple(tuple(_mono_terms(e, len(b.signs))) for e in row) for row in braid_setup(b)[1].entries)
 
 
 @lru_cache(maxsize=256)
@@ -753,8 +773,7 @@ def colored_jones(b: BraidWord, N: int, mode: str = "bosonic") -> LaurentPoly:
     _log.debug("%s N = %d: series on %r of %r; C-monomials %d of the given word, "
                "%d of the word summed on", mode, N, word.to_text(), b.to_text(),
                len(braid_c_sum(b).terms), len(braid_c_sum(word).terms))
-    _, Mq = braid_setup(word)
-    total = _bosonic_series(Mq, Mq.signs, N) if mode == "bosonic" else _fermionic_series(Mq, N)
+    total = _bosonic_series(word, N) if mode == "bosonic" else _fermionic_series(word, N)
     pref = (N - 1) * ((b.writhe - b.strands + 1) // 2)
     return LaurentPoly({(Q_UNIT * (e + pref), 0): c for e, c in total.items()})
 

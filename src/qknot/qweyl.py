@@ -82,23 +82,6 @@ def reorder_exponent(eps: int, r1: int, d1: int, s2: int, r2: int) -> int:
     return 2 * d1 * s2 + 2 * r1 * s2 - d1 * r2
 
 
-def _merge_monomials(
-    mx: NormalMonomial, my: NormalMonomial, signs: StrandSigns
-) -> tuple[NormalMonomial, int]:
-    """Merged monomial of mx·my plus the accumulated whole-q exponent."""
-    exps: dict[int, list[int]] = {j: [s, r, d] for j, s, r, d in mx.entries}
-    q_shift = 0
-    for j, s2, r2, d2 in my.entries:
-        if j in exps:
-            s1, r1, d1 = exps[j]
-            q_shift += reorder_exponent(signs.sign(j), r1, d1, s2, r2)
-            exps[j] = [s1 + s2, r1 + r2, d1 + d2]
-        else:
-            exps[j] = [s2, r2, d2]
-    merged = NormalMonomial(tuple((j, *exps[j]) for j in sorted(exps)))
-    return merged, q_shift
-
-
 class AlgebraElement:
     """Finite Z[q^{±1}]-linear combination of normal monomials."""
 
@@ -171,15 +154,33 @@ class AlgebraElement:
 
 
 def normal_order_product(x: AlgebraElement, y: AlgebraElement, signs: StrandSigns) -> AlgebraElement:
-    """Product of two elements, renormalized to b^s c^r a^d order per index."""
-    out: dict[NormalMonomial, LaurentPoly] = {}
+    """Product of two elements, renormalized to b^s c^r a^d order per index.
+
+    Two monomials merge in one pass over their entry tuples, sorted by index;
+    at a shared index the exponents add and `reorder_exponent` gives the
+    whole-q power of the reordering.  Each product of their coefficients'
+    terms, shifted by it, goes into one coefficient dict per merged monomial."""
+    out: dict[tuple[tuple[int, int, int, int], ...], dict[tuple[int, int], int]] = {}
     for mx, cx in x.terms.items():
+        ex = mx.entries
         for my, cy in y.terms.items():
-            merged, q_shift = _merge_monomials(mx, my, signs)
-            coeff = (cx * cy).shift(Q_UNIT * q_shift)
-            acc = out.get(merged)
-            out[merged] = coeff if acc is None else acc + coeff
-    return AlgebraElement(out)
+            merged, q_shift, i = [], 0, 0
+            for j, s2, r2, d2 in my.entries:
+                while i < len(ex) and ex[i][0] < j:
+                    merged.append(ex[i])
+                    i += 1
+                if i < len(ex) and ex[i][0] == j:
+                    _, s1, r1, d1 = ex[i]
+                    q_shift += reorder_exponent(signs.sign(j), r1, d1, s2, r2)
+                    s2, r2, d2, i = s1 + s2, r1 + r2, d1 + d2, i + 1
+                merged.append((j, s2, r2, d2))
+            acc = out.setdefault((*merged, *ex[i:]), {})
+            q_shift *= Q_UNIT
+            for (qa, za), ca in cx.terms.items():
+                for (qb, zb), cb in cy.terms.items():
+                    key = (qa + qb + q_shift, za + zb)
+                    acc[key] = acc.get(key, 0) + ca * cb
+    return AlgebraElement({NormalMonomial(m): LaurentPoly(c) for m, c in out.items()})
 
 
 @lru_cache(maxsize=None)

@@ -216,7 +216,7 @@ class _NumericTables:
     @staticmethod
     def cells(val: Split, pairs: int, built: int) -> int:
         """A step's size: the entries it builds, or for a step that closes a
-        factor its live states, which bound them."""
+        factor its live states, which bound them (also on arrays)."""
         return built
 
     take = staticmethod(_take)
@@ -554,9 +554,10 @@ def _state_sum(b: BraidWord, N: int, ring) -> tuple:
     before a step allocates its entries: when the step's size (`cells`: the
     entries it builds, its live states for a step that closes a factor, or
     for the exact ring a bound on the cells of its products) would pass it
-    and the batch holds more than one initial state, the live entries are
-    split by initial state.  The lower half goes on from that step, and the
-    upper half (`take`) waits on a stack until the lower half is summed.
+    and the live entries span more than one initial state, they are cut at
+    the last initial-state boundary where the step's running size still
+    fits, or after the first initial state.  The part before the cut goes
+    on from that step, and the rest (`take`) waits on a stack.
 
     The float ring sums in a fixed order (see `_NumericTables.merge` and
     `collect`), so its result is independent of the batches and splits: a
@@ -596,12 +597,15 @@ def _state_sum(b: BraidWord, N: int, ring) -> tuple:
                 while True:
                     pairs = int(reps.sum())
                     cells = tables.cells(val, pairs, len(reps) if closing else pairs)
-                    if cells <= budget or hi_s - lo_s == 1:
-                        break
                     # seg is sorted: every ring keeps its groups in key order
                     # or in order of first appearance, initial state first
-                    mid = (lo_s + hi_s) // 2
-                    cut = int(np.searchsorted(seg, mid))
+                    if cells <= budget or seg[0] == seg[-1]:
+                        break
+                    ends = np.flatnonzero(seg[1:] != seg[:-1]) + 1
+                    run = np.cumsum(reps)[ends - 1]
+                    fits = np.count_nonzero(tables.cells(val, run, ends if closing else run) <= budget)
+                    cut = int(ends[max(fits - 1, 0)])
+                    mid = int(seg[cut])
                     pending.append((t, mid, hi_s, seg[cut:], code[cut:], tables.take(val, slice(cut, None))))
                     hi_s, seg, code, val = mid, seg[:cut], code[:cut], tables.take(val, slice(cut))
                     n1, n2, reps = n1[:cut], n2[:cut], reps[:cut]

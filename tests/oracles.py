@@ -15,14 +15,16 @@
 * `series_jones_on_word` and `state_sum_jones_on_word`: the colored Jones
   routes' kernels run on the word given, with no rotation planned, for the
   tests that mean a kernel on a named word.
+* `qdet`: the quantum determinant as the permutation sum, the reference for
+  the first-column expansion of `mcmahon.c_parts`.
 """
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
 from qknot import mcmahon
 from qknot.exactpoly import LaurentPoly, Q_UNIT
-from qknot.qweyl import NormalMonomial, StrandSigns
+from qknot.qweyl import AlgebraElement, NormalMonomial, StrandSigns, normal_order_product
 from qknot.verma_oracle import _ExactRows, _state_sum
 
 # ---------------------------------------------------------------------------
@@ -219,11 +221,10 @@ def ungraded_fermionic_jones(b, N: int) -> LaurentPoly:
 def series_jones_on_word(b, N: int, mode: str) -> LaurentPoly:
     """`mcmahon.colored_jones` of mode "bosonic" or "fermionic" summed on b
     itself, with its writhe prefactor."""
-    _, Mq = mcmahon.braid_setup(b)
     if mode == "bosonic":
-        total = mcmahon._bosonic_series(Mq, Mq.signs, N)
+        total = mcmahon._bosonic_series(b, N)
     else:
-        total = mcmahon._fermionic_series(Mq, N)
+        total = mcmahon._fermionic_series(b, N)
     pref = (N - 1) * ((b.writhe - b.strands + 1) // 2)
     return LaurentPoly({(Q_UNIT * (e + pref), 0): c for e, c in total.items()})
 
@@ -233,3 +234,27 @@ def state_sum_jones_on_word(b, N: int) -> LaurentPoly:
     phase."""
     _, total = _state_sum(b, N, _ExactRows)
     return total.shift(b.writhe * (N * N - 1))
+
+
+# ---------------------------------------------------------------------------
+# quantum determinants
+# ---------------------------------------------------------------------------
+
+
+def qdet(M) -> AlgebraElement:
+    """Σ_π (−q)^{inv(π)} · (column-ordered entry product), normal-ordered."""
+    n = M.dim
+    total = AlgebraElement.zero()
+    for perm in permutations(range(n)):
+        prod = AlgebraElement.one()
+        for col in range(n):
+            e = M.entries[perm[col]][col]
+            if e.is_zero():
+                prod = AlgebraElement.zero()
+                break
+            prod = normal_order_product(prod, e, M.signs)
+        if prod.is_zero():
+            continue
+        inv = sum(1 for x in range(n) for y in range(x + 1, n) if perm[x] > perm[y])
+        total = total + prod.scale(LaurentPoly.term((-1) ** inv, Q_UNIT * inv))
+    return total

@@ -3,6 +3,7 @@ import logging
 import math
 import time
 from functools import lru_cache
+from itertools import combinations
 from pathlib import Path
 from unittest import mock
 
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qknot import exactpoly, mcmahon
 from qknot.braid import BraidWord, cyclic_rotations, parse_braid
+from qknot.deformed_burau import QuantumMatrix
 from qknot.exactpoly import LaurentPoly, Q_UNIT, parse_univariate, q_pochhammer, row_norms
 from qknot.kashaev import kashaev_series, kashaev_value
 from qknot.mcmahon import (
@@ -27,7 +29,10 @@ from qknot.mcmahon import (
     _mono_terms,
     _rotation_classes,
     alexander,
+    braid_c_arrays,
     braid_c_sum,
+    braid_entry_terms,
+    braid_graded_arrays,
     braid_setup,
     c_parts,
     colored_jones,
@@ -38,7 +43,8 @@ from qknot.mcmahon import (
 from qknot.qweyl import AlgebraElement, NormalMonomial, StrandSigns
 from qknot.verma_oracle import state_sum_jones
 
-from oracles import series_jones_on_word, state_sum_jones_on_word, ungraded_fermionic_jones
+from oracles import qdet, series_jones_on_word, state_sum_jones_on_word, ungraded_fermionic_jones
+from test_deformed_burau import braid_words
 
 
 def trefoil_closed_form(N):
@@ -96,10 +102,12 @@ SETUP_READERS = {
 }
 
 
+PER_BRAID = (braid_setup, braid_c_sum, c_parts, braid_c_arrays, braid_graded_arrays, braid_entry_terms)
+
+
 def _clear_setup():
-    braid_setup.cache_clear()
-    braid_c_sum.cache_clear()
-    c_parts.cache_clear()
+    for cache in PER_BRAID:
+        cache.cache_clear()
 
 
 def test_one_setup_serves_every_route_and_order(monkeypatch):
@@ -129,37 +137,66 @@ def test_benchmark_cache_reset_empties_the_setup_caches():
     spec = importlib.util.spec_from_file_location("tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    kashaev_value(parse_braid("1 1 1"), 3)
-    assert braid_setup.cache_info().currsize and braid_c_sum.cache_info().currsize
-    assert c_parts.cache_info().currsize and exactpoly._unit_roots.cache_info().currsize
+    b = parse_braid("1 1 1")
+    kashaev_value(b, 3)
+    colored_jones(b, 2, mode="fermionic")
+    colored_jones(b, 2, mode="bosonic")
+    caches = (*PER_BRAID, exactpoly._unit_roots)
+    assert all(cache.cache_info().currsize for cache in caches)
     tracer.clear_caches()
-    assert braid_setup.cache_info().currsize == braid_c_sum.cache_info().currsize == 0
-    assert c_parts.cache_info().currsize == exactpoly._unit_roots.cache_info().currsize == 0
+    assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
 
 
 def test_minors_are_built_once_per_braid(monkeypatch):
-    # the graded fermionic route and C's sum read the same parts: one
-    # quantum determinant per nonempty principal minor, whichever asks first.
-    # The plan reads C of each of 6_1's three rotation classes, 7 minors
-    # each, and a repeat call builds none
+    # the graded fermionic route and C's sum read the same parts, whichever
+    # asks first.  The plan reads C of each of 6_1's three rotation classes:
+    # the routes make the products of one build of each class's minors, and
+    # a repeat call makes none
     calls = []
-    real_qdet = mcmahon.qdet
-    monkeypatch.setattr(mcmahon, "qdet", lambda M: calls.append(M.dim) or real_qdet(M))
+    real_product = mcmahon.normal_order_product
+    monkeypatch.setattr(mcmahon, "normal_order_product", lambda *args: calls.append(1) or real_product(*args))
     b = parse_braid("1 1 2 -1 -3 2 -3")
+    assert len(_rotation_classes(b)) == 3
     _clear_setup()
+    for w in _rotation_classes(b):
+        c_parts(braid_setup(w)[1])
+    once = len(calls)
+    _clear_setup()
+    calls.clear()
     colored_jones(b, 2, mode="fermionic")
     kashaev_series(b, 3)
     colored_jones(b, 3, mode="fermionic")
-    assert len(_rotation_classes(b)) == 3
-    assert sorted(calls) == sorted([1, 1, 1, 2, 2, 2, 3] * 3)
+    assert len(calls) == once > 0
     calls.clear()
     colored_jones(b, 2, mode="fermionic")
     colored_jones(b, 4, mode="bosonic")
     kashaev_series(b, 3)
+    kashaev_value(b, 3)
     assert calls == []
     _, Mq = braid_setup(b)
     assert braid_c_sum(b) == sum((part for _, part in c_parts(Mq)), AlgebraElement.zero())
     assert [J for J, _ in c_parts(Mq)] == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+
+
+def _assert_parts_are_permutation_sums(b):
+    for M in braid_setup(b):
+        parts = c_parts(M)
+        assert [J for J, _ in parts] == [J for n in range(1, M.dim + 1) for J in combinations(range(M.dim), n)]
+        for J, part in parts:
+            minor = QuantumMatrix.from_rows([[M.entries[i][j] for j in J] for i in J], M.signs)
+            assert part == (qdet(minor) if len(J) % 2 else -qdet(minor)), (b.to_text(), J)
+
+
+@settings(max_examples=60)
+@given(braid_words())
+def test_c_parts_are_the_permutation_sum_minors_on_random_braids(b):
+    _assert_parts_are_permutation_sums(b)
+
+
+def test_c_parts_are_the_permutation_sum_minors(corpus_braids, benchmark_rotations):
+    braids = [*corpus_braids.values(), *map(parse_braid, benchmark_rotations)]
+    for b in braids + [parse_braid("-1 3 2 -1 3 3 -1 2 -1 2 -1")]:
+        _assert_parts_are_permutation_sums(b)
 
 
 def _relabelled(C, k):
@@ -510,11 +547,11 @@ def test_colored_jones_routes_are_their_kernels_on_the_given_word(benchmark_rota
 
 def test_series_routes_are_planned_by_monomial_counts_alone(benchmark_rotations, caplog, monkeypatch):
     # both modes sum on the first class with the fewest C-monomials, the
-    # same word at every N, and their kernels get that word's qρ′
+    # same word at every N, and their kernels get that word
     summed = []
     for name in ("_bosonic_series", "_fermionic_series"):
         real = getattr(mcmahon, name)
-        monkeypatch.setattr(mcmahon, name, lambda Mq, *args, real=real: summed.append(Mq) or real(Mq, *args))
+        monkeypatch.setattr(mcmahon, name, lambda w, *args, real=real: summed.append(w) or real(w, *args))
     planned = {}
     with caplog.at_level(logging.DEBUG, logger="qknot.mcmahon"):
         for text in benchmark_rotations:
@@ -530,7 +567,7 @@ def test_series_routes_are_planned_by_monomial_counts_alone(benchmark_rotations,
                     colored_jones(b, N, mode=mode)
                     (record,) = [rec for rec in caplog.records if rec.name == "qknot.mcmahon"]
                     assert record.args == (mode, N, want.to_text(), text, counts[0], min(counts)), (text, N)
-                    assert len(summed) == 1 and summed[0] is braid_setup(want)[1], (text, N, mode)
+                    assert summed == [want], (text, N, mode)
             planned[text] = want.to_text()
     # every rotation of 6_1 onto its 3-monomial class; every rotation of 5_2
     # onto 1 1 2 -1 2 1, except its other 3-monomial class, which keeps itself
@@ -595,7 +632,7 @@ def test_graded_fermionic_series_ends_within_the_box(corpus_braids, benchmark_ro
         for N in range(1, 7 if b.strands <= 3 else 5):
             bound = (b.strands - 1) * (N - 1) + 1
             calls.update(_generic_step=0, _eval_population=0)
-            _fermionic_series(braid_setup(b)[1], N)
+            _fermionic_series(b, N)
             assert calls["_eval_population"] == 1, (b.to_text(), N)
 
 
@@ -713,7 +750,7 @@ def test_generic_step_refuses_past_the_cell_limit(monkeypatch):
     with pytest.raises(ValueError, match=r"generic-q series would hold \d+ cells in one step, over 200"):
         kashaev_series(b, 12)
     with pytest.raises(ValueError, match="generic-q series would hold"):
-        _fermionic_series(braid_setup(b)[1], 4)
+        _fermionic_series(b, 4)
     monkeypatch.setattr(mcmahon, "CELL_LIMIT", exactpoly.CELL_LIMIT)
     assert len(kashaev_series(b, 12).terms) == 13
 
@@ -736,7 +773,7 @@ def test_int64_escalation_is_logged(caplog, monkeypatch):
     with caplog.at_level(logging.DEBUG):
         list(fermionic_terms(C, signs, -1, 3))
         counts.append(len(caplog.records))
-        folded_series_sum(C, signs.signs, 5)
+        folded(C, signs.signs, 5)
         counts.append(len(caplog.records))
         state_sum_jones(b, 3)
         counts.append(len(caplog.records))
@@ -764,6 +801,11 @@ def test_folded_int64_switch_stays_where_measured_rows_need_it(caplog, word, N, 
     with caplog.at_level(logging.DEBUG, logger="qknot.mcmahon"):
         kashaev_value(parse_braid(word), N)
     assert [rec.getMessage() for rec in caplog.records] == records
+
+
+def folded(C, signs_t, N):
+    """`folded_series_sum` of an algebra element C."""
+    return folded_series_sum(mcmahon._mono_arrays([((), C)], signs_t), signs_t, N)
 
 
 def folded_dict_series(C, signs_t, N, max_n):
@@ -872,13 +914,13 @@ def test_folded_series_matches_folded_dict_reference(corpus_braids, monkeypatch,
         k = len(signs.signs)
         for N in (1, 2, 3, 5, 8):
             want = folded_dict_series(C, signs.signs, N, k * N)
-            assert folded_series_sum(C, signs.signs, N) == want, (name, N)
+            assert folded(C, signs.signs, N) == want, (name, N)
         # corpus C-monomials carry single-term coefficients ±q^a; give them
         # several terms to cover the kernel's general case
         several = C.scale(LaurentPoly.const(2) - LaurentPoly.q_power(3))
         for N in (2, 3):
             want = folded_dict_series(several, signs.signs, N, k * N)
-            assert folded_series_sum(several, signs.signs, N) == want, (name, N)
+            assert folded(several, signs.signs, N) == want, (name, N)
     assert bool(caplog.records) == (rows == "object")
 
 
@@ -901,7 +943,7 @@ def test_folded_series_merges_by_doubling_past_small_group_sizes(corpus_braids, 
         for N in (3, 5, 8):
             want = folded_dict_series(C, signs.signs, N, k * N)
             merges[0] = 0
-            assert folded_series_sum(C, signs.signs, N) == want, (name, N)
+            assert folded(C, signs.signs, N) == want, (name, N)
             once = merges[0]
             for cells in (1, 64):
                 for safe in (exactpoly.INT64_SAFE, 1.0):
@@ -909,7 +951,7 @@ def test_folded_series_merges_by_doubling_past_small_group_sizes(corpus_braids, 
                         m.setattr(mcmahon, "_GROUP_CELLS", cells)
                         m.setattr(exactpoly, "INT64_SAFE", safe)
                         merges[0] = 0
-                        assert folded_series_sum(C, signs.signs, N) == want, (name, N, cells, safe)
+                        assert folded(C, signs.signs, N) == want, (name, N, cells, safe)
                     # the merged population, so the evaluation's merges, is the same
                     assert merges[0] >= once, (name, N, cells)
                     doubled |= merges[0] > once
@@ -932,7 +974,7 @@ def test_folded_series_steps_leave_int64_where_sums_pass_2_63(corpus_braids, mon
         big = C.scale(LaurentPoly.const(2**40))
         for N in (2, 3):
             want = folded_dict_series(big, signs.signs, N, len(signs.signs) * N)
-            assert folded_series_sum(big, signs.signs, N) == want, (name, N)
+            assert folded(big, signs.signs, N) == want, (name, N)
     assert object in step_dtypes
 
 
@@ -946,7 +988,7 @@ def test_folded_carried_bounds_bound_the_rows(corpus_braids, monkeypatch):
         several = C.scale(LaurentPoly.const(2) - LaurentPoly.q_power(3))
         for elem in (C, several):
             for N in (3, 5, 8):
-                folded_series_sum(elem, signs.signs, N)
+                folded(elem, signs.signs, N)
 
 
 def test_pairwise_dict_convolution_matches_polynomials():
