@@ -8,7 +8,9 @@ Crossing j of sign ε contributes the block matrix A_j = I ⊕ S_{ε,j} ⊕ I wi
 and ρ(γ) = A_1 A_2 … A_k over the generator algebra.  ρ′ drops the first row
 and column.  Both matrices are right-quantum, which is what makes the quantum
 determinant of I − qρ′ well-defined; under the evaluation map E the blocks
-specialize to the transpose Burau matrix and its inverse.
+specialize to the transpose Burau matrix and its inverse.  Every matrix
+carries the braid's sign tuple (ε_1, …, ε_k), which its entries' products
+and E read, and `QuantumMatrix` checks that each sign is ±1.
 """
 from __future__ import annotations
 
@@ -17,23 +19,26 @@ from functools import lru_cache
 
 from .braid import BraidWord
 from .exactpoly import LaurentPoly, PolyMatrix
-from .qweyl import AlgebraElement, NormalMonomial, StrandSigns, eval_E, normal_order_product
+from .qweyl import AlgebraElement, eval_E, normal_order_product
 
 
 @dataclass(frozen=True)
 class QuantumMatrix:
-    """Square matrix of AlgebraElements over a shared sign vector."""
+    """Square matrix of AlgebraElements over the braid's sign tuple: ε_j of
+    crossing j is signs[j − 1], each ±1."""
 
     dim: int
     entries: tuple[tuple[AlgebraElement, ...], ...]
-    signs: StrandSigns
+    signs: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.entries) != self.dim or any(len(row) != self.dim for row in self.entries):
             raise ValueError("entries must form a dim×dim square")
+        if any(s not in (1, -1) for s in self.signs):
+            raise ValueError("signs must be ±1")
 
     @classmethod
-    def from_rows(cls, rows, signs: StrandSigns) -> "QuantumMatrix":
+    def from_rows(cls, rows, signs: tuple[int, ...]) -> "QuantumMatrix":
         t = tuple(tuple(row) for row in rows)
         return cls(len(t), t, signs)
 
@@ -47,16 +52,15 @@ class QuantumMatrix:
         return QuantumMatrix(self.dim, rows, self.signs)
 
 
-def s_matrix(sign: int, j: int, signs: StrandSigns) -> QuantumMatrix:
-    """The 2×2 block in the generators of crossing j, whose sign in the
-    braid's sign vector `signs` must be `sign`."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be ±1")
-    if signs.sign(j) != sign:
-        raise ValueError(f"sign vector has {signs.sign(j)} at crossing {j}, block wants {sign}")
-    a = AlgebraElement.generator("a", j)
-    b = AlgebraElement.generator("b", j)
-    c = AlgebraElement.generator("c", j)
+def s_matrix(sign: int, j: int, signs: tuple[int, ...]) -> QuantumMatrix:
+    """The 2×2 block in the generators of crossing j, 1 ≤ j ≤ len(signs),
+    whose sign signs[j − 1] in the braid's sign tuple must be `sign` (±1,
+    as `QuantumMatrix` checks)."""
+    if not 1 <= j <= len(signs):
+        raise ValueError(f"crossing index {j} out of range")
+    if signs[j - 1] != sign:
+        raise ValueError(f"sign vector has {signs[j - 1]} at crossing {j}, block wants {sign}")
+    a, b, c = (AlgebraElement.generator(kind, j) for kind in "abc")
     zero = AlgebraElement.zero()
     if sign == 1:
         rows = ((a, b), (c, zero))
@@ -68,8 +72,8 @@ def s_matrix(sign: int, j: int, signs: StrandSigns) -> QuantumMatrix:
 @lru_cache(maxsize=2)
 def _block_steps(sign: int) -> tuple[tuple[int, int, tuple[int, int, int]], ...]:
     """(t, c, generator exponents (s, r, d)) of each nonzero S_ε[t][c], from `s_matrix`."""
-    S = s_matrix(sign, 1, StrandSigns((sign,))).entries
-    return tuple((t, c, g.entries[0][1:]) for t in (0, 1) for c in (0, 1) for g in S[t][c].terms)
+    S = s_matrix(sign, 1, (sign,)).entries
+    return tuple((t, c, g[0][1:]) for t in (0, 1) for c in (0, 1) for g in S[t][c].terms)
 
 
 def rho(b: BraidWord) -> QuantumMatrix:
@@ -83,7 +87,6 @@ def rho(b: BraidWord) -> QuantumMatrix:
     monomial and every coefficient is 1: the entries are built as sets of
     entry tuples and wrapped into AlgebraElements once.
     """
-    signs = StrandSigns(b.signs)
     m = b.strands
     rows = [[{()} if i == j else set() for j in range(m)] for i in range(m)]
     for j, (i, eps) in enumerate(b.word, start=1):
@@ -96,7 +99,7 @@ def rho(b: BraidWord) -> QuantumMatrix:
                     new[c].update([mono + g for mono in pair[t]])
     one = LaurentPoly.one()
     return QuantumMatrix.from_rows(
-        [[AlgebraElement(dict.fromkeys(map(NormalMonomial, e), one)) for e in row] for row in rows], signs)
+        [[AlgebraElement(dict.fromkeys(e, one)) for e in row] for row in rows], b.signs)
 
 
 def rho_prime(M: QuantumMatrix) -> QuantumMatrix:

@@ -14,8 +14,9 @@ monomials, a plan made from counts alone, so a word is always summed on the
 same rotation.  The colored Jones routes sum on the same planned word.  C
 comes from the per-braid cache `mcmahon.braid_c_sum`, shared by every order
 N and by the colored Jones routes, its minors from `mcmahon.c_parts`, and
-the arrays the folded series steps by from `mcmahon.braid_c_arrays`.
-`kashaev_series` keeps the given word, as its terms t_n are not invariants.
+the arrays the folded series and `kashaev_series` step by from
+`mcmahon.braid_c_arrays`.  `kashaev_series` keeps the given word, as its
+terms t_n are not invariants.
 A complex floating-point state sum provides the production path for
 growth-rate sequences 2π·ln|⟨K⟩_N|/N, whose conjectured limit is the
 hyperbolic volume.  It too runs on a rotation: `verma_oracle.state_sum_word`
@@ -46,7 +47,6 @@ from .exactpoly import (
     embed_complex,
 )
 from .mcmahon import braid_c_arrays, braid_c_sum, fermionic_terms, folded_series_sum, series_word
-from .qweyl import StrandSigns
 from .verma_oracle import _NumericTables, numeric_state_sum, state_sum_word
 
 _log = logging.getLogger(__name__)
@@ -94,7 +94,7 @@ def kashaev_series(b: BraidWord, depth: int) -> HabiroTruncation:
         raise ValueError("closure is not a knot")
     terms = [
         _poly_from_whole_powers(value)
-        for value in fermionic_terms(braid_c_sum(b), StrandSigns(b.signs), z_pow=-1, max_n=depth)
+        for value in fermionic_terms(braid_c_arrays(b), b.signs, z_pow=-1, max_n=depth)
     ]
     while len(terms) < depth + 1:
         terms.append(LaurentPoly.zero())

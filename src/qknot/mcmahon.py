@@ -47,7 +47,7 @@ from __future__ import annotations
 import logging
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -64,7 +64,7 @@ from .exactpoly import (
     key_runs,
     row_norms,
 )
-from .qweyl import AlgebraElement, StrandSigns, _eval_factor, normal_order_product
+from .qweyl import AlgebraElement, _eval_factor, normal_order_product
 
 _log = logging.getLogger(__name__)
 
@@ -121,10 +121,11 @@ def _dadd(acc: QDict, b: QDict) -> None:
             del acc[e]
 
 
-def _dconv(a: QDict, b: QDict, shift: int) -> QDict:
+def _dconv(a: QDict, b: Iterable[tuple[int, int]], shift: int) -> QDict:
+    """a ⊛ b · q^shift, for b given as (exponent, coefficient) pairs."""
     out: QDict = {}
     for ea, ca in a.items():
-        for eb, cb in b.items():
+        for eb, cb in b:
             e = ea + eb + shift
             nc = out.get(e, 0) + ca * cb
             if nc:
@@ -135,17 +136,18 @@ def _dconv(a: QDict, b: QDict, shift: int) -> QDict:
 
 
 MonoKey = tuple[tuple[int, int, int], ...]  # per-crossing (s, r, d)
-MonoTerm = tuple[MonoKey, QDict]
+MonoTerm = tuple[MonoKey, tuple[tuple[int, int], ...]]
 
 
 def _mono_terms(elem: AlgebraElement, k: int) -> list[MonoTerm]:
-    """AlgebraElement as dense per-crossing exponent triples with dict coeffs."""
+    """AlgebraElement as dense per-crossing exponent triples, each with its
+    q-coefficient as sorted (exponent, coefficient) pairs."""
     out: list[MonoTerm] = []
     for mono, coeff in elem.terms.items():
         triples = [(0, 0, 0)] * k
-        for j, s, r, d in mono.entries:
+        for j, s, r, d in mono:
             triples[j - 1] = (s, r, d)
-        out.append((tuple(triples), dict(coeff.q_terms())))
+        out.append((tuple(triples), tuple(sorted(coeff.q_terms().items()))))
     return out
 
 
@@ -192,7 +194,7 @@ def _eval_state(key: tuple[int, ...], signs_t: tuple[int, ...], z_pow: int) -> Q
             items = _efactor_items(eps, r, d, z_pow)
             if not items:
                 return {}
-            val = _dconv(val, dict(items), 0)
+            val = _dconv(val, items, 0)
             if not val:
                 return {}
     return val
@@ -240,7 +242,7 @@ def _mono_arrays(parts, signs_t: tuple[int, ...]) -> tuple:
     exps = np.zeros((len(monos), width), dtype=np.int64)
     coeffs = np.zeros((len(monos), width), dtype=np.int64)
     for m, (_, cd, _) in enumerate(monos):
-        for t, (e, c) in enumerate(sorted(cd.items())):
+        for t, (e, c) in enumerate(cd):
             exps[m, t], coeffs[m, t] = e, c
     out = np.hstack([r2, grade]), d2, w_r, w_d, exps, coeffs, np.abs(coeffs).sum(axis=1).astype(float)
     for a in out:
@@ -390,13 +392,13 @@ def _eval_population_np(R, D, O, V, signs_t: tuple[int, ...], z_pow: int) -> QDi
     return {int(O[0]) + i: int(c) for i, c in enumerate(V[0].tolist()) if c}
 
 
-def fermionic_terms(C: AlgebraElement, signs: StrandSigns, z_pow: int, max_n: int) -> Iterator[QDict]:
+def fermionic_terms(mono: tuple, signs_t: tuple[int, ...], z_pow: int, max_n: int) -> Iterator[QDict]:
     """Yield the evaluated series terms E(Cⁿ)|_{z=q^{z_pow}} for n = 0, 1, …
-    at generic q, stopping when the population empties or after n = max_n.
+    at generic q, stopping when the population empties or after n = max_n,
+    for C given as its `_mono_arrays` (`braid_c_arrays` of a braid word)
+    and the braid's signs.
     """
-    signs_t = signs.signs
     k = len(signs_t)
-    mono = _mono_arrays([((), C)], signs_t)
     R = D = np.zeros((1, k), dtype=np.int64)
     O, V = np.zeros(1, dtype=np.int64), np.ones((1, 1), dtype=np.int64)
     for n in range(max_n + 1):
@@ -658,7 +660,7 @@ def _bosonic_series(b: BraidWord, N: int) -> QDict:
             for (akey, _), cd in states.items():
                 ev = _eval_state(akey, signs_t, N - 1)
                 if ev:
-                    _dadd(total, _dconv(cd, ev, 0))
+                    _dadd(total, _dconv(cd, ev.items(), 0))
             return
         caps = consumed + (N - 1,) * (dim - p)
         cur = states
@@ -691,7 +693,7 @@ def braid_c_sum(b: BraidWord) -> AlgebraElement:
 
 @lru_cache(maxsize=256)
 def braid_c_arrays(b: BraidWord) -> tuple:
-    """`_mono_arrays` of b's C, for `folded_series_sum`."""
+    """`_mono_arrays` of b's C, for `folded_series_sum` and `fermionic_terms`."""
     return _mono_arrays([((), braid_c_sum(b))], b.signs)
 
 

@@ -8,6 +8,10 @@ crossing sign:
     ε = −1:  a b = q² b a,   c a = q a c,   c b = q² b c
 
 Every element is stored in the canonical normal order b^s c^r a^d per index.
+A normal monomial ∏_j b_j^{s_j} c_j^{r_j} a_j^{d_j} is its entry tuple
+((j, s_j, r_j, d_j), …), sorted by j with all-zero indices omitted, so ()
+is the unit.  The signs are the braid's tuple (ε_1, …, ε_k), read at
+crossing j as signs[j − 1].
 The evaluation map E sends a normal monomial to a Laurent polynomial in q, z
 (independently of the b-exponents); E_N further substitutes z = q^{N-1}.
 The tests hold E to a literal q-difference-operator realization of the
@@ -15,60 +19,11 @@ generators, an independent oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .exactpoly import LaurentPoly, Q_UNIT, q_pochhammer
 
-
-@dataclass(frozen=True)
-class StrandSigns:
-    """Crossing signs ε_j, one per crossing index j = 1..k."""
-
-    signs: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(s not in (1, -1) for s in self.signs):
-            raise ValueError("signs must be ±1")
-
-    def sign(self, j: int) -> int:
-        if not 1 <= j <= len(self.signs):
-            raise ValueError(f"crossing index {j} out of range")
-        return self.signs[j - 1]
-
-
-@dataclass(frozen=True)
-class NormalMonomial:
-    """Product ∏_j b_j^{s_j} c_j^{r_j} a_j^{d_j} in canonical order.
-
-    entries holds (j, s_j, r_j, d_j) sorted by j; indices with all-zero
-    exponents are omitted, so the empty tuple is the unit monomial.
-    """
-
-    entries: tuple[tuple[int, int, int, int], ...]
-
-    @classmethod
-    def unit(cls) -> "NormalMonomial":
-        return cls(())
-
-    @classmethod
-    def from_map(cls, exps: dict[int, tuple[int, int, int]]) -> "NormalMonomial":
-        items = []
-        for j in sorted(exps):
-            s, r, d = exps[j]
-            if min(s, r, d) < 0:
-                raise ValueError("exponents must be nonnegative")
-            if (s, r, d) != (0, 0, 0):
-                items.append((j, s, r, d))
-        return cls(tuple(items))
-
-    @classmethod
-    def generator(cls, kind: str, j: int) -> "NormalMonomial":
-        s, r, d = {"b": (1, 0, 0), "c": (0, 1, 0), "a": (0, 0, 1)}[kind]
-        return cls(((j, s, r, d),))
-
-    def max_index(self) -> int:
-        return self.entries[-1][0] if self.entries else 0
+Monomial = tuple[tuple[int, int, int, int], ...]  # ((j, s_j, r_j, d_j), …), sorted by j
 
 
 def reorder_exponent(eps: int, r1: int, d1: int, s2: int, r2: int) -> int:
@@ -83,11 +38,12 @@ def reorder_exponent(eps: int, r1: int, d1: int, s2: int, r2: int) -> int:
 
 
 class AlgebraElement:
-    """Finite Z[q^{±1}]-linear combination of normal monomials."""
+    """Finite Z[q^{±1}]-linear combination of normal monomials, keyed by
+    their entry tuples."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[NormalMonomial, LaurentPoly] | None = None):
+    def __init__(self, terms: dict[Monomial, LaurentPoly] | None = None):
         clean = {m: c for m, c in (terms or {}).items() if c}
         object.__setattr__(self, "terms", clean)
 
@@ -100,16 +56,17 @@ class AlgebraElement:
 
     @classmethod
     def one(cls) -> "AlgebraElement":
-        return cls({NormalMonomial.unit(): LaurentPoly.one()})
+        return cls({(): LaurentPoly.one()})
 
     @classmethod
-    def monomial(cls, mono: NormalMonomial, coeff: LaurentPoly | int = 1) -> "AlgebraElement":
+    def monomial(cls, mono: Monomial, coeff: LaurentPoly | int = 1) -> "AlgebraElement":
         c = LaurentPoly.const(coeff) if isinstance(coeff, int) else coeff
         return cls({mono: c})
 
     @classmethod
     def generator(cls, kind: str, j: int) -> "AlgebraElement":
-        return cls.monomial(NormalMonomial.generator(kind, j))
+        s, r, d = {"b": (1, 0, 0), "c": (0, 1, 0), "a": (0, 0, 1)}[kind]
+        return cls.monomial(((j, s, r, d),))
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         d = dict(self.terms)
@@ -144,34 +101,35 @@ class AlgebraElement:
         if not self.terms:
             return "AlgebraElement(0)"
         bits = []
-        for m in sorted(self.terms, key=lambda m: m.entries):
+        for m in sorted(self.terms):
             word = "·".join(
                 f"b{j}^{s}" * (s > 0) + f"c{j}^{r}" * (r > 0) + f"a{j}^{d}" * (d > 0)
-                for j, s, r, d in m.entries
+                for j, s, r, d in m
             ) or "1"
             bits.append(f"({self.terms[m]!r})·{word}")
         return "AlgebraElement(" + " + ".join(bits) + ")"
 
 
-def normal_order_product(x: AlgebraElement, y: AlgebraElement, signs: StrandSigns) -> AlgebraElement:
-    """Product of two elements, renormalized to b^s c^r a^d order per index.
+def normal_order_product(x: AlgebraElement, y: AlgebraElement, signs: tuple[int, ...]) -> AlgebraElement:
+    """Product of two elements, renormalized to b^s c^r a^d order per index,
+    with crossing j of sign signs[j − 1].
 
-    Two monomials merge in one pass over their entry tuples, sorted by index;
-    at a shared index the exponents add and `reorder_exponent` gives the
-    whole-q power of the reordering.  Each product of their coefficients'
-    terms, shifted by it, goes into one coefficient dict per merged monomial."""
-    out: dict[tuple[tuple[int, int, int, int], ...], dict[tuple[int, int], int]] = {}
-    for mx, cx in x.terms.items():
-        ex = mx.entries
-        for my, cy in y.terms.items():
+    Two monomials merge in one pass over their entry tuples, sorted by index,
+    into an entry tuple sorted by index; at a shared index the exponents add
+    and `reorder_exponent` gives the whole-q power of the reordering.  Each
+    product of their coefficients' terms, shifted by it, goes into one
+    coefficient dict per merged monomial."""
+    out: dict[Monomial, dict[tuple[int, int], int]] = {}
+    for ex, cx in x.terms.items():
+        for ey, cy in y.terms.items():
             merged, q_shift, i = [], 0, 0
-            for j, s2, r2, d2 in my.entries:
+            for j, s2, r2, d2 in ey:
                 while i < len(ex) and ex[i][0] < j:
                     merged.append(ex[i])
                     i += 1
                 if i < len(ex) and ex[i][0] == j:
                     _, s1, r1, d1 = ex[i]
-                    q_shift += reorder_exponent(signs.sign(j), r1, d1, s2, r2)
+                    q_shift += reorder_exponent(signs[j - 1], r1, d1, s2, r2)
                     s2, r2, d2, i = s1 + s2, r1 + r2, d1 + d2, i + 1
                 merged.append((j, s2, r2, d2))
             acc = out.setdefault((*merged, *ex[i:]), {})
@@ -180,7 +138,7 @@ def normal_order_product(x: AlgebraElement, y: AlgebraElement, signs: StrandSign
                 for (qb, zb), cb in cy.terms.items():
                     key = (qa + qb + q_shift, za + zb)
                     acc[key] = acc.get(key, 0) + ca * cb
-    return AlgebraElement({NormalMonomial(m): LaurentPoly(c) for m, c in out.items()})
+    return AlgebraElement({m: LaurentPoly(c) for m, c in out.items()})
 
 
 @lru_cache(maxsize=None)
@@ -197,12 +155,13 @@ def _eval_factor(eps: int, r: int, d: int) -> LaurentPoly:
     return poch.shift(0, -r)
 
 
-def eval_E(x: AlgebraElement, signs: StrandSigns) -> LaurentPoly:
-    """The evaluation map into Z[q^{±1}, z^{±1}] (s-exponents never matter)."""
+def eval_E(x: AlgebraElement, signs: tuple[int, ...]) -> LaurentPoly:
+    """The evaluation map into Z[q^{±1}, z^{±1}] (s-exponents never matter),
+    with crossing j of sign signs[j − 1]."""
     total = LaurentPoly.zero()
     for mono, coeff in x.terms.items():
         val = coeff
-        for j, _s, r, d in mono.entries:
-            val = val * _eval_factor(signs.sign(j), r, d)
+        for j, _s, r, d in mono:
+            val = val * _eval_factor(signs[j - 1], r, d)
         total = total + val
     return total

@@ -1,5 +1,6 @@
 """Independent references that only the tests use.
 
+* `mono`: the entry tuple that keys a normal monomial in `qweyl`.
 * `operator_action_oracle`: the generators of `qweyl` realized literally as
   q-difference operators, the oracle for the evaluation map `eval_E`.
 * `table_braiding`: the braiding b̌± on W_N ⊗ W_N assembled from the integer
@@ -24,8 +25,15 @@ import numpy as np
 
 from qknot import mcmahon
 from qknot.exactpoly import LaurentPoly, Q_UNIT
-from qknot.qweyl import AlgebraElement, NormalMonomial, StrandSigns, normal_order_product
+from qknot.qweyl import AlgebraElement, normal_order_product
 from qknot.verma_oracle import _ExactRows, _state_sum
+
+
+def mono(exps: dict[int, tuple[int, int, int]]) -> tuple:
+    """The key of ∏_j b_j^{s_j} c_j^{r_j} a_j^{d_j} for exps {j: (s_j, r_j, d_j)}:
+    ((j, s_j, r_j, d_j), …) sorted by j, all-zero indices omitted."""
+    return tuple((j, *exps[j]) for j in sorted(exps) if exps[j] != (0, 0, 0))
+
 
 # ---------------------------------------------------------------------------
 # literal operator realization (the oracle for eval_E)
@@ -75,7 +83,7 @@ def _apply_generator(state: _State, kind: str, eps: int) -> _State:
     return out
 
 
-def operator_action_oracle(mono: NormalMonomial, signs: StrandSigns) -> LaurentPoly:
+def operator_action_oracle(mono: tuple, signs: tuple[int, ...]) -> LaurentPoly:
     """Apply the literal operators for ∏_j b_j^{s_j} c_j^{r_j} a_j^{d_j} to the
     constant function 1 (rightmost factor first), then set u = 1, x = y = z.
 
@@ -83,8 +91,8 @@ def operator_action_oracle(mono: NormalMonomial, signs: StrandSigns) -> LaurentP
     product over indices of single-index computations.
     """
     result = LaurentPoly.one()
-    for j, s, r, d in mono.entries:
-        eps = signs.sign(j)
+    for j, s, r, d in mono:
+        eps = signs[j - 1]
         state: _State = {(0, 0, 0): LaurentPoly.one()}
         for _ in range(d):
             state = _apply_generator(state, "a", eps)
@@ -200,10 +208,9 @@ def ungraded_fermionic_jones(b, N: int) -> LaurentPoly:
     until max(k, m) consecutive terms vanish (k crossings, m strands) and
     refused after 1,000 terms, with the writhe prefactor of
     `mcmahon.colored_jones`."""
-    _, Mq = mcmahon.braid_setup(b)
     window = max(b.length, b.strands)
     total, streak = {}, 0
-    for n, value in enumerate(mcmahon.fermionic_terms(mcmahon.braid_c_sum(b), Mq.signs, N - 1, 1001)):
+    for n, value in enumerate(mcmahon.fermionic_terms(mcmahon.braid_c_arrays(b), b.signs, N - 1, 1001)):
         assert n <= 1000, "series unterminated"
         mcmahon._dadd(total, value)
         streak = 0 if value else streak + 1

@@ -13,7 +13,9 @@ from qknot.deformed_burau import (
     s_matrix,
 )
 from qknot.exactpoly import LaurentPoly
-from qknot.qweyl import AlgebraElement, StrandSigns, normal_order_product
+from qknot.qweyl import AlgebraElement, normal_order_product
+
+from oracles import mono
 
 
 def poly_mat_identity(n):
@@ -32,7 +34,7 @@ def letters_of(b):
 def dense_rho(b):
     """ρ(γ) as the dense product of the block matrices I ⊕ S ⊕ I: the
     reference for `rho`'s column updates."""
-    signs = StrandSigns(b.signs)
+    signs = b.signs
     m = b.strands
     one, zero = AlgebraElement.one(), AlgebraElement.zero()
 
@@ -86,7 +88,7 @@ def test_rho_matches_dense_product_on_random_braids(b):
 
 def test_single_crossing_blocks_are_right_quantum():
     for sign in (1, -1):
-        assert check_right_quantum(s_matrix(sign, 1, StrandSigns((sign,)))) == []
+        assert check_right_quantum(s_matrix(sign, 1, (sign,))) == []
 
 
 def test_rho_of_corpus_braids_is_right_quantum(corpus_braids):
@@ -120,18 +122,16 @@ def test_rho_prime_removes_first_row_and_column(corpus_braids):
 
 
 def test_trefoil_rho_prime_is_the_expected_single_entry():
-    from qknot.qweyl import NormalMonomial
-
     P = rho_prime(rho(parse_braid("1 1 1")))
     assert P.dim == 1
     # one crossing index per letter: c_1 a_2 b_3 with coefficient 1
-    expected = NormalMonomial.from_map({1: (0, 1, 0), 2: (0, 0, 1), 3: (1, 0, 0)})
+    expected = mono({1: (0, 1, 0), 2: (0, 0, 1), 3: (1, 0, 0)})
     assert P.entry(1, 1).terms == {expected: LaurentPoly.one()}
 
 
 def test_classical_specialization_of_single_crossings():
-    plus = classical_specialization(s_matrix(1, 1, StrandSigns((1,))))
-    minus = classical_specialization(s_matrix(-1, 1, StrandSigns((-1,))))
+    plus = classical_specialization(s_matrix(1, 1, (1,)))
+    minus = classical_specialization(s_matrix(-1, 1, (-1,)))
     z = LaurentPoly.z_power(1)
     one = LaurentPoly.one()
     assert plus == [[one - z, one], [z, LaurentPoly.zero()]]
@@ -156,7 +156,7 @@ def test_scaling_by_central_q_preserves_right_quantum(corpus_braids):
 
 
 def test_right_quantum_violations_are_reported():
-    signs = StrandSigns((1,))
+    signs = (1,)
     a = AlgebraElement.generator("a", 1)
     b = AlgebraElement.generator("b", 1)
     bad = QuantumMatrix(
@@ -168,6 +168,28 @@ def test_right_quantum_violations_are_reported():
 
 
 def test_quantum_matrix_shape_validation():
-    signs = StrandSigns((1,))
+    signs = (1,)
     with pytest.raises(ValueError):
         QuantumMatrix(dim=2, entries=((AlgebraElement.one(),),), signs=signs)
+
+
+def test_quantum_matrix_sign_validation():
+    # a matrix holds the braid's sign tuple, and each sign must be ±1
+    one = AlgebraElement.one()
+    assert QuantumMatrix.from_rows([[one]], (1, -1)).signs == (1, -1)
+    for bad in ((1, 0), (0,), (2, -1), (-1, 1, -2)):
+        with pytest.raises(ValueError, match="signs must be ±1"):
+            QuantumMatrix.from_rows([[one]], bad)
+    with pytest.raises(ValueError, match="signs must be ±1"):
+        s_matrix(0, 1, (0,))
+
+
+def test_s_matrix_refuses_crossings_out_of_range():
+    # signs[j − 1] at j = 0 would read the last sign, here equal to the block's
+    signs = (1, -1, 1)
+    for j in (0, len(signs) + 1, -1):
+        with pytest.raises(ValueError, match=f"crossing index {j} out of range"):
+            s_matrix(1, j, signs)
+    with pytest.raises(ValueError, match="sign vector has 1 at crossing 1, block wants -1"):
+        s_matrix(-1, 1, signs)
+    assert s_matrix(-1, 2, signs).entries[0][1] == AlgebraElement.generator("c", 2)

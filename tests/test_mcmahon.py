@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qknot import exactpoly, mcmahon
 from qknot.braid import BraidWord, cyclic_rotations, parse_braid
-from qknot.deformed_burau import QuantumMatrix
+from qknot.deformed_burau import QuantumMatrix, rho
 from qknot.exactpoly import LaurentPoly, Q_UNIT, parse_univariate, q_pochhammer, row_norms
 from qknot.kashaev import kashaev_series, kashaev_value
 from qknot.mcmahon import (
@@ -40,10 +40,10 @@ from qknot.mcmahon import (
     folded_series_sum,
     series_word,
 )
-from qknot.qweyl import AlgebraElement, NormalMonomial, StrandSigns
+from qknot.qweyl import AlgebraElement, normal_order_product
 from qknot.verma_oracle import state_sum_jones
 
-from oracles import qdet, series_jones_on_word, state_sum_jones_on_word, ungraded_fermionic_jones
+from oracles import mono, qdet, series_jones_on_word, state_sum_jones_on_word, ungraded_fermionic_jones
 from test_deformed_burau import braid_words
 
 
@@ -173,6 +173,17 @@ def test_minors_are_built_once_per_braid(monkeypatch):
     kashaev_series(b, 3)
     kashaev_value(b, 3)
     assert calls == []
+    # nor does a repeat kashaev_series build C's monomial arrays; a cold one
+    # builds them once
+    arrays = []
+    real_arrays = mcmahon._mono_arrays
+    monkeypatch.setattr(mcmahon, "_mono_arrays", lambda *args: arrays.append(1) or real_arrays(*args))
+    kashaev_series(b, 5)
+    assert arrays == []
+    braid_c_arrays.cache_clear()
+    kashaev_series(b, 5)
+    kashaev_series(b, 2)
+    assert len(arrays) == 1
     _, Mq = braid_setup(b)
     assert braid_c_sum(b) == sum((part for _, part in c_parts(Mq)), AlgebraElement.zero())
     assert [J for J, _ in c_parts(Mq)] == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
@@ -199,12 +210,57 @@ def test_c_parts_are_the_permutation_sum_minors(corpus_braids, benchmark_rotatio
         _assert_parts_are_permutation_sums(b)
 
 
+def _assert_keys_are_entry_tuples(elem, k, where):
+    """Every key of elem is ((j, s, r, d), …) with 1 ≤ j ≤ k strictly
+    increasing, no all-zero (s, r, d) and no negative exponent."""
+    for key in elem.terms:
+        assert type(key) is tuple and all(type(e) is tuple and len(e) == 4 for e in key), (where, key)
+        js = [e[0] for e in key]
+        assert js == sorted(set(js)) and all(1 <= j <= k for j in js), (where, key)
+        assert all(min(e[1:]) >= 0 and any(e[1:]) for e in key), (where, key)
+
+
+def _assert_algebra_keys_are_entry_tuples(b, pairs=()):
+    """On ρ, ρ′, q·ρ′, every c_parts entry, and the products of `pairs` and
+    of every two entries of q·ρ′."""
+    P, Q = braid_setup(b)
+    for name, M in (("rho", rho(b)), ("rho'", P), ("q rho'", Q)):
+        for e in (e for row in M.entries for e in row):
+            _assert_keys_are_entry_tuples(e, b.length, (b.to_text(), name))
+    for name, M in (("rho'", P), ("q rho'", Q)):
+        for J, part in c_parts(M):
+            _assert_keys_are_entry_tuples(part, b.length, (b.to_text(), name, J))
+    entries = [e for row in Q.entries for e in row]
+    for x, y in [*pairs, *((x, y) for x in entries for y in entries)]:
+        _assert_keys_are_entry_tuples(normal_order_product(x, y, b.signs), b.length, (b.to_text(), x, y))
+
+
+def elements(k):
+    """Sums of up to 4 monomials on crossings 1..k, exponents at most 2."""
+    triple = st.tuples(*[st.integers(0, 2)] * 3)
+    monos = st.dictionaries(st.integers(1, k), triple, max_size=3) if k else st.just({})
+    return st.lists(st.tuples(monos, st.integers(-2, 2)), max_size=4).map(
+        lambda ts: sum((AlgebraElement.monomial(mono(m), c) for m, c in ts), AlgebraElement.zero()))
+
+
+@settings(max_examples=60)
+@given(braid_words(), st.data())
+def test_algebra_keys_are_entry_tuples_on_random_braids(b, data):
+    x, y = data.draw(elements(b.length)), data.draw(elements(b.length))
+    entries = [e for row in rho(b).entries for e in row]
+    pairs = [(x, y), (y, x), *((x, e) for e in entries), *((e, x) for e in entries)]
+    _assert_algebra_keys_are_entry_tuples(b, pairs)
+
+
+def test_algebra_keys_are_entry_tuples(corpus_braids, benchmark_rotations):
+    braids = [*corpus_braids.values(), *map(parse_braid, benchmark_rotations)]
+    for b in braids + [parse_braid("-1 3 2 -1 3 3 -1 2 -1 2 -1")]:
+        _assert_algebra_keys_are_entry_tuples(b)
+
+
 def _relabelled(C, k):
     """C with crossing j renamed j − 1, and crossing 1 renamed k."""
-    return AlgebraElement({
-        NormalMonomial(tuple(sorted((j - 1 or k, s, r, d) for j, s, r, d in mono.entries))): c
-        for mono, c in C.terms.items()
-    })
+    return AlgebraElement({tuple(sorted((j - 1 or k, s, r, d) for j, s, r, d in m)): c for m, c in C.terms.items()})
 
 
 @settings(max_examples=40)
@@ -489,8 +545,8 @@ def dict_populations(C, signs_t, count):
         out.append(P)
         newP = {}
         for key, cd in P.items():
-            for mono, mcd in terms:
-                nk, shift = _apply_mono(key, mono, signs_t)
+            for triples, mcd in terms:
+                nk, shift = _apply_mono(key, triples, signs_t)
                 _dadd(newP.setdefault(nk, {}), _dconv(cd, mcd, shift))
         P = {key: cd for key, cd in newP.items() if cd}
     return out
@@ -512,13 +568,14 @@ def test_generic_series_matches_dict_reference(corpus_braids, monkeypatch, caplo
         # every sum's bound passes the threshold, so every row leaves int64
         monkeypatch.setattr(exactpoly, "INT64_SAFE", 1.0)
     for name, b in corpus_braids.items():
-        signs, C = StrandSigns(b.signs), braid_c_sum(b)
+        signs_t, C = b.signs, braid_c_sum(b)
         # corpus C-monomials carry single-term coefficients ±q^a; the
         # multiple covers the kernel's several-term monomials
         several = C.scale(LaurentPoly.const(2) - LaurentPoly.q_power(3))
         for elem in (C, several):
-            for z_pow, want in generic_dict_reference(elem, signs.signs).items():
-                got = list(fermionic_terms(elem, signs, z_pow, len(want) - 1))
+            mono_arrays = mcmahon._mono_arrays([((), elem)], signs_t)
+            for z_pow, want in generic_dict_reference(elem, signs_t).items():
+                got = list(fermionic_terms(mono_arrays, signs_t, z_pow, len(want) - 1))
                 assert got + [{}] * (len(want) - len(got)) == want, (name, z_pow)
     assert bool(caplog.records) == (rows == "object")
 
@@ -693,8 +750,7 @@ def test_generic_rows_leaving_int64_partway_evaluate_each_population_once(monkey
     # some evaluations; each population is still evaluated once, not first
     # on int64 and then again on Python ints
     b = parse_braid("1 1 1 2 -1 2")
-    signs, C = StrandSigns(b.signs), braid_c_sum(b)
-    want = list(fermionic_terms(C, signs, 3, 8))
+    want = list(fermionic_terms(braid_c_arrays(b), b.signs, 3, 8))
     calls = {"_eval_population": 0, "_eval_population_np": 0}
     entered = []
 
@@ -712,7 +768,7 @@ def test_generic_rows_leaving_int64_partway_evaluate_each_population_once(monkey
         monkeypatch.setattr(mcmahon, name, counted(name))
     monkeypatch.setattr(exactpoly, "INT64_SAFE", 2.0**8)
     with caplog.at_level(logging.DEBUG, logger="qknot.mcmahon"):
-        got = list(fermionic_terms(C, signs, 3, 8))
+        got = list(fermionic_terms(braid_c_arrays(b), b.signs, 3, 8))
     assert got == want
     assert calls == {"_eval_population": 9, "_eval_population_np": 9}
     # some populations enter the evaluation on int64 rows, and rows leave it
@@ -724,17 +780,16 @@ def test_folded_step_refuses_past_the_cell_limit(monkeypatch):
     # the S×M×k products' d_j are the step's first array; at the limit the
     # step runs, one cell past it the step is refused with N and the cells
     b = parse_braid("1 1 2 -1 2 1")
-    signs, C = StrandSigns(b.signs), braid_c_sum(b)
-    mono = mcmahon._mono_arrays([((), C)], signs.signs)
-    k, N = len(signs.signs), 5
+    C, mono_arrays = braid_c_sum(b), braid_c_arrays(b)
+    k, N = b.length, 5
     R = D = np.zeros((3, k), dtype=np.int64)
     population = (R, D, np.ones(3), np.eye(3, N, dtype=np.int64))
     cells = 3 * len(C.terms) * k
     monkeypatch.setattr(mcmahon, "CELL_LIMIT", cells)
-    _folded_step(*population, mono, N)
+    _folded_step(*population, mono_arrays, N)
     monkeypatch.setattr(mcmahon, "CELL_LIMIT", cells - 1)
     with pytest.raises(ValueError, match=f"N = 5 would hold {cells} cells in one step"):
-        _folded_step(*population, mono, N)
+        _folded_step(*population, mono_arrays, N)
     # and the exact Kashaev value of a corpus knot is refused past a lowered limit
     # (its steps reach 40 cells at N = 5)
     monkeypatch.setattr(mcmahon, "CELL_LIMIT", 39)
@@ -768,12 +823,11 @@ def test_int64_escalation_is_logged(caplog, monkeypatch):
     # the one bound of exactpoly's int64 row rule, for all three kernels
     monkeypatch.setattr(exactpoly, "INT64_SAFE", 1.0)
     b = parse_braid("1 -2 1 -2")
-    signs, C = StrandSigns(b.signs), braid_c_sum(b)
     counts = []
     with caplog.at_level(logging.DEBUG):
-        list(fermionic_terms(C, signs, -1, 3))
+        list(fermionic_terms(braid_c_arrays(b), b.signs, -1, 3))
         counts.append(len(caplog.records))
-        folded(C, signs.signs, 5)
+        folded(braid_c_sum(b), b.signs, 5)
         counts.append(len(caplog.records))
         state_sum_jones(b, 3)
         counts.append(len(caplog.records))
@@ -821,8 +875,8 @@ def folded_dict_series(C, signs_t, N, max_n):
             total[e] = total.get(e, 0) + c
         newP = {}
         for key, cd in P.items():
-            for mono, mcd in terms:
-                nk, shift = _apply_mono(key, mono, signs_t)
+            for triples, mcd in terms:
+                nk, shift = _apply_mono(key, triples, signs_t)
                 if any(nk[2 * j + 1] >= N for j in range(k)):
                     continue
                 acc = newP.setdefault(tuple(x % N if i % 2 == 0 else x for i, x in enumerate(nk)), {})
@@ -910,17 +964,17 @@ def test_folded_series_matches_folded_dict_reference(corpus_braids, monkeypatch,
         # every sum's bound passes the threshold, so every row leaves int64
         monkeypatch.setattr(exactpoly, "INT64_SAFE", 1.0)
     for name, b in corpus_braids.items():
-        signs, C = StrandSigns(b.signs), braid_c_sum(b)
-        k = len(signs.signs)
+        signs_t, C = b.signs, braid_c_sum(b)
+        k = len(signs_t)
         for N in (1, 2, 3, 5, 8):
-            want = folded_dict_series(C, signs.signs, N, k * N)
-            assert folded(C, signs.signs, N) == want, (name, N)
+            want = folded_dict_series(C, signs_t, N, k * N)
+            assert folded(C, signs_t, N) == want, (name, N)
         # corpus C-monomials carry single-term coefficients ±q^a; give them
         # several terms to cover the kernel's general case
         several = C.scale(LaurentPoly.const(2) - LaurentPoly.q_power(3))
         for N in (2, 3):
-            want = folded_dict_series(several, signs.signs, N, k * N)
-            assert folded(several, signs.signs, N) == want, (name, N)
+            want = folded_dict_series(several, signs_t, N, k * N)
+            assert folded(several, signs_t, N) == want, (name, N)
     assert bool(caplog.records) == (rows == "object")
 
 
@@ -938,12 +992,12 @@ def test_folded_series_merges_by_doubling_past_small_group_sizes(corpus_braids, 
     monkeypatch.setattr(mcmahon, "_merge", merge)
     doubled = False
     for name, b in corpus_braids.items():
-        signs, C = StrandSigns(b.signs), braid_c_sum(b)
-        k = len(signs.signs)
+        signs_t, C = b.signs, braid_c_sum(b)
+        k = len(signs_t)
         for N in (3, 5, 8):
-            want = folded_dict_series(C, signs.signs, N, k * N)
+            want = folded_dict_series(C, signs_t, N, k * N)
             merges[0] = 0
-            assert folded(C, signs.signs, N) == want, (name, N)
+            assert folded(C, signs_t, N) == want, (name, N)
             once = merges[0]
             for cells in (1, 64):
                 for safe in (exactpoly.INT64_SAFE, 1.0):
@@ -951,7 +1005,7 @@ def test_folded_series_merges_by_doubling_past_small_group_sizes(corpus_braids, 
                         m.setattr(mcmahon, "_GROUP_CELLS", cells)
                         m.setattr(exactpoly, "INT64_SAFE", safe)
                         merges[0] = 0
-                        assert folded(C, signs.signs, N) == want, (name, N, cells, safe)
+                        assert folded(C, signs_t, N) == want, (name, N, cells, safe)
                     # the merged population, so the evaluation's merges, is the same
                     assert merges[0] >= once, (name, N, cells)
                     doubled |= merges[0] > once
@@ -970,11 +1024,11 @@ def test_folded_series_steps_leave_int64_where_sums_pass_2_63(corpus_braids, mon
 
     monkeypatch.setattr(mcmahon, "_folded_step", step)
     for name, b in corpus_braids.items():
-        signs, C = StrandSigns(b.signs), braid_c_sum(b)
+        signs_t, C = b.signs, braid_c_sum(b)
         big = C.scale(LaurentPoly.const(2**40))
         for N in (2, 3):
-            want = folded_dict_series(big, signs.signs, N, len(signs.signs) * N)
-            assert folded(big, signs.signs, N) == want, (name, N)
+            want = folded_dict_series(big, signs_t, N, len(signs_t) * N)
+            assert folded(big, signs_t, N) == want, (name, N)
     assert object in step_dtypes
 
 
@@ -984,24 +1038,39 @@ def test_folded_carried_bounds_bound_the_rows(corpus_braids, monkeypatch):
     monkeypatch.setattr(mcmahon, "_folded_step", bound_checked(_folded_step))
     monkeypatch.setattr(mcmahon, "_merge", bound_checked(mcmahon._merge))
     for b in corpus_braids.values():
-        signs, C = StrandSigns(b.signs), braid_c_sum(b)
+        signs_t, C = b.signs, braid_c_sum(b)
         several = C.scale(LaurentPoly.const(2) - LaurentPoly.q_power(3))
         for elem in (C, several):
             for N in (3, 5, 8):
-                folded(elem, signs.signs, N)
+                folded(elem, signs_t, N)
 
 
 def test_pairwise_dict_convolution_matches_polynomials():
+    # the second factor as (exponent, coefficient) pairs
     a = {0: 1, 3: -2}
-    b = {-1: 4, 2: 5}
+    b = ((-1, 4), (2, 5))
     got = _dconv(a, b, 0)
     want = {}
     for e1, c1 in a.items():
-        for e2, c2 in b.items():
+        for e2, c2 in b:
             want[e1 + e2] = want.get(e1 + e2, 0) + c1 * c2
     assert {e: c for e, c in got.items() if c} == {e: c for e, c in want.items() if c}
     shifted = _dconv(a, b, 2)
     assert {e: c for e, c in shifted.items() if c} == {e + 2: c for e, c in want.items() if c}
+
+
+def test_cached_entry_terms_cannot_be_assigned_to(corpus_braids, benchmark_rotations):
+    # the bosonic series reads q·ρ′'s entries from a per-braid cache: nested
+    # tuples of per-crossing triples and (exponent, coefficient) pairs
+    def frozen(x):
+        return type(x) is int or (type(x) is tuple and all(map(frozen, x)))
+
+    for b in [*corpus_braids.values(), *map(parse_braid, benchmark_rotations)]:
+        terms = braid_entry_terms(b)
+        assert frozen(terms), b.to_text()
+        for entry in (e for row in terms for e in row if e):
+            with pytest.raises(TypeError):
+                entry[0][1][0] = (0, 0)
 
 
 def test_habiro_style_divisibility_of_light_series_terms(corpus_braids):

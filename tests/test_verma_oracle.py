@@ -17,7 +17,7 @@ from qknot import exactpoly, verma_oracle
 from qknot.braid import BraidWord, closure_is_knot, cyclic_rotations, parse_braid
 from qknot.exactpoly import LaurentPoly, q_int_binom
 from qknot.mcmahon import colored_jones
-from qknot.qweyl import AlgebraElement, NormalMonomial, StrandSigns, normal_order_product
+from qknot.qweyl import AlgebraElement, normal_order_product
 from qknot.verma_oracle import (
     _ExactRows,
     _NumericTables,
@@ -33,6 +33,7 @@ from oracles import (
     braid_relation_holds,
     braiding_inverse_holds,
     expand_then_filter,
+    mono,
     state_sum_jones_on_word,
     table_coefficients,
 )
@@ -76,15 +77,14 @@ def test_braid_relation_and_inverse_on_truncated_modules():
 
 def test_gauss_binomial_identity_in_the_operator_algebra():
     # (X+Y)^n = sum_l binom(n,l)_q X^l Y^(n-l) for YX = qXY, with X=c_1, Y=a_1
-    signs = StrandSigns((1,))
+    signs = (1,)
     x_plus_y = AlgebraElement.generator("c", 1) + AlgebraElement.generator("a", 1)
     power = AlgebraElement.one()
     for n in range(1, 7):
         power = normal_order_product(power, x_plus_y, signs)
         seen = dict(power.terms)
         for l in range(n + 1):
-            mono = NormalMonomial.from_map({1: (0, l, n - l)})
-            assert seen.pop(mono) == q_int_binom(n, l, -1), (n, l)
+            assert seen.pop(mono({1: (0, l, n - l)})) == q_int_binom(n, l, -1), (n, l)
         assert seen == {}
 
 
