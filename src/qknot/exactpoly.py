@@ -25,6 +25,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import mpmath
@@ -36,16 +37,16 @@ Q_UNIT = 4  # quarter-lattice units per whole power of q
 class LaurentPoly:
     """Sparse Laurent polynomial in q (quarter-lattice exponents) and z.
 
-    Terms map (q_exponent_in_quarters, z_exponent) -> integer coefficient.
-    Instances are immutable; all operations return new values.  Zero
-    coefficients are never stored, so dict equality is canonical equality.
+    Terms, a read-only mapping, map (q_exponent_in_quarters, z_exponent) ->
+    integer coefficient.  Instances are immutable; all operations return new
+    values.  Zero coefficients are never stored, so equality of the terms is
+    canonical equality.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
-        clean = {k: v for k, v in (terms or {}).items() if v}
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType({k: v for k, v in (terms or {}).items() if v}))
 
     def __setattr__(self, *_):  # pragma: no cover - immutability guard
         raise AttributeError("LaurentPoly is immutable")

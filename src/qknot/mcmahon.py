@@ -19,8 +19,9 @@ build them once per braid word (the last 256 are kept), as do
 `braid_c_arrays`, `braid_graded_arrays` and `braid_entry_terms`, the
 read-only forms that the folded, fermionic and bosonic kernels read; each
 `cache_clear()` empties its cache.  `rho` and `c_sum` stay uncached, as
-`perfbench`'s tracer wraps them and would hide a cache there.
-Nothing may mutate what the caches return.
+`perfbench`'s tracer wraps them and would hide a cache there.  What the
+caches return is read-only: algebra terms are read-only mappings, arrays
+are not writeable, and the entry terms are tuples.
 
 Every series route sums on one planned cyclic rotation of the braid word,
 `series_word`: the first whose C has the fewest monomials, so a tie keeps
@@ -409,41 +410,50 @@ def fermionic_terms(mono: tuple, signs_t: tuple[int, ...], z_pow: int, max_n: in
         yield _eval_population(R, D, O, V, signs_t, z_pow)
 
 
-# The one accumulation rule of both series: populations are held apart
-# until their summed cells (rows × width) pass this.  `_fermionic_series`
-# evaluates each group of populations within it, and `folded_series_sum`
-# merges its pending populations into the accumulated one once their cells
-# pass both this and the accumulated cells.
+# The one accumulation rule of both series, applied by `_population_groups`:
+# consecutive populations are held together up to this many cells (rows × width).
 _GROUP_CELLS = 2**17
+
+
+def _population_groups(pop: tuple, step, steps: int) -> Iterator[list[tuple]]:
+    """The populations pop, step(pop), … (at most `steps` steps, up to the
+    first empty one) in consecutive groups whose summed cells stay within
+    _GROUP_CELLS, or of one population past it.  E is linear, so each group
+    is merged by key and evaluated once, and no population outlives it."""
+    group, cells = [], 0
+    for n in range(steps + 1):
+        if n:
+            pop = step(pop)
+            if not len(pop[-1]):
+                break
+        if group and cells + pop[-1].size > _GROUP_CELLS:
+            yield group
+            group, cells = [], 0
+        group.append(pop)
+        cells += pop[-1].size
+    yield group
 
 
 def _fermionic_series(b: BraidWord, N: int) -> QDict:
     """Σ_n E(Cⁿ)|_{z=q^{N−1}} over the states whose grade x, the sum of their
     parts' 0/1 index vectors (in R[:, k:]), lies in the box [0, N−1]^dim.
     A state's descendants only add to its grades, so the population empties
-    by n = dim·(N−1) + 1.  E is linear: consecutive populations are merged
-    by (R, D) in groups whose summed cells stay within _GROUP_CELLS (or one
-    population past it), and each group is evaluated once.  The folded
-    series of `folded_series_sum` holds its populations by the same
-    _GROUP_CELLS.  C's graded parts come from `braid_graded_arrays`."""
+    by n = dim·(N−1) + 1; the sum stops after dim·N steps in any case.  Its
+    groups (`_population_groups`) are evaluated by `_eval_merged`, on C's
+    graded parts from `braid_graded_arrays`."""
     signs_t, k = b.signs, len(b.signs)
     mono = braid_graded_arrays(b)
+
+    def step(pop):
+        R, D, O, V = _generic_step(*pop, mono)
+        keep = (R[:, k:] < N).all(axis=1)
+        return R[keep], D[keep], O[keep], V[keep]
+
     pop = (np.zeros((1, k + b.strands - 1), dtype=np.int64), np.zeros((1, k), dtype=np.int64),
            np.zeros(1, dtype=np.int64), np.ones((1, 1), dtype=np.int64))
     total: QDict = {}
-    group, cells = [], 0
-    while len(pop[3]):
-        if group and cells + pop[3].size > _GROUP_CELLS:
-            _dadd(total, _eval_merged(group, k, signs_t, N - 1))
-            group, cells = [], 0
-        group.append(pop)
-        cells += pop[3].size
-        if b.strands == 1:  # C has no parts
-            break
-        R, D, O, V = _generic_step(*pop, mono)
-        keep = (R[:, k:] < N).all(axis=1)
-        pop = (R[keep], D[keep], O[keep], V[keep])
-    _dadd(total, _eval_merged(group, k, signs_t, N - 1))
+    for group in _population_groups(pop, step, (b.strands - 1) * N):
+        _dadd(total, _eval_merged(group, k, signs_t, N - 1))
     return total
 
 
@@ -585,31 +595,20 @@ def folded_series_sum(mono: tuple, signs_t: tuple[int, ...], N: int) -> list[int
 
     Each step raises Σ_j d_j by C's ideal degree, ≥ 1 for a knot, and
     states with some d_j ≥ N are pruned, so the population empties by
-    n = k·N; the sum stops there in any case.  E is linear, so the
-    populations of every n are summed first and the sum is evaluated once.
-    New populations are merged into the accumulated one only once their
-    cells pass both _GROUP_CELLS, the rule `_fermionic_series` groups by,
-    and the accumulated cells: a population within _GROUP_CELLS is merged
-    once, at the end, and a larger one each time it about doubles.  A step
-    too large for CELL_LIMIT is refused (`_folded_step`).
+    n = k·N; the sum stops there in any case.  The populations are summed
+    by `_population_groups`, as in `_fermionic_series`: each group is
+    merged (`_merge`) and evaluated once (`_eval_folded`), and the groups'
+    rows are added as Python ints.  A step too large for CELL_LIMIT is
+    refused (`_folded_step`).
     """
     k = len(signs_t)
-    R = D = np.zeros((1, k), dtype=np.int64)
-    B, V = np.ones(1), np.eye(1, N, dtype=np.int64)
-    acc, pending, cells = (R, D, B, V), [], 0
-    for _ in range(max(k, 1) * N):
-        R, D, B, V = _folded_step(R, D, B, V, mono, N)
-        if not len(V):
-            break
-        pending.append((R, D, B, V))
-        cells += V.size
-        if cells > max(acc[3].size, _GROUP_CELLS):
-            acc = _merge(*(np.concatenate(part) for part in zip(acc, *pending)), N)
-            pending, cells = [], 0
-    if pending:
-        acc = _merge(*(np.concatenate(part) for part in zip(acc, *pending)), N)
-    R, D, _, V = acc
-    return [int(c) for c in _eval_folded(R, D, V, signs_t, N)]
+    pop = (np.zeros((1, k), dtype=np.int64), np.zeros((1, k), dtype=np.int64),
+           np.ones(1), np.eye(1, N, dtype=np.int64))
+    total = [0] * N
+    for group in _population_groups(pop, lambda pop: _folded_step(*pop, mono, N), max(k, 1) * N):
+        R, D, _, V = _merge(*map(np.concatenate, zip(*group)), N)
+        total = [t + c for t, c in zip(total, _eval_folded(R, D, V, signs_t, N).tolist())]
+    return total
 
 
 def _bosonic_series(b: BraidWord, N: int) -> QDict:

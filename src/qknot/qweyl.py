@@ -20,6 +20,7 @@ generators, an independent oracle.
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 
 from .exactpoly import LaurentPoly, Q_UNIT, q_pochhammer
 
@@ -38,14 +39,13 @@ def reorder_exponent(eps: int, r1: int, d1: int, s2: int, r2: int) -> int:
 
 
 class AlgebraElement:
-    """Finite Z[q^{±1}]-linear combination of normal monomials, keyed by
-    their entry tuples."""
+    """Finite Z[q^{±1}]-linear combination of normal monomials: `terms` is a
+    read-only mapping from their entry tuples to nonzero coefficients."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[Monomial, LaurentPoly] | None = None):
-        clean = {m: c for m, c in (terms or {}).items() if c}
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType({m: c for m, c in (terms or {}).items() if c}))
 
     def __setattr__(self, *_):  # pragma: no cover - immutability guard
         raise AttributeError("AlgebraElement is immutable")

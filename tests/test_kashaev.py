@@ -183,6 +183,8 @@ def test_universal_series_evaluates_to_left_trefoil_values():
         assert series_value.exact == direct.exact, N
         if N in magnitudes:
             assert abs(abs(series_value.approx) - magnitudes[N]) < 1e-5
+    # the folded series sums N = 40 in several groups
+    assert kz_series(40).exact == kashaev_value(left, 40).exact
 
 
 def test_determinant_magnitudes_in_the_cyclotomic_ring():

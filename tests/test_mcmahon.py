@@ -1,6 +1,7 @@
 import importlib.util
 import logging
 import math
+import operator
 import time
 from functools import lru_cache
 from itertools import combinations
@@ -693,37 +694,53 @@ def test_graded_fermionic_series_ends_within_the_box(corpus_braids, benchmark_ro
             assert calls["_eval_population"] == 1, (b.to_text(), N)
 
 
-def test_graded_fermionic_groups_of_populations_give_the_same_polynomial(
-        corpus_braids, benchmark_rotations, monkeypatch):
-    # E is linear, so the populations may be evaluated in any grouping: at
-    # _GROUP_CELLS = 1 each nonempty population is its own group, at 200
-    # groups hold a few; each group is evaluated once
-    braids = list(corpus_braids.values()) + [parse_braid(w) for w in benchmark_rotations]
-    cases = [(b, N) for b in braids if b.strands <= 3 for N in (2, 3, 4)]
-    want = [series_jones_on_word(b, N, "fermionic") for b, N in cases]
-    calls = {"_generic_step": 0, "_eval_population": 0}
+@pytest.mark.parametrize("series", ["fermionic", "folded"])
+def test_groups_of_populations_give_the_same_value(series, corpus_braids, benchmark_rotations, monkeypatch):
+    # E is linear, so both series may sum their populations in any grouping:
+    # at _GROUP_CELLS = 1 each nonempty population is its own group, and at
+    # 64 cells and at the default a group holds one or more; each group is
+    # evaluated once, on int64 rows and with every row on Python ints.  Each
+    # nonempty population is stepped once, and the step after the last
+    # leaves none
+    if series == "fermionic":
+        braids = list(corpus_braids.values()) + [parse_braid(w) for w in benchmark_rotations]
+        cases = [(b, N) for b in braids if b.strands <= 3 for N in (2, 3, 4)]
+        want = [state_sum_jones_on_word(b, N) for b, N in cases]
+        run = series_jones_on_word
+        step, evaluate = "_generic_step", "_eval_population"
+    else:
+        cases = [(b, N) for b in corpus_braids.values() for N in (3, 5, 8)]
+        want = [folded_dict_series(braid_c_sum(b), b.signs, N, len(b.signs) * N) for b, N in cases]
+        run = lambda b, N, _: folded(braid_c_sum(b), b.signs, N)
+        step, evaluate = "_folded_step", "_eval_folded"
+    calls = {step: 0, evaluate: 0}
 
     def counted(name):
         fn = getattr(mcmahon, name)
 
-        def run(*args):
+        def count(*args):
             calls[name] += 1
             return fn(*args)
 
-        return run
+        return count
 
     for name in calls:
         monkeypatch.setattr(mcmahon, name, counted(name))
-    for cells in (1, 200):
-        monkeypatch.setattr(mcmahon, "_GROUP_CELLS", cells)
-        for (b, N), poly in zip(cases, want):
-            calls.update(_generic_step=0, _eval_population=0)
-            assert series_jones_on_word(b, N, "fermionic") == poly, (b.to_text(), N, cells)
-            # the step after the last nonempty population leaves none
-            if cells == 1:
-                assert calls["_eval_population"] == calls["_generic_step"], (b.to_text(), N)
-            else:
-                assert 1 <= calls["_eval_population"] <= calls["_generic_step"], (b.to_text(), N)
+    grouped = False
+    for cells in (1, 64, mcmahon._GROUP_CELLS):
+        for safe in (exactpoly.INT64_SAFE, 1.0):
+            with monkeypatch.context() as m:
+                m.setattr(mcmahon, "_GROUP_CELLS", cells)
+                m.setattr(exactpoly, "INT64_SAFE", safe)
+                for (b, N), value in zip(cases, want):
+                    calls.update({step: 0, evaluate: 0})
+                    assert run(b, N, series) == value, (b.to_text(), N, cells, safe)
+                    if cells == 1:
+                        assert calls[evaluate] == calls[step], (b.to_text(), N)
+                    else:
+                        assert 1 <= calls[evaluate] <= calls[step], (b.to_text(), N, cells)
+                        grouped |= 1 < calls[evaluate] < calls[step]
+    assert grouped
 
 
 def test_graded_fermionic_sum_is_the_ungraded_sum_on_the_corpus(corpus_braids):
@@ -842,7 +859,8 @@ def test_int64_escalation_is_logged(caplog, monkeypatch):
     "word,N,records",
     [
         pytest.param("1 -2 1 -2", 60, [], id="4_1-60"),
-        pytest.param("1 -2 1 -2", 80, ["144 rows leave int64: a group sum may reach 5.53e+18 ≥ 2^62"], id="4_1-80"),
+        pytest.param("1 -2 1 -2", 80, ["693 rows leave int64: a group sum may reach 8.8e+18 ≥ 2^62",
+                                       "144 rows leave int64: a group sum may reach 5.53e+18 ≥ 2^62"], id="4_1-80"),
         pytest.param("1 1 1 1 1", 40, ["1552 rows leave int64: a group sum may reach 1.13e+19 ≥ 2^62"], id="5_1-40"),
     ],
 )
@@ -978,40 +996,6 @@ def test_folded_series_matches_folded_dict_reference(corpus_braids, monkeypatch,
     assert bool(caplog.records) == (rows == "object")
 
 
-def test_folded_series_merges_by_doubling_past_small_group_sizes(corpus_braids, monkeypatch):
-    # at the benchmark's orders a series' populations fit in _GROUP_CELLS,
-    # so they are merged once, at the end; at 1 and 64 cells the pending
-    # populations are merged whenever they outgrow the accumulated one, on
-    # int64 rows and with every row on Python ints
-    merges, _merge = [0], mcmahon._merge
-
-    def merge(*args):
-        merges[0] += 1
-        return _merge(*args)
-
-    monkeypatch.setattr(mcmahon, "_merge", merge)
-    doubled = False
-    for name, b in corpus_braids.items():
-        signs_t, C = b.signs, braid_c_sum(b)
-        k = len(signs_t)
-        for N in (3, 5, 8):
-            want = folded_dict_series(C, signs_t, N, k * N)
-            merges[0] = 0
-            assert folded(C, signs_t, N) == want, (name, N)
-            once = merges[0]
-            for cells in (1, 64):
-                for safe in (exactpoly.INT64_SAFE, 1.0):
-                    with monkeypatch.context() as m:
-                        m.setattr(mcmahon, "_GROUP_CELLS", cells)
-                        m.setattr(exactpoly, "INT64_SAFE", safe)
-                        merges[0] = 0
-                        assert folded(C, signs_t, N) == want, (name, N, cells, safe)
-                    # the merged population, so the evaluation's merges, is the same
-                    assert merges[0] >= once, (name, N, cells)
-                    doubled |= merges[0] > once
-    assert doubled
-
-
 def test_folded_series_steps_leave_int64_where_sums_pass_2_63(corpus_braids, monkeypatch):
     # C·2^40 takes the rows past 2^63 within a few steps: a carried bound
     # that a step does not multiply by ℓ₁ lets int64 wrap
@@ -1030,6 +1014,19 @@ def test_folded_series_steps_leave_int64_where_sums_pass_2_63(corpus_braids, mon
             want = folded_dict_series(big, signs_t, N, len(signs_t) * N)
             assert folded(big, signs_t, N) == want, (name, N)
     assert object in step_dtypes
+    # each group's row fits int64 but their sum does not: the groups' rows
+    # are added as Python ints
+    groups = []
+
+    def evaluated(R, D, V, signs_t, N):
+        groups.append(len(V))
+        return np.full(N, 2**62, dtype=np.int64)
+
+    monkeypatch.setattr(mcmahon, "_eval_folded", evaluated)
+    monkeypatch.setattr(mcmahon, "_GROUP_CELLS", 1)
+    b = corpus_braids["figure_eight"]
+    assert folded(braid_c_sum(b), b.signs, 3) == [len(groups) * 2**62] * 3
+    assert len(groups) > 1
 
 
 def test_folded_carried_bounds_bound_the_rows(corpus_braids, monkeypatch):
@@ -1071,6 +1068,26 @@ def test_cached_entry_terms_cannot_be_assigned_to(corpus_braids, benchmark_rotat
         for entry in (e for row in terms for e in row if e):
             with pytest.raises(TypeError):
                 entry[0][1][0] = (0, 0)
+
+
+def test_cached_algebra_values_are_read_only(corpus_braids):
+    # C, an entry of q·ρ′ and a part of C are cached per braid; neither their
+    # terms nor their coefficients' terms can be changed, even through dict's
+    # own methods, so no caller can corrupt a later value
+    b = corpus_braids["figure_eight"]
+    before = kashaev_value(b, 3)
+    entry = next(e for row in braid_setup(b)[1].entries for e in row if e)
+    part = next(part for _, part in c_parts(braid_setup(b)[1]) if part)
+    for elem in (braid_c_sum(b), entry, part):
+        key, coeff = next(iter(elem.terms.items()))
+        for terms, k in ((elem.terms, key), (coeff.terms, next(iter(coeff.terms)))):
+            for change, *args in ((dict.pop, k), (dict.clear,), (operator.setitem, k, terms[k]),
+                                  (operator.delitem, k)):
+                with pytest.raises(TypeError):
+                    change(terms, *args)
+            assert not any(hasattr(terms, name) for name in ("pop", "clear", "update", "setdefault"))
+    braid_c_arrays.cache_clear()
+    assert kashaev_value(b, 3) == before
 
 
 def test_habiro_style_divisibility_of_light_series_terms(corpus_braids):
