@@ -598,15 +598,15 @@ def folded_series_sum(mono: tuple, signs_t: tuple[int, ...], N: int) -> list[int
     n = k·N; the sum stops there in any case.  The populations are summed
     by `_population_groups`, as in `_fermionic_series`: each group is
     merged (`_merge`) and evaluated once (`_eval_folded`), and the groups'
-    rows are added as Python ints.  A step too large for CELL_LIMIT is
-    refused (`_folded_step`).
-    """
+    rows are added as Python ints; `_folded_step` has made the keys of one
+    population distinct, so a lone one is not merged.  A step too large for
+    CELL_LIMIT is refused (`_folded_step`)."""
     k = len(signs_t)
     pop = (np.zeros((1, k), dtype=np.int64), np.zeros((1, k), dtype=np.int64),
            np.ones(1), np.eye(1, N, dtype=np.int64))
     total = [0] * N
     for group in _population_groups(pop, lambda pop: _folded_step(*pop, mono, N), max(k, 1) * N):
-        R, D, _, V = _merge(*map(np.concatenate, zip(*group)), N)
+        R, D, _, V = group[0] if len(group) == 1 else _merge(*map(np.concatenate, zip(*group)), N)
         total = [t + c for t, c in zip(total, _eval_folded(R, D, V, signs_t, N).tolist())]
     return total
 

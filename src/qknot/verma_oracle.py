@@ -17,9 +17,10 @@ one quarter-exponent offset per sum.  Each product is bounded beforehand by
 of Python ints where that could reach 2^62.  A step whose rows would pass
 `exactpoly.CELL_LIMIT` cells is refused with ValueError before they are
 allocated, and an order whose tables, exact or float, would pass it is
-refused before they are built (`_check_size`).  The
-float ring (`_NumericTables`, for `numeric_state_sum`) works in complex floats at
-q = exp(2πi/N), the Kashaev value for large N.  The probe ring
+refused before they are built (`_check_size`).  The float ring
+(`_NumericTables`, for `numeric_state_sum`) works in complex floats at
+q = exp(2πi/N), the Kashaev value for large N, on tables built by array
+steps that round as CPython's scalar complex arithmetic.  The probe ring
 (`_ProbeCounts`, for `state_sum_entries`) carries no values and counts the
 entries the float ring would build (the exact ring, which drops the groups
 that sum to zero, builds no more).  `state_sum_word` uses it at N = 2 to
@@ -163,10 +164,11 @@ def _take(a: Split, *index) -> Split:
 
 
 class _NumericTables:
-    """Root-of-unity tables: exact-phase quarter powers, Gaussian binomials,
-    and braiding pochhammer prefixes at q = exp(2πi/N), with split arrays of
-    the braiding coefficient factors.  The state sum's float ring: values
-    are split pairs, and each group sums its entries in entry order."""
+    """Root-of-unity tables at q = exp(2πi/N): the quarter powers (`quarter`,
+    `phase`, `_quarter`), and split arrays of q^t (`_qpow`) and, per sign,
+    phase · Gaussian binomial (`_head`) and pochhammer prefix (`_poch`).
+    The state sum's float ring: values are split pairs, and each group sums
+    its entries in entry order."""
 
     zero = (0.0, 0.0)
     name, unit = "float", "complex"
@@ -174,29 +176,31 @@ class _NumericTables:
     def __init__(self, N: int):
         self.N = N
         self.quarter = tuple(cmath.exp(2j * cmath.pi * t / (4 * N)) for t in range(4 * N))
-        qpow = tuple(self.quarter[(4 * t) % (4 * N)] for t in range(N))
-        self.qpow = qpow
-        gb = [[0j] * (N + 1) for _ in range(N)]
-        for n in range(N):
-            gb[n][0] = 1 + 0j
-            for l in range(1, n + 1):
-                gb[n][l] = gb[n - 1][l - 1] + qpow[l % N] * gb[n - 1][l]
-        self.gauss = tuple(map(tuple, gb))
-        self.poch_plus = tuple(self._prefix(N - 1 - n2, -1) for n2 in range(N))
-        self.poch_minus = tuple(self._prefix(n1 - (N - 1), 1) for n1 in range(N))
-
-        def grid(rows) -> Split:
-            re, im = _split([z for row in rows for z in row])
-            return re.reshape(N, N + 1), im.reshape(N, N + 1)
-
         self._quarter = _split(self.quarter)
-        self._qpow = _split(qpow)
+        self._qpow = qre, qim = _take(self._quarter, 4 * np.arange(N))
+        # Each table is built by array steps of `_cmul` and componentwise sums,
+        # so every entry rounds as in the scalar CPython complex recurrence (on
+        # object arrays under a cmath stand-in).  Gaussian binomials by
+        # Pascal's rule, a row per step: [n, l] = [n−1, l−1] + q^l [n−1, l]
+        gre, gim = (np.full((N, N + 1), 0.0, dtype=qre.dtype) for _ in range(2))
+        gre[:, 0] = 1.0
+        for n in range(1, N):
+            re, im = _cmul((qre[1 : n + 1], qim[1 : n + 1]), (gre[n - 1, 1 : n + 1], gim[n - 1, 1 : n + 1]))
+            gre[n, 1 : n + 1] = gre[n - 1, :n] + re
+            gim[n, 1 : n + 1] = gim[n - 1, :n] + im
         # phase · gauss, the first product of each coefficient, per sign
-        self._head = {
-            sign: grid([[self.phase(-sign * (N - 1) ** 2) * g for g in row] for row in gb])
-            for sign in (1, -1)
-        }
-        self._poch = {1: grid(self.poch_plus), -1: grid(self.poch_minus)}
+        self._head = {sign: _cmul(_split([self.phase(-sign * (N - 1) ** 2)]), (gre, gim)) for sign in (1, -1)}
+        # pochhammer prefixes ∏_{i<l}(1 − q^{N−1−n−i}) (sign +1) and
+        # ∏_{i<l}(1 − q^{n−(N−1)+i}) (sign −1), transposed: step i advances all
+        # 2N rows by factor i; 1 − z is (1.0 − re, 0.0 − im), as int − complex
+        n = np.arange(N)
+        start, step = np.concatenate((N - 1 - n, n - (N - 1))), np.repeat([-1, 1], N)
+        pre, pim = (np.empty((N + 1, 2 * N), dtype=qre.dtype) for _ in range(2))
+        pre[0], pim[0] = 1.0, 0.0
+        for i in range(N):
+            e = (start + step * i) % N
+            pre[i + 1], pim[i + 1] = _cmul((pre[i], pim[i]), (1.0 - qre[e], 0.0 - qim[e]))
+        self._poch = {1: (pre[:, :N].T, pim[:, :N].T), -1: (pre[:, N:].T, pim[:, N:].T)}
         # the tables are shared by every sum at N (`_ring_tables`)
         for pair in (self._quarter, self._qpow, *self._head.values(), *self._poch.values()):
             for part in pair:
@@ -208,9 +212,9 @@ class _NumericTables:
 
     @staticmethod
     def table_cells(N: int) -> int:
-        """The complex cells of the tables `__init__` builds: gauss, the two
-        pochhammer prefix tables, and the split head and poch grids of each
-        sign, N×(N+1) each."""
+        """The size `_check_size` admits the tables by, 7·N·(N+1) complex
+        cells (N ≤ 1,547): they keep four N×(N+1) split grids, head and poch
+        of each sign, and build a fifth, the Gaussian binomials."""
         return 7 * N * (N + 1)
 
     @staticmethod
@@ -220,14 +224,6 @@ class _NumericTables:
         return built
 
     take = staticmethod(_take)
-
-    def _prefix(self, start: int, step: int) -> tuple[complex, ...]:
-        out = [1 + 0j]
-        acc = 1 + 0j
-        for i in range(self.N):
-            acc *= 1 - self.qpow[(start + step * i) % self.N]
-            out.append(acc)
-        return tuple(out)
 
     def phase(self, quarter_units: int) -> complex:
         return self.quarter[quarter_units % (4 * self.N)]

@@ -18,12 +18,16 @@
   tests that mean a kernel on a named word.
 * `qdet`: the quantum determinant as the permutation sum, the reference for
   the first-column expansion of `mcmahon.c_parts`.
+* `float_tables`: the root-of-unity tables of the float state sum by scalar
+  recurrences in CPython complex arithmetic, the reference that
+  `verma_oracle._NumericTables` must match bit for bit.
 """
 from itertools import permutations, product
+from typing import NamedTuple
 
 import numpy as np
 
-from qknot import mcmahon
+from qknot import mcmahon, verma_oracle
 from qknot.exactpoly import LaurentPoly, Q_UNIT
 from qknot.qweyl import AlgebraElement, normal_order_product
 from qknot.verma_oracle import _ExactRows, _state_sum
@@ -265,3 +269,47 @@ def qdet(M) -> AlgebraElement:
         inv = sum(1 for x in range(n) for y in range(x + 1, n) if perm[x] > perm[y])
         total = total + prod.scale(LaurentPoly.term((-1) ** inv, Q_UNIT * inv))
     return total
+
+
+# ---------------------------------------------------------------------------
+# the float state sum's tables, entry by entry
+# ---------------------------------------------------------------------------
+
+
+class FloatTables(NamedTuple):
+    """quarter[t] = exp(2πi t/4N); qpow[t] = q^t; gauss[n][l] = [n, l] at q
+    (0 for l > n); poch[+1][n][l] = ∏_{i<l}(1 − q^{N−1−n−i}) and
+    poch[−1][n][l] = ∏_{i<l}(1 − q^{n−(N−1)+i}), l = 0..N."""
+
+    N: int
+    quarter: tuple
+    qpow: tuple
+    gauss: list
+    poch: dict
+
+    def phase(self, quarter_units: int):
+        return self.quarter[quarter_units % (4 * self.N)]
+
+
+def float_tables(N: int) -> FloatTables:
+    """The tables at q = exp(2πi/N) by Pascal's rule and the running
+    pochhammer products, one complex operation at a time, with the cmath
+    that `verma_oracle` holds (a high-precision stand-in when replaced)."""
+    cm = verma_oracle.cmath
+    quarter = tuple(cm.exp(2j * cm.pi * t / (4 * N)) for t in range(4 * N))
+    qpow = tuple(quarter[4 * t] for t in range(N))
+    gauss = [[0j] * (N + 1) for _ in range(N)]
+    for n in range(N):
+        gauss[n][0] = 1 + 0j
+        for l in range(1, n + 1):
+            gauss[n][l] = gauss[n - 1][l - 1] + qpow[l % N] * gauss[n - 1][l]
+
+    def prefix(start: int, step: int) -> list:
+        out, acc = [1 + 0j], 1 + 0j
+        for i in range(N):
+            acc *= 1 - qpow[(start + step * i) % N]
+            out.append(acc)
+        return out
+
+    poch = {1: [prefix(N - 1 - n, -1) for n in range(N)], -1: [prefix(n - (N - 1), 1) for n in range(N)]}
+    return FloatTables(N, quarter, qpow, gauss, poch)

@@ -743,6 +743,36 @@ def test_groups_of_populations_give_the_same_value(series, corpus_braids, benchm
     assert grouped
 
 
+def test_folded_series_merges_only_groups_of_several_populations(corpus_braids, monkeypatch):
+    # at _GROUP_CELLS = 1 every group is one population, whose keys
+    # `_folded_step` has made distinct: `_merge` then runs only inside
+    # `_eval_folded`, and the values are those of the default grouping
+    cases = [(b, N) for b in corpus_braids.values() for N in (3, 5, 8)]
+    want = [folded(braid_c_sum(b), b.signs, N) for b, N in cases]
+    merge, evaluate = mcmahon._merge, mcmahon._eval_folded
+    inside, outside = [], []
+
+    def merged(*args):
+        (inside if evaluating else outside).append(len(args[0]))
+        return merge(*args)
+
+    def evaluated(*args):
+        nonlocal evaluating
+        evaluating = True
+        try:
+            return evaluate(*args)
+        finally:
+            evaluating = False
+
+    evaluating = False
+    monkeypatch.setattr(mcmahon, "_merge", merged)
+    monkeypatch.setattr(mcmahon, "_eval_folded", evaluated)
+    monkeypatch.setattr(mcmahon, "_GROUP_CELLS", 1)
+    for (b, N), value in zip(cases, want):
+        assert folded(braid_c_sum(b), b.signs, N) == value, (b.to_text(), N)
+    assert inside and not outside
+
+
 def test_graded_fermionic_sum_is_the_ungraded_sum_on_the_corpus(corpus_braids):
     # the series on the ungraded C, stopped after max(k, m) zero terms,
     # gives the same polynomial where it has been run

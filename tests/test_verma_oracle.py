@@ -33,6 +33,7 @@ from oracles import (
     braid_relation_holds,
     braiding_inverse_holds,
     expand_then_filter,
+    float_tables,
     mono,
     state_sum_jones_on_word,
     table_coefficients,
@@ -310,14 +311,14 @@ def _dict_walk_state_sum(b, N: int) -> complex:
     dict of live states and CPython complex arithmetic: the reference the
     batched kernel must match bit for bit."""
     m = b.strands
-    t = verma_oracle._NumericTables(N)
+    t = float_tables(N)
     steps, last = verma_oracle._last_touch(b)
 
     def coeff(sign, n1, n2, l):
         if sign == 1:
-            e, poch = -l * (n1 - l) + n2 * (l - n1) + n2 * (N - 1), t.poch_plus[n2][l]
+            e, poch = -l * (n1 - l) + n2 * (l - n1) + n2 * (N - 1), t.poch[1][n2][l]
             return t.phase(-((N - 1) ** 2)) * t.gauss[n1][l] * t.qpow[e % N] * poch
-        e, poch = n1 * (n2 - l) - n1 * (N - 1), t.poch_minus[n1][l]
+        e, poch = n1 * (n2 - l) - n1 * (N - 1), t.poch[-1][n1][l]
         return t.phase((N - 1) ** 2) * t.gauss[n2][l] * t.qpow[e % N] * poch
 
     total = 0j
@@ -417,12 +418,59 @@ FLOAT_STATE_SUM_BITS = [
     ("1 -2 1 -2", 60, "0x1.5bfb98cb8c15fp+36", "-0x1.893cfbdf6a384p+12"),
     ("1 -2 1 -2", 100, "0x1.35b7925dc7117p+56", "-0x1.b751aa512363ep+54"),
     ("1 2 -1 2 1 1", 30, "0x1.e67037e0b2821p+25", "-0x1.7991bbb7f6a26p+25"),
+    # recorded from the scalar table loops, before the tables were built by
+    # array recurrences, at orders where those loops ran longest
+    ("1 1 1", 400, "-0x1.d5ef5a0aac27ap+46", "0x1.498fe7b76a3c2p+47"),
+    ("1 1 1", 1000, "-0x1.849ab710fc81fp+187", "0x1.478c07eeacf3cp+187"),
 ]
 
 
 @pytest.mark.parametrize("word,N,real,imag", FLOAT_STATE_SUM_BITS)
 def test_float_state_sum_is_pinned_bit_for_bit(word, N, real, imag):
     assert _bits(numeric_state_sum(parse_braid(word), N)) == (real, imag)
+
+
+def _reference_grids(N: int) -> dict[str, tuple]:
+    """`_NumericTables`' split arrays, as nested lists of complex numbers
+    from the scalar reference tables."""
+    t = float_tables(N)
+    return {
+        "qpow": t.qpow,
+        **{f"head{sign:+d}": [[t.phase(-sign * (N - 1) ** 2) * g for g in row] for row in t.gauss]
+           for sign in (1, -1)},
+        **{f"poch{sign:+d}": t.poch[sign] for sign in (1, -1)},
+    }
+
+
+def _kernel_grids(tables) -> dict[str, tuple]:
+    return {"qpow": tables._qpow, **{f"head{sign:+d}": tables._head[sign] for sign in (1, -1)},
+            **{f"poch{sign:+d}": tables._poch[sign] for sign in (1, -1)}}
+
+
+@pytest.mark.parametrize("N", [*range(1, 41), 60, 100, 200])
+def test_float_tables_match_the_scalar_recurrences_bit_for_bit(N):
+    # signed zeros count: the bits are compared as integers
+    want = _reference_grids(N)
+    for name, got in _kernel_grids(_NumericTables(N)).items():
+        ref = np.array(want[name], dtype=complex)
+        for part, g, r in zip(("real", "imag"), got, (ref.real, ref.imag)):
+            assert g.shape == r.shape, (N, name)
+            assert np.array_equal(g.view(np.int64), r.view(np.int64)), (N, name, part)
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 13, 20])
+def test_float_tables_agree_with_the_scalar_recurrences_on_a_cmath_stand_in(monkeypatch, N):
+    # mpmath rounds a complex product once, the split product twice; Pascal's
+    # rule carries such differences along its binom(n, l) paths, so at 30
+    # digits the two part by 8e-28 at N = 20 and by 3e-25 at N = 30
+    monkeypatch.setattr(verma_oracle, "cmath", _MpCmath)
+    with mpmath.workdps(30):
+        want = _reference_grids(N)
+        for name, (re, im) in _kernel_grids(_NumericTables(N)).items():
+            ref = np.array(want[name], dtype=object)
+            assert re.dtype == object and re.shape == ref.shape, name
+            for x, y, z in zip(re.ravel(), im.ravel(), ref.ravel()):
+                assert abs(mpmath.mpc(x, y) - z) <= 1e-25 * max(1, abs(z)), (N, name)
 
 
 def test_float_state_sum_refuses_a_value_that_is_not_finite(overflowing_float_sum):
